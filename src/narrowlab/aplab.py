@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError
 from .singular import DEFAULT_PMAX, as_shift, singular_series
 
@@ -36,7 +35,21 @@ def lambda_D(f_list, D):
     D = int(D)
     if not 1 <= D < n:
         raise DomainError(f"need 1 <= D < N', got D={D}, N'={n}")
-    return float(_kernels.lambda_sweep(np.vstack(fs), D))
+    return float(lambda_sweep(np.vstack(fs), D))
+
+
+def lambda_sweep(fs, D):
+    """Mean over d in [1,D] and n of prod_j fs[j, n + j*d mod N]."""
+    k, n = fs.shape
+    doubled = [np.concatenate([fs[j], fs[j]]) for j in range(k)]
+    total = 0.0
+    for d in range(1, D + 1):
+        v = fs[0].copy()
+        for j in range(1, k):
+            off = (j * d) % n
+            v *= doubled[j][off:off + n]
+        total += float(v.sum())
+    return total / (n * D)
 
 
 def prime_signal(sieve, nprime):
@@ -73,7 +86,19 @@ def count_aps_with_difference(N, k, d, sieve):
             f"need sieve limit >= {top}, have {sieve.limit}"
         )
     mask = sieve.prime_mask(top)
-    return int(_kernels.ap_count(mask[: N + (k - 1) * d + 1], k, d))
+    return ap_count(mask[: N + (k - 1) * d + 1], k, d)
+
+
+def ap_count(flags, k, d):
+    """Count n with flags[n + j*d] set for all j in [0, k), no wraparound."""
+    n = flags.shape[0]
+    top = n - (k - 1) * d
+    if top <= 0:
+        return 0
+    v = flags[:top].copy()
+    for j in range(1, k):
+        v &= flags[j * d:j * d + top]
+    return int(np.count_nonzero(v))
 
 
 @dataclass(frozen=True)
@@ -239,7 +264,7 @@ def narrowness_report(ladder, k, delta, rule, sieve):
         min_d = 0
         diffs = []
         for d in range(1, cap + 1):
-            c = int(_kernels.ap_count(mask[: N + (k - 1) * d + 1], k, d))
+            c = ap_count(mask[: N + (k - 1) * d + 1], k, d)
             if c > 0:
                 if min_d == 0:
                     min_d = d

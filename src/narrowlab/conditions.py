@@ -265,9 +265,10 @@ def count_hyperplane_points(coeffs, S, rhs=0):
 
     Coordinates with zero coefficient range freely and contribute a factor
     of (2S+1) each.  The active part uses closed forms for up to two
-    coordinates and a strided-boxcar convolution of value distributions
-    beyond; counts are exact while they fit double precision, which covers
-    every width this package queries.
+    coordinates and a strided-boxcar convolution of int64 value
+    distributions beyond.  Every partial count of that convolution is at
+    most (2S+1)^(t-1) for t active coordinates, so counts are exact
+    whenever that bound is below 2^63; larger inputs raise ResourceError.
     """
     S = int(S)
     if S < 0:
@@ -283,15 +284,19 @@ def count_hyperplane_points(coeffs, S, rhs=0):
     if len(a) == 2 and rhs == 0:
         g = math.gcd(abs(a[0]), abs(a[1]))
         return free * (2 * (S * g // max(abs(a[0]), abs(a[1]))) + 1)
-    pmf = np.zeros(1, dtype=np.float64)
-    pmf[0] = 1.0
+    if (2 * S + 1) ** (len(a) - 1) >= 1 << 63:
+        raise ResourceError(
+            f"hyperplane count with {len(a)} active coordinates at S={S} "
+            "exceeds the int64 range"
+        )
+    pmf = np.ones(1, dtype=np.int64)
     offset = 0
     for coef in a:
         pmf, offset = _boxcar_convolve(pmf, offset, coef, S)
     idx = rhs - offset
     if idx < 0 or idx >= pmf.shape[0]:
         return 0
-    return free * int(round(float(pmf[idx])))
+    return free * int(pmf[idx])
 
 
 def _boxcar_convolve(pmf, offset, coef, S):
@@ -300,12 +305,12 @@ def _boxcar_convolve(pmf, offset, coef, S):
     span = step * S
     n = pmf.shape[0]
     out_len = n + 2 * span
-    padded = np.zeros(out_len, dtype=np.float64)
+    padded = np.zeros(out_len, dtype=np.int64)
     padded[span:span + n] = pmf
-    out = np.empty(out_len, dtype=np.float64)
+    out = np.empty(out_len, dtype=np.int64)
     for r in range(step):
         col = padded[r::step]
-        csum = np.concatenate([[0.0], np.cumsum(col)])
+        csum = np.concatenate([[0], np.cumsum(col)])
         m = col.shape[0]
         q = np.arange(m)
         hi = np.minimum(q + S + 1, m)

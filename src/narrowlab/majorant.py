@@ -13,7 +13,15 @@ import numpy as np
 
 from .cutoff import chi_value
 from .errors import DomainError, FormatError
-from .numtheory import WTrickContext, is_prime, primorial
+from .numtheory import (
+    WTrickContext,
+    factorize,
+    is_prime,
+    moebius,
+    payload_bytes,
+    primorial,
+    replace_on_success,
+)
 from .singular import DEFAULT_PMAX, _factor_int, singular_series
 
 MAJORANT_MAGIC = b"NAPMV1"
@@ -57,7 +65,7 @@ def lambda_chi_R(m, R, cutoff, sieve):
     if R <= 1.0:
         raise DomainError(f"R must exceed 1, got {R}")
     log_r = math.log(R)
-    primes = [p for p, _ in _sieve_factorize(m, sieve)]
+    primes = [p for p, _ in factorize(m, sieve)]
     total = 0.0
     for bits in range(1 << len(primes)):
         d = 1
@@ -69,18 +77,6 @@ def lambda_chi_R(m, R, cutoff, sieve):
         if d <= R:
             total += sign * chi_value(cutoff, math.log(d) / log_r)
     return log_r * total
-
-
-def _sieve_factorize(m, sieve):
-    out = []
-    while m > 1:
-        p = int(sieve.spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    return out
 
 
 def build_majorant(context, R, cutoff, sieve):
@@ -107,7 +103,7 @@ def build_majorant(context, R, cutoff, sieve):
     for d in range(1, int(R) + 1):
         if math.gcd(d, W) != 1:
             continue
-        mu = _moebius_small(d, sieve)
+        mu = moebius(d, sieve)
         if mu == 0:
             continue
         weight = mu * chi_value(cutoff, math.log(d) / log_r)
@@ -119,17 +115,6 @@ def build_majorant(context, R, cutoff, sieve):
     values = (context.phi_W / (W * log_r)) * lam * lam
     return MajorantTable(context=context, R=R, cutoff=cutoff,
                          values=values, lambda_values=lam)
-
-
-def _moebius_small(d, sieve):
-    sign = 1
-    while d > 1:
-        p = int(sieve.spf[d])
-        d //= p
-        if d % p == 0:
-            return 0
-        sign = -sign
-    return sign
 
 
 def minorization_floor(table):
@@ -187,14 +172,14 @@ def majorant_pair_correlation(table, h, P_max=DEFAULT_PMAX):
 
 def save_majorant(table, path):
     """Write the NAPMV1 binary format: magic, N', W, b, R, then both arrays."""
-    with open(path, "wb") as fh:
+    with replace_on_success(path) as fh:
         fh.write(MAJORANT_MAGIC)
         fh.write(int(table.nprime).to_bytes(8, "little"))
         fh.write(int(table.context.W).to_bytes(8, "little"))
         fh.write(int(table.context.b).to_bytes(8, "little"))
         fh.write(np.float64(table.R).tobytes())
-        fh.write(np.ascontiguousarray(table.values, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(table.lambda_values, dtype="<f8").tobytes())
+        np.ascontiguousarray(table.values, dtype="<f8").tofile(fh)
+        np.ascontiguousarray(table.lambda_values, dtype="<f8").tofile(fh)
 
 
 def load_majorant(path, cutoff=None):
@@ -216,19 +201,18 @@ def load_majorant(path, cutoff=None):
         W = int.from_bytes(head[8:16], "little")
         b = int.from_bytes(head[16:24], "little")
         R = float(np.frombuffer(head[24:32], dtype="<f8")[0])
-        payload = fh.read()
-    expected = 16 * nprime
-    if len(payload) != expected:
-        raise FormatError(
-            f"majorant payload has {len(payload)} bytes, expected {expected}"
-        )
+        size = payload_bytes(fh)
+        expected = 16 * nprime
+        if size != expected:
+            raise FormatError(
+                f"majorant payload has {size} bytes, expected {expected}"
+            )
+        payload = np.fromfile(fh, dtype="<f8", count=2 * nprime)
     if not is_prime(nprime):
         raise FormatError(f"majorant modulus {nprime} is not prime")
     w = max(_factor_int(W)) if W > 1 else 1
     if primorial(w) != W:
         raise FormatError(f"majorant W={W} is not a primorial")
-    values = np.frombuffer(payload[:8 * nprime], dtype="<f8").astype(np.float64)
-    lam = np.frombuffer(payload[8 * nprime:], dtype="<f8").astype(np.float64)
     ctx = WTrickContext(w=w, W=W, b=b, modulus=nprime)
     return MajorantTable(context=ctx, R=R, cutoff=cutoff,
-                         values=values, lambda_values=lam)
+                         values=payload[:nprime], lambda_values=payload[nprime:])

@@ -1,12 +1,12 @@
 """Integer arithmetic foundations: sieves, multiplicative functions, W-trick contexts."""
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, FormatError, ResourceError
 
 SIEVE_MAGIC = b"NAPSV1"
@@ -73,8 +73,8 @@ class FactorSieve:
         upto = self.limit if upto is None else int(upto)
         if not 2 <= upto <= self.limit:
             raise DomainError(f"upto={upto} outside sieve range [2, {self.limit}]")
-        idx = np.arange(upto + 1, dtype=np.int64)
-        mask = self.spf[:upto + 1].astype(np.int64) == idx
+        idx = np.arange(upto + 1, dtype=self.spf.dtype)
+        mask = self.spf[:upto + 1] == idx
         mask[:2] = False
         return mask
 
@@ -122,7 +122,7 @@ def build_factor_sieve(limit, segment_size=DEFAULT_SEGMENT):
     lo = 2
     while lo <= limit:
         hi = min(lo + segment_size, limit + 1)
-        _kernels.spf_segment(spf[lo:hi], lo, base_primes)
+        spf_segment(spf[lo:hi], lo, base_primes)
         lo = hi
     unmarked = np.nonzero(spf == 0)[0]
     spf[unmarked] = unmarked
@@ -130,6 +130,25 @@ def build_factor_sieve(limit, segment_size=DEFAULT_SEGMENT):
     if limit >= 1:
         spf[1] = 1
     return FactorSieve(limit, spf)
+
+
+def spf_segment(spf_seg, lo, base_primes):
+    """Mark smallest prime factors of [lo, lo+len) into a zeroed segment.
+
+    Entries that remain 0 afterwards are primes (or below 2) relative to
+    the base prime list, which must contain every prime up to
+    sqrt(lo + len - 1).
+    """
+    hi = lo + spf_seg.shape[0]
+    for p in base_primes:
+        p = int(p)
+        start = p * p
+        if start < lo:
+            start = ((lo + p - 1) // p) * p
+        if start >= hi:
+            continue
+        view = spf_seg[start - lo::p]
+        view[view == 0] = p
 
 
 def _bootstrap_primes(upto):
@@ -240,12 +259,36 @@ def cache_dir():
     return os.environ.get("NARROWLAB_CACHE_DIR", ".")
 
 
+@contextlib.contextmanager
+def replace_on_success(path):
+    """Binary file handle whose contents land at path only if the block succeeds.
+
+    Writes go to a temporary file in the same directory, which is moved
+    onto path with os.replace, so a concurrent reader of path sees either
+    the old file or the complete new one, never a partial write.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def payload_bytes(fh):
+    """Bytes left in an open file after its current position."""
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def save_sieve(sieve, path):
     """Write the NAPSV1 binary sieve format: magic, u64 LE limit, u32 spf."""
-    with open(path, "wb") as fh:
+    with replace_on_success(path) as fh:
         fh.write(SIEVE_MAGIC)
         fh.write(int(sieve.limit).to_bytes(8, "little"))
-        fh.write(np.ascontiguousarray(sieve.spf, dtype="<u4").tobytes())
+        np.ascontiguousarray(sieve.spf, dtype="<u4").tofile(fh)
 
 
 def load_sieve(path):
@@ -260,11 +303,11 @@ def load_sieve(path):
         if len(raw_limit) != 8:
             raise FormatError("truncated sieve header")
         limit = int.from_bytes(raw_limit, "little")
-        data = fh.read()
-    expected = 4 * (limit + 1)
-    if len(data) != expected:
-        raise FormatError(
-            f"sieve payload has {len(data)} bytes, expected {expected}"
-        )
-    spf = np.frombuffer(data, dtype="<u4").astype(np.uint32)
+        size = payload_bytes(fh)
+        expected = 4 * (limit + 1)
+        if size != expected:
+            raise FormatError(
+                f"sieve payload has {size} bytes, expected {expected}"
+            )
+        spf = np.fromfile(fh, dtype="<u4", count=limit + 1)
     return FactorSieve(limit, spf)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .numtheory import is_prime
+from .numtheory import _bootstrap_primes, is_prime
 
 DEFAULT_PMAX = 100000
 EXACT_CAP = 10 ** 7
@@ -119,23 +119,6 @@ def _factor_int(n):
     return out
 
 
-_prime_cache = {}
-
-
-def _primes_upto(bound):
-    bound = int(bound)
-    if bound not in _prime_cache:
-        flags = np.ones(bound + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, math.isqrt(bound) + 1):
-            if flags[p]:
-                flags[p * p::p] = False
-        _prime_cache[bound] = np.nonzero(flags)[0].astype(np.float64)
-        if len(_prime_cache) > 8:
-            _prime_cache.pop(next(iter(_prime_cache)))
-    return _prime_cache[bound]
-
-
 _generic_cache = {}
 
 
@@ -143,7 +126,7 @@ def _generic_product(r, k, W_primes, P_max):
     """Product of (1-1/p)^(-r) (1-r/p) over primes k < p <= P_max, p not in W."""
     key = (r, k, tuple(W_primes), P_max)
     if key not in _generic_cache:
-        p = _primes_upto(P_max)
+        p = _bootstrap_primes(P_max)
         mask = p > k
         for q in W_primes:
             mask &= p != q
@@ -196,7 +179,7 @@ def singular_series(h, P_max=DEFAULT_PMAX, W=1):
             f"{delta_primes[-1]} of the discriminant"
         )
     tail = math.exp(r * r / P_max) - 1.0
-    small = sorted(set(delta_primes) | {int(p) for p in _primes_upto(k)})
+    small = sorted(set(delta_primes) | {p for p in range(2, k + 1) if is_prime(p)})
     value = _generic_product(r, k, W_primes, P_max)
     for p in small:
         if p in W_factors:

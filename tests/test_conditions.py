@@ -167,6 +167,14 @@ def test_hyperplane_counts_match_bruteforce():
         cd.count_hyperplane_points((1, 2), -1)
 
 
+def test_hyperplane_count_exact_past_double_precision():
+    S = 244038
+    n = 2 * S + 1
+    assert cd.count_hyperplane_points([1, 1, -1, -1], S) == (2 * n ** 3 + n) // 3
+    with pytest.raises(ResourceError):
+        cd.count_hyperplane_points([1, 1, 1, -1, -1], 10 ** 5)
+
+
 def test_deviation_frozen_value_first_family():
     S = int(2 * 0.1 ** -4)
     dev = cd.random_model_deviation(lf.first_family(3), 0.1, S)

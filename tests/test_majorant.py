@@ -185,6 +185,17 @@ def test_save_load_roundtrip(table, chi, tmp_path):
     assert bare.cutoff is None
 
 
+def test_failed_majorant_write_leaves_nothing_behind(table, tmp_path):
+    broken = mj.MajorantTable(
+        context=table.context, R=table.R, cutoff=table.cutoff,
+        values=table.values, lambda_values=np.array(["x"], dtype=object),
+    )
+    path = tmp_path / "m.bin"
+    with pytest.raises(ValueError):
+        mj.save_majorant(broken, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPEV1" + b"\x00" * 64)

@@ -99,6 +99,20 @@ def test_sieve_roundtrip(tmp_path):
     assert np.array_equal(loaded.spf, sieve.spf)
 
 
+def test_failed_sieve_write_leaves_nothing_behind(tmp_path):
+    broken = nt.FactorSieve(10, np.array(["x"] * 11, dtype=object))
+    path = tmp_path / "sieve.bin"
+    with pytest.raises(ValueError):
+        nt.save_sieve(broken, str(path))
+    assert list(tmp_path.iterdir()) == []
+    nt.save_sieve(nt.build_factor_sieve(100), str(path))
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        nt.save_sieve(broken, str(path))
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPEV1" + b"\x00" * 32)

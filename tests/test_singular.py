@@ -8,7 +8,7 @@ from narrowlab import singular as sg
 from narrowlab.errors import DomainError, ResourceError
 
 
-def _primes_upto(bound, sieve):
+def _primes_to(bound, sieve):
     return [int(p) for p in sieve.primes(bound)]
 
 
@@ -17,7 +17,7 @@ def _direct_series(h, P_max, W, sieve):
     entries = tuple(h)
     r = len(set(entries))
     value = 1.0
-    for p in _primes_upto(P_max, sieve):
+    for p in _primes_to(P_max, sieve):
         if W % p == 0:
             continue
         nu = len({v % p for v in entries})
@@ -58,7 +58,7 @@ def test_delta():
 def test_twin_series_against_twin_constant_oracle(sieve):
     got = sg.singular_series((0, 2), P_max=10 ** 5)
     oracle = 2.0
-    for p in _primes_upto(10 ** 5, sieve):
+    for p in _primes_to(10 ** 5, sieve):
         if p == 2:
             continue
         oracle *= 1.0 - 1.0 / (p - 1) ** 2
