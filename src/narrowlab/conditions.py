@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError
 from .linforms import (
-    Subspace,
-    _int_det,
-    _integer_kernel,
-    _rref,
+    _codim2_flats,
+    _collision_hyperplanes,
+    _kernel_lattice,
+    _subspace,
     induced_partition,
 )
 
@@ -357,76 +357,27 @@ class _DeviationEngine:
         self.sys = sys
         self.t = sys.t
         self.d = sys.d
-        hyper = {}
-        for i, j in itertools.combinations(range(sys.t), 2):
-            fi, fj = sys.forms[i], sys.forms[j]
-            a = np.array(
-                [x - y for x, y in zip(fi.coeffs, fj.coeffs)], dtype=np.int64
+        # Only hyperplanes with integer points (gcd(a) | rhs) meet the box.
+        rows = [row for row in _collision_hyperplanes(sys)
+                if row[-1] % math.gcd(*row[:-1]) == 0]
+        self.hyperplanes = [
+            {"row": row, "psize": induced_partition(sys, _subspace([row])).size}
+            for row in rows
+        ]
+        flats = _codim2_flats(sys, rows)
+        if len(flats) > max_subspaces:
+            raise ResourceError(
+                f"codim-2 lattice exceeded {max_subspaces} subspaces"
             )
-            rhs = -(fi.constant - fj.constant)
-            if not a.any():
-                continue
-            g = int(np.gcd.reduce(np.abs(a[a != 0])))
-            if rhs % g != 0:
-                continue
-            a //= g
-            rhs //= g
-            lead = a[np.nonzero(a)[0][0]]
-            if lead < 0:
-                a = -a
-                rhs = -rhs
-            hyper[(tuple(a.tolist()), rhs)] = (a, rhs)
-        self.hyperplanes = []
-        for a, rhs in hyper.values():
-            row = tuple(a.tolist()) + (rhs,)
-            canon, _, _ = _rref([row], sys.d + 1)
-            sub = Subspace(rows=canon, codim=1, feasible=True)
-            pi = induced_partition(sys, sub)
-            self.hyperplanes.append({
-                "coeffs": a, "rhs": rhs, "rows": canon, "psize": pi.size,
-            })
-        pairs = {}
-        items = list(hyper.values())
-        for (a1, r1), (a2, r2) in itertools.combinations(items, 2):
-            rows, pivots, feasible = _rref(
-                [tuple(a1.tolist()) + (r1,), tuple(a2.tolist()) + (r2,)],
-                sys.d + 1,
-            )
-            if not feasible or len(rows) != 2 or rows in pairs:
-                continue
-            pairs[rows] = (a1, a2)
-            if len(pairs) > max_subspaces:
-                raise ResourceError(
-                    f"codim-2 lattice exceeded {max_subspaces} subspaces"
-                )
         self.codim2 = []
-        for rows, (a1, a2) in pairs.items():
-            sub = Subspace(rows=rows, codim=2, feasible=True)
-            pi = induced_partition(sys, sub)
-            basis = _integer_kernel([a1.tolist(), a2.tolist()], sys.d)
-            gram = [
-                [sum(x * y for x, y in zip(u, v)) for v in basis]
-                for u in basis
-            ]
-            covol = math.sqrt(float(_int_det(gram)))
-            parents = []
-            for idx, hp in enumerate(self.hyperplanes):
-                if self._row_in_span(hp["rows"][0], rows):
-                    parents.append(idx)
+        for flat, parents in flats:
+            basis, gdet, covol = _kernel_lattice(
+                [rows[p][:-1] for p in parents[:2]], sys.d
+            )
             self.codim2.append({
-                "rows": rows, "psize": pi.size, "covol": covol,
-                "parents": parents,
+                "rows": flat.rows, "psize": induced_partition(sys, flat).size,
+                "covol": covol, "parents": parents,
             })
-
-    @staticmethod
-    def _row_in_span(row, span_rows):
-        residue = [Fraction(v) for v in row]
-        for srow in span_rows:
-            pivot = next(i for i, v in enumerate(srow) if v != 0)
-            coef = residue[pivot]
-            if coef != 0:
-                residue = [x - coef * y for x, y in zip(residue, srow)]
-        return all(v == 0 for v in residue)
 
     def deviation(self, alpha, S):
         alpha = float(alpha)
@@ -443,8 +394,8 @@ class _DeviationEngine:
         box_total = width ** self.d
         frac1 = []
         for hp in self.hyperplanes:
-            cnt = count_hyperplane_points(hp["coeffs"].tolist(), S,
-                                          rhs=hp["rhs"])
+            cnt = count_hyperplane_points(hp["row"][:-1], S,
+                                          rhs=hp["row"][-1])
             frac1.append(cnt / box_total)
         excl1 = list(frac1)
         for elt, f2 in zip(self.codim2, frac2):

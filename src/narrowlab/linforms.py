@@ -165,24 +165,26 @@ def codim_of_partition(sys, pi):
     return len(rows) if feasible else INFINITE_CODIM
 
 
-def _functional_rows(subspace):
-    """Rows of the subspace as vanishing functionals (a, -rhs) with pivots."""
-    out = []
-    for row in subspace.rows:
-        func = row[:-1] + (-row[-1],)
-        pivot = next(i for i, v in enumerate(func) if v != 0)
-        out.append((func, pivot))
-    return out
-
-
 def induced_partition(sys, subspace):
-    """Partition grouping forms that agree as functions on the subspace."""
-    funcs = _functional_rows(subspace)
+    """Partition grouping forms that agree as functions on the subspace.
+
+    Forms are grouped by their residue modulo the functionals (a, -rhs)
+    of the subspace's rows.  The rows are in reduced echelon form, so each
+    is subtracted once, scaled by the form's own entry at its pivot;
+    everything is scaled by a common denominator to stay in integers.
+    """
+    den = math.lcm(*(v.denominator for row in subspace.rows for v in row))
+    funcs = []
+    for row in subspace.rows:
+        func = [v.numerator * (den // v.denominator) for v in row]
+        func[-1] = -func[-1]
+        funcs.append((func, next(i for i, v in enumerate(func) if v != 0)))
     groups = {}
     for idx, f in enumerate(sys.forms):
-        residue = [Fraction(v) for v in f.functional()]
+        vec = f.functional()
+        residue = [den * v for v in vec]
         for func, pivot in funcs:
-            coef = residue[pivot]
+            coef = vec[pivot]
             if coef != 0:
                 residue = [a - coef * b for a, b in zip(residue, func)]
         groups.setdefault(tuple(residue), []).append(idx)
@@ -269,18 +271,48 @@ class LindexResult:
     subspaces_explored: int
 
 
-def _pair_generators(sys):
-    """Deduplicated feasible codim-1 generators from pairwise differences."""
-    seen = {}
-    for i, j in itertools.combinations(range(sys.t), 2):
-        fi, fj = sys.forms[i], sys.forms[j]
+def _collision_hyperplanes(sys):
+    """Distinct hyperplanes on which two forms agree, as integer rows.
+
+    Each row (a_1, ..., a_d, rhs) means a . x = rhs, is primitive and has
+    a positive first nonzero entry.  Rows keep the order in which the
+    pairs (i, j), i < j, first produce them.
+    """
+    rows = {}
+    for fi, fj in itertools.combinations(sys.forms, 2):
         a = tuple(ci - cj for ci, cj in zip(fi.coeffs, fj.coeffs))
-        rhs = -(fi.constant - fj.constant)
-        if all(v == 0 for v in a):
+        if not any(a):
             continue
-        rows, pivots, feasible = _rref([a + (rhs,)], sys.d + 1)
-        seen[rows] = Subspace(rows=rows, codim=1, feasible=True)
-    return list(seen.values())
+        row = a + (fj.constant - fi.constant,)
+        g = math.gcd(*row)
+        if next(v for v in row if v) < 0:
+            g = -g
+        rows.setdefault(tuple(v // g for v in row), None)
+    return list(rows)
+
+
+def _codim2_flats(sys, hyperplanes):
+    """Nonempty codim-2 intersections of the rows of _collision_hyperplanes.
+
+    Returns (flat, parents) pairs in the order the hyperplane pairs first
+    produce them: flat is the canonical Subspace, parents the ascending
+    indices of the hyperplanes that contain it.  Two distinct hyperplanes
+    through a codim-2 flat meet exactly in it, so the pairs that produce
+    a flat name all of its parents.
+    """
+    flats = {}
+    for (i, hi), (j, hj) in itertools.combinations(enumerate(hyperplanes), 2):
+        rows, pivots, feasible = _rref([hi, hj], sys.d + 1)
+        if feasible and len(rows) == 2:
+            flats.setdefault(rows, set()).update((i, j))
+    return [(Subspace(rows=rows, codim=2, feasible=True), tuple(sorted(parents)))
+            for rows, parents in flats.items()]
+
+
+def _subspace(rows):
+    """Canonical Subspace of integer rows (a..., rhs) with common solutions."""
+    canon, pivots, feasible = _rref(rows, len(rows[0]))
+    return Subspace(rows=canon, codim=len(canon), feasible=True)
 
 
 def lindex(sys, max_subspaces=500000):
@@ -295,7 +327,7 @@ def lindex(sys, max_subspaces=500000):
     t = sys.t
     if t < 2:
         raise DomainError(f"collision index needs t >= 2 forms, got t={t}")
-    generators = _pair_generators(sys)
+    generators = [_subspace([row]) for row in _collision_hyperplanes(sys)]
     best = Fraction(0)
     best_witness = None
     best_codim = 0
@@ -402,79 +434,29 @@ class MinDistinctResult:
     witness: Subspace
 
 
-def _int_reduce_step(mat, row):
-    """Fraction-free quotient step: same injective map applied to all rows."""
-    pivot = int(np.nonzero(row)[0][0])
-    return row[pivot] * mat - np.outer(mat[:, pivot], row)
-
-
-def _count_restricted(forms_mat, int_rows):
-    mat = forms_mat.copy()
-    for row in int_rows:
-        mat = _int_reduce_step(mat, row)
-    return len(np.unique(mat, axis=0))
-
-
 def min_distinct_on_codim(sys, c):
     """Minimum count of distinct restricted forms over codim-c subspaces.
 
     Candidates are kernels of pairwise form differences (c = 1) and their
     pairwise intersections of codimension exactly 2 (c = 2): any collision
     on a subspace forces it inside some difference kernel, so these
-    candidate sets realize the minima.
+    candidate sets realize the minima.  The forms that stay distinct on a
+    candidate are the atoms of its induced partition.
     """
     if c not in (1, 2):
         raise DomainError(f"codimension must be 1 or 2, got {c}")
-    forms_mat = np.array([f.functional() for f in sys.forms], dtype=np.int64)
-    hyper = {}
-    for i, j in itertools.combinations(range(sys.t), 2):
-        fi, fj = sys.forms[i], sys.forms[j]
-        func = np.array(
-            [a - b for a, b in zip(fi.functional(), fj.functional())],
-            dtype=np.int64,
-        )
-        if not func[:-1].any():
-            continue
-        g = int(np.gcd.reduce(np.abs(func[func != 0])))
-        func //= g
-        lead = func[np.nonzero(func)[0][0]]
-        if lead < 0:
-            func = -func
-        hyper[tuple(func.tolist())] = func
-    if not hyper:
-        raise DomainError("system has no feasible codim-1 collision subspaces")
-    candidates = []
+    hyperplanes = _collision_hyperplanes(sys)
     if c == 1:
-        for func in hyper.values():
-            candidates.append([func])
+        candidates = [_subspace([row]) for row in hyperplanes]
     else:
-        funcs = list(hyper.values())
-        seen = set()
-        for r1, r2 in itertools.combinations(funcs, 2):
-            p1 = int(np.nonzero(r1)[0][0])
-            r2p = r1[p1] * r2 - r2[p1] * r1
-            if not r2p[:-1].any():
-                continue
-            rows, pivots, feasible = _rref(
-                [tuple(r1.tolist()), tuple(r2.tolist())], sys.d + 1
-            )
-            if not feasible or len(rows) != 2 or rows in seen:
-                continue
-            seen.add(rows)
-            g = int(np.gcd.reduce(np.abs(r2p[r2p != 0])))
-            candidates.append([r1, r2p // g])
-    best_count = None
-    best_rows = None
-    for rows in candidates:
-        count = _count_restricted(forms_mat, rows)
-        if best_count is None or count < best_count:
-            best_count = count
-            best_rows = rows
-    canon, pivots, feasible = _rref(
-        [tuple(np.asarray(r).tolist()) for r in best_rows], sys.d + 1
-    )
-    witness = Subspace(rows=canon, codim=len(canon), feasible=True)
-    return MinDistinctResult(count=best_count, witness=witness)
+        candidates = [flat for flat, parents in _codim2_flats(sys, hyperplanes)]
+    if not candidates:
+        raise DomainError(
+            f"system has no feasible codim-{c} collision subspaces"
+        )
+    counts = [induced_partition(sys, sub).size for sub in candidates]
+    best = counts.index(min(counts))
+    return MinDistinctResult(count=counts[best], witness=candidates[best])
 
 
 # ----------------------------------------------------------- integer lattice
@@ -535,6 +517,14 @@ def _int_det(mat):
     return sign * m[-1][-1]
 
 
+def _kernel_lattice(rows, d):
+    """Integer kernel basis of the rows, its Gram determinant and covolume."""
+    basis = _integer_kernel(rows, d)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    gdet = _int_det(gram)
+    return basis, gdet, math.sqrt(float(gdet))
+
+
 def solution_lattice(sys, pi):
     """Integer lattice of points where all within-atom differences vanish.
 
@@ -548,14 +538,10 @@ def solution_lattice(sys, pi):
     canon, pivots, feasible = _rref(rows, sys.d + 1)
     if not feasible:
         raise DomainError("partition forces an inconsistent affine constraint")
-    hom = [r[:-1] for r in rows]
-    basis = _integer_kernel(hom, sys.d)
-    m = len(basis)
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
-    gdet = _int_det(gram)
-    arr = np.array(basis, dtype=np.int64).reshape(m, sys.d)
-    return SolutionLattice(basis=arr, dimension=m, gram_det=gdet,
-                           covolume=math.sqrt(float(gdet)))
+    basis, gdet, covolume = _kernel_lattice([r[:-1] for r in rows], sys.d)
+    arr = np.array(basis, dtype=np.int64).reshape(len(basis), sys.d)
+    return SolutionLattice(basis=arr, dimension=len(basis), gram_det=gdet,
+                           covolume=covolume)
 
 
 # ------------------------------------------------------------- interchange

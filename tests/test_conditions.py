@@ -1,5 +1,7 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +186,19 @@ def test_deviation_frozen_value_first_family():
     assert not dev.dominant.approximate
 
 
+def test_deviation_terms_pinned_first_family():
+    """Every term of the first(3) deviation, recorded from the engine's
+    earlier, separately written enumeration of the collision subspaces."""
+    pinned = json.loads(
+        (Path(__file__).parent / "data" / "first3_deviation.json").read_text()
+    )
+    for S in (10 ** 3, 10 ** 4):
+        dev = cd.random_model_deviation(lf.first_family(3), 0.1, S)
+        assert dev.total == pinned[str(S)]["total"]
+        got = [[t.codim, t.partition_size, t.contribution] for t in dev.terms]
+        assert got == pinned[str(S)]["terms"]
+
+
 def test_deviation_decreases_with_width():
     sys = lf.first_family(3)
     S = int(2 * 0.1 ** -4)
@@ -202,6 +217,8 @@ def test_deviation_input_validation():
     single = lf.LinearSystem(d=1, forms=(lf.LinearForm(coeffs=(1,)),))
     with pytest.raises(DomainError):
         cd.random_model_deviation(single, 0.5, 100)
+    with pytest.raises(ResourceError):
+        cd.random_model_deviation(lf.first_family(3), 0.5, 100, max_subspaces=10)
 
 
 def test_threshold_fit_slopes_and_dominant_ratios():

@@ -185,6 +185,70 @@ def test_min_distinct_lower_bounds():
         assert lf.min_distinct_on_codim(sys, 2).count >= 2 ** (k - 1)
     with pytest.raises(DomainError):
         lf.min_distinct_on_codim(lf.first_family(2), 3)
+    pair = lf.LinearSystem(
+        d=2, forms=(lf.LinearForm(coeffs=(1, 0)), lf.LinearForm(coeffs=(0, 1)))
+    )
+    with pytest.raises(DomainError):
+        lf.min_distinct_on_codim(pair, 2)
+
+
+def _generic_point(rng, subspace, d):
+    """A rational point of the subspace with random free coordinates."""
+    x = [Fraction(int(v)) for v in rng.integers(-10 ** 6, 10 ** 6, size=d)]
+    for row in subspace.rows:
+        pivot = next(i for i, v in enumerate(row) if v != 0)
+        x[pivot] = row[-1] - sum(
+            v * x[i] for i, v in enumerate(row[:-1]) if i != pivot
+        )
+    return x
+
+
+def _distinct_values(sys, x):
+    return len({sum(c * v for c, v in zip(f.coeffs, x)) + f.constant
+                for f in sys.forms})
+
+
+def test_min_distinct_witness_keeps_the_constant_sign():
+    sys = lf.LinearSystem(d=2, forms=(
+        lf.LinearForm(coeffs=(1, 0)),
+        lf.LinearForm(coeffs=(0, 0), constant=2),
+        lf.LinearForm(coeffs=(0, 1), constant=5),
+    ))
+    res = lf.min_distinct_on_codim(sys, 1)
+    assert res.count == 2
+    assert res.witness.rows == ((1, 0, 2),)
+    assert _distinct_values(sys, (2, 0)) == 2
+
+
+def test_min_distinct_witness_realizes_count_with_constants():
+    rng = np.random.default_rng(1509)
+    for trial in range(20):
+        sys = _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(3, 7)))
+        for c in (1, 2):
+            res = lf.min_distinct_on_codim(sys, c)
+            assert res.witness.codim == c
+            assert lf.induced_partition(sys, res.witness).size == res.count
+            x = _generic_point(rng, res.witness, sys.d)
+            assert _distinct_values(sys, x) == res.count, (trial, c, sys)
+
+
+def test_codim2_flat_parents_are_the_containing_hyperplanes():
+    mixed = _random_system(np.random.default_rng(3), 3, 6)
+    assert any(row[-1] % math.gcd(*row[:-1])
+               for row in lf._collision_hyperplanes(mixed))
+    for sys in (lf.first_family(3), mixed):
+        hyperplanes = lf._collision_hyperplanes(sys)
+        for row in hyperplanes:
+            assert math.gcd(*row) == 1 and next(v for v in row if v) > 0
+        flats = lf._codim2_flats(sys, hyperplanes)
+        assert len({flat.rows for flat, parents in flats}) == len(flats) > 0
+        for flat, parents in flats:
+            assert flat.codim == 2 and len(parents) >= 2
+            containing = tuple(
+                i for i, row in enumerate(hyperplanes)
+                if len(lf._rref(list(flat.rows) + [row], sys.d + 1)[0]) == 2
+            )
+            assert parents == containing
 
 
 def test_solution_lattice_diagonal():
