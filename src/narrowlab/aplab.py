@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .numtheory import pack_bits
 from .singular import DEFAULT_PMAX, as_shift, singular_series
 
 MEDIAN_TARGET = 512
@@ -22,6 +23,10 @@ def lambda_D(f_list, D):
     """Mean over n in Z/N'Z and d in [1, D] of prod_j f_j(n + j*d).
 
     Indices reduce cyclically mod N'.  All arrays must share one length.
+    When every f_j takes at most one nonzero value c_j, and it is finite,
+    f_j = c_j * 1_{S_j} and the mean is (prod_j c_j) * count / (N' D),
+    with count the exact number of cyclic progressions through the S_j.
+    Any other input takes the dense sweep.
     """
     fs = [np.asarray(f, dtype=np.float64) for f in f_list]
     if not fs:
@@ -35,7 +40,23 @@ def lambda_D(f_list, D):
     D = int(D)
     if not 1 <= D < n:
         raise DomainError(f"need 1 <= D < N', got D={D}, N'={n}")
-    return float(lambda_sweep(np.vstack(fs), D))
+    scaled = [_scaled_indicator(f) for f in fs]
+    if any(s is None for s in scaled):
+        return float(lambda_sweep(np.vstack(fs), D))
+    count = cyclic_ap_count([support for _, support in scaled], D)
+    if count == 0:   # 0.0, not -0.0, when a scale is negative
+        return 0.0
+    return math.prod(c for c, _ in scaled) * count / (n * D)
+
+
+def _scaled_indicator(f):
+    """(c, f != 0) when f takes the nonzero value c only and c is finite, else None."""
+    support = f != 0.0
+    values = f[support]
+    c = float(values[0]) if values.shape[0] else 0.0
+    if not (math.isfinite(c) and np.all(values == c)):
+        return None
+    return c, support
 
 
 def lambda_sweep(fs, D):
@@ -50,6 +71,36 @@ def lambda_sweep(fs, D):
             v *= doubled[j][off:off + n]
         total += float(v.sum())
     return total / (n * D)
+
+
+def cyclic_ap_count(sets, D):
+    """Number of (n, d), n in Z/NZ and 1 <= d <= D, with n + j*d mod N in sets[j].
+
+    sets are boolean arrays of one length N.  Each d costs one AND of k
+    packed windows and a popcount: sets[0] packed as is, whose zero bits
+    past N clear the tails, and sets[j] packed twice over, read from bit
+    j*d mod N.
+    """
+    n = sets[0].shape[0]
+    nwords = (n + 63) // 64
+    first = pack_bits(sets[0])[:nwords]
+    doubled = [pack_bits(np.concatenate([s, s])) for s in sets[1:]]
+    total = 0
+    for d in range(1, D + 1):
+        v = first
+        for j, words in enumerate(doubled, start=1):
+            v = v & _window(words, j * d % n, nwords)
+        total += int(np.bitwise_count(v).sum())
+    return total
+
+
+def _window(words, start, nwords):
+    """Bits [start, start + 64*nwords) of pack_bits words, as nwords words."""
+    q, r = divmod(start, 64)
+    low = words[q:q + nwords]
+    if r == 0:
+        return low
+    return (low >> r) | (words[q + 1:q + nwords + 1] << (64 - r))
 
 
 def prime_signal(sieve, nprime):
@@ -85,20 +136,27 @@ def count_aps_with_difference(N, k, d, sieve):
         raise DomainError(
             f"need sieve limit >= {top}, have {sieve.limit}"
         )
-    mask = sieve.prime_mask(top)
-    return ap_count(mask[: N + (k - 1) * d + 1], k, d)
+    return packed_ap_count(sieve.packed_primes(top), N + 1, k, d)
 
 
 def ap_count(flags, k, d):
     """Count n with flags[n + j*d] set for all j in [0, k), no wraparound."""
-    n = flags.shape[0]
-    top = n - (k - 1) * d
-    if top <= 0:
+    return packed_ap_count(pack_bits(flags), flags.shape[0] - (k - 1) * d, k, d)
+
+
+def packed_ap_count(words, starts, k, d):
+    """Count n < starts with bits n + j*d set in words for all j in [0, k).
+
+    words come from pack_bits of at least starts + (k-1)*d flags.
+    """
+    if starts <= 0:
         return 0
-    v = flags[:top].copy()
+    nwords = (starts + 63) // 64
+    v = _window(words, 0, nwords)
     for j in range(1, k):
-        v &= flags[j * d:j * d + top]
-    return int(np.count_nonzero(v))
+        v = v & _window(words, j * d, nwords)
+    spill = int(v[-1]) >> (starts % 64) if starts % 64 else 0
+    return int(np.bitwise_count(v).sum()) - spill.bit_count()
 
 
 @dataclass(frozen=True)
@@ -261,10 +319,11 @@ def narrowness_report(ladder, k, delta, rule, sieve):
             mask = mask & rule.mask(top)
         if not mask[: N + 1].any():
             raise DomainError(f"prime subset empty below N={N}")
+        words = pack_bits(mask)
         min_d = 0
         diffs = []
         for d in range(1, cap + 1):
-            c = ap_count(mask[: N + (k - 1) * d + 1], k, d)
+            c = packed_ap_count(words, N + 1, k, d)
             if c > 0:
                 if min_d == 0:
                     min_d = d

@@ -364,6 +364,11 @@ class _DeviationEngine:
             {"row": row, "psize": induced_partition(sys, _subspace([row])).size}
             for row in rows
         ]
+        if not self.hyperplanes:
+            raise DomainError(
+                "no collision hyperplane of the system holds integer points, "
+                "so the random model has no deviation to measure"
+            )
         flats = _codim2_flats(sys, rows)
         if len(flats) > max_subspaces:
             raise ResourceError(

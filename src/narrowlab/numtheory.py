@@ -54,6 +54,7 @@ class FactorSieve:
         self.limit = int(limit)
         self.spf = spf
         self._prime_cache = None
+        self._packed = (0, None)
 
     def __repr__(self):
         return f"FactorSieve(limit={self.limit})"
@@ -68,11 +69,15 @@ class FactorSieve:
         n = self.check_range(n)
         return n >= 2 and int(self.spf[n]) == n
 
-    def prime_mask(self, upto=None):
-        """Boolean array m with m[n] true exactly when n is prime, n <= upto."""
-        upto = self.limit if upto is None else int(upto)
+    def _check_upto(self, upto):
+        upto = int(upto)
         if not 2 <= upto <= self.limit:
             raise DomainError(f"upto={upto} outside sieve range [2, {self.limit}]")
+        return upto
+
+    def prime_mask(self, upto=None):
+        """Boolean array m with m[n] true exactly when n is prime, n <= upto."""
+        upto = self._check_upto(self.limit if upto is None else upto)
         idx = np.arange(upto + 1, dtype=self.spf.dtype)
         mask = self.spf[:upto + 1] == idx
         mask[:2] = False
@@ -88,12 +93,43 @@ class FactorSieve:
             self._prime_cache = out
         return out
 
+    def packed_primes(self, upto):
+        """Read-only pack_bits words of the prime mask, covering at least [0, upto].
+
+        The words are memoised.  A call past the memo rebuilds it up to
+        max(upto, twice the old cover), capped at the sieve limit, so
+        calls with a slowly rising bound rebuild it O(log) times and never
+        past min(limit, 2 * upto).
+        """
+        upto = self._check_upto(upto)
+        cover, words = self._packed
+        if upto > cover:
+            cover = min(self.limit, max(upto, 2 * cover))
+            words = pack_bits(self.prime_mask(cover))
+            words.flags.writeable = False
+            self._packed = (cover, words)
+        return words
+
     def save(self, path):
         save_sieve(self, path)
 
     @classmethod
     def load(cls, path):
         return load_sieve(path)
+
+
+def pack_bits(flags):
+    """A boolean array as little-endian uint64 words, plus one spare zero word.
+
+    Bit i of word q is flags[64*q + i].  Bits past the end of flags are
+    zero, and the spare word lets a window shifted by up to 63 bits read
+    one word beyond the last.
+    """
+    nwords = (flags.shape[0] + 63) // 64 + 1
+    buf = np.zeros(8 * nwords, dtype=np.uint8)
+    packed = np.packbits(flags, bitorder="little")
+    buf[:packed.shape[0]] = packed
+    return buf.view("<u8")
 
 
 def build_factor_sieve(limit, segment_size=DEFAULT_SEGMENT):

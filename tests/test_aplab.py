@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from narrowlab import aplab as ap
+from narrowlab import numtheory as nt
 from narrowlab.errors import DomainError
 
 
@@ -139,3 +140,43 @@ def test_narrowness_validation(sieve_2m):
         ap.narrowness_report([1000], 1, 0.0, None, sieve_2m)
     with pytest.raises(DomainError):
         ap.narrowness_report([10 ** 7], 3, 0.0, None, sieve_2m)
+
+
+def _rolled_cyclic_count(flags, k, D):
+    total = 0
+    for d in range(1, D + 1):
+        v = flags.copy()
+        for j in range(1, k):
+            v &= np.roll(flags, -j * d)
+        total += int(np.count_nonzero(v))
+    return total
+
+
+def test_lambda_d_prime_signal_is_a_scaled_count(sieve_2m):
+    nprime = 10007
+    f = ap.prime_signal(sieve_2m, nprime)
+    flags = np.zeros(nprime, dtype=bool)
+    primes = nt._bootstrap_primes(nprime - 1)
+    flags[primes[primes > math.isqrt(nprime - 1)]] = True
+    for k, D in ((2, 300), (3, 500), (4, 200)):
+        count = _rolled_cyclic_count(flags, k, D)
+        want = math.log(nprime) ** k * count / (nprime * D)
+        assert ap.lambda_D([f] * k, D) == pytest.approx(want, rel=1e-12), k
+
+
+def test_count_reuses_packed_primes():
+    # Counts below the memo's cover read the same words and match the
+    # packed count over a freshly built prime mask.
+    sieve = nt.build_factor_sieve(10 ** 5)
+    mask = sieve.prime_mask(10 ** 5)
+    words = None
+    for d in (30, 12, 6, 2):
+        got = ap.count_aps_with_difference(50000, 3, d, sieve)
+        assert got == ap.ap_count(mask[:50001 + 2 * d], 3, d), d
+        words = sieve.packed_primes(50060) if words is None else words
+        assert sieve.packed_primes(50060) is words
+
+
+def test_count_with_no_first_term_is_zero(sieve_2m):
+    # N < 0 leaves no p <= N, while N + (k-1)d stays inside the sieve.
+    assert ap.count_aps_with_difference(-5, 3, 10, sieve_2m) == 0

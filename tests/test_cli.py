@@ -165,6 +165,14 @@ def test_resource_error_exit_code(capsys):
     assert "sample" in err
 
 
+def test_threshold_without_integer_hyperplanes_exit_code(capsys, tmp_path):
+    forms_path = tmp_path / "forms.txt"
+    forms_path.write_text("0; 2\n1; 0\n")
+    code, _, err = run(capsys, "threshold", "--file", str(forms_path))
+    assert code == 2
+    assert "error:" in err and "hyperplane" in err
+
+
 def test_gallagher_exact_small_box(capsys, tmp_path):
     out = tmp_path / "gal.json"
     code, text, _ = run(capsys, "gallagher", "--lo", "1", "--hi", "20",

@@ -221,6 +221,16 @@ def test_deviation_input_validation():
         cd.random_model_deviation(lf.first_family(3), 0.5, 100, max_subspaces=10)
 
 
+def test_deviation_without_integer_hyperplanes_is_a_domain_error():
+    # 2x = 1 is the only collision, and it holds no integer point.
+    sys = lf.LinearSystem(d=1, forms=(lf.LinearForm(coeffs=(2,)),
+                                      lf.LinearForm(coeffs=(0,), constant=1)))
+    with pytest.raises(DomainError):
+        cd.random_model_deviation(sys, 0.3, 10)
+    with pytest.raises(DomainError):
+        cd.width_threshold_fit(sys, [0.3, 0.2, 0.1])
+
+
 def test_threshold_fit_slopes_and_dominant_ratios():
     fit2 = cd.width_threshold_fit(lf.second_family(2), [0.2, 0.1, 0.05])
     assert fit2.slope == pytest.approx(1.982102, abs=1e-4)

@@ -1,6 +1,9 @@
 """Seeded brute-force checks of the hot loops in numtheory and aplab."""
 
+import math
+
 import numpy as np
+import pytest
 
 from narrowlab import aplab as ap
 from narrowlab import numtheory as nt
@@ -12,6 +15,117 @@ def _direct_ap_count(flags, k, d):
         for start in range(len(flags) - (k - 1) * d)
         if all(flags[start + j * d] for j in range(k))
     )
+
+
+def _brute_cyclic_count(sets, D):
+    n = len(sets[0])
+    return sum(
+        1
+        for d in range(1, D + 1)
+        for start in range(n)
+        if all(s[(start + j * d) % n] for j, s in enumerate(sets))
+    )
+
+
+def _brute_lambda(fs, D):
+    n = len(fs[0])
+    total = 0.0
+    for d in range(1, D + 1):
+        for start in range(n):
+            prod = 1.0
+            for j, f in enumerate(fs):
+                prod *= f[(start + j * d) % n]
+            total += prod
+    return total / (n * D)
+
+
+# Word-boundary lengths for the packed kernels, then seeded random ones.
+EDGE_N = (1, 2, 3, 63, 64, 65, 127, 129)
+RANDOM_N = tuple(int(n) for n in np.random.default_rng(7).integers(4, 200, size=3))
+
+
+def _differences(n):
+    return sorted({1, max(1, n // 2), max(1, n - 1)})
+
+
+def test_cyclic_count_matches_brute_force():
+    rng = np.random.default_rng(4)
+    for n in EDGE_N + RANDOM_N:
+        for k in (1, 2, 3, 4):
+            sets = [rng.random(n) < 0.7 for _ in range(k)]
+            for D in _differences(n):
+                got = ap.cyclic_ap_count(sets, D)
+                assert got == _brute_cyclic_count(sets, D), (n, k, D)
+
+
+def test_lambda_d_scaled_indicators_bitset_dense_brute():
+    # Distinct and negative scales, and an all-zero array, on the bitset
+    # path; the dense sweep and the brute-force mean must agree with it.
+    rng = np.random.default_rng(5)
+    scales = (2.5, -1.0, 0.375, -3.0)
+    for n in EDGE_N[1:] + RANDOM_N:
+        for k in (1, 2, 3, 4):
+            for zero in (False, True):
+                fs = [np.where(rng.random(n) < 0.7, scales[j], 0.0) for j in range(k)]
+                if zero:
+                    fs[-1] = np.zeros(n)
+                for D in _differences(n):
+                    got = ap.lambda_D(fs, D)
+                    dense = ap.lambda_sweep(np.vstack(fs), D)
+                    brute = _brute_lambda(fs, D)
+                    assert got == pytest.approx(dense, rel=1e-12, abs=1e-15), (n, k, D)
+                    assert got == pytest.approx(brute, rel=1e-12, abs=1e-15), (n, k, D)
+                    if zero:   # +0.0 as the dense sweep gives, even with negative scales
+                        assert math.copysign(1.0, got) == 1.0 and got == 0.0
+
+
+def test_lambda_d_dispatch_on_input_values(monkeypatch):
+    # Scaled 0/1 arrays take the exact count; real-valued, NaN and inf
+    # inputs take the dense sweep.
+    paths = []
+    sweep, count = ap.lambda_sweep, ap.cyclic_ap_count
+    monkeypatch.setattr(ap, "lambda_sweep",
+                        lambda fs, D: paths.append("dense") or sweep(fs, D))
+    monkeypatch.setattr(ap, "cyclic_ap_count",
+                        lambda sets, D: paths.append("bitset") or count(sets, D))
+    rng = np.random.default_rng(6)
+    n, D = 97, 40
+    bits = rng.random(n) < 0.6
+    indicator = np.where(bits, -2.0, 0.0)
+    cases = {
+        "scaled indicators": ([indicator, np.where(bits, 3.0, 0.0)], "bitset"),
+        "all zero": ([np.zeros(n), np.ones(n)], "bitset"),
+        "real valued": ([rng.uniform(-1.0, 1.0, n), indicator], "dense"),
+        "two nonzero values": ([np.where(bits, 1.0, 2.0), indicator], "dense"),
+        "nan": ([np.where(bits, np.nan, 0.0), indicator], "dense"),
+        "nan beside a scale": ([np.where(bits, 1.0, np.nan), indicator], "dense"),
+        "inf": ([np.where(bits, np.inf, 0.0), indicator], "dense"),
+        "-inf": ([indicator, np.where(bits, -np.inf, 0.0)], "dense"),
+    }
+    for name, (fs, path) in cases.items():
+        paths.clear()
+        with np.errstate(invalid="ignore"):   # inf * 0 in the dense sweep
+            got = ap.lambda_D(fs, D)
+            want = sweep(np.vstack(fs), D)
+        assert paths == [path], name
+        if math.isnan(want):
+            assert math.isnan(got), name
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), name
+
+
+def test_ap_count_across_word_boundaries():
+    # starts = len(flags) - (k-1)*d, the number of first terms, sits on,
+    # one past and one short of a 64-bit word boundary.
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 3, 4):
+        for words in (1, 2, 5):
+            for rem in (0, 1, 63):
+                starts = 64 * words + rem
+                d = int(rng.integers(1, 70))
+                flags = rng.random(starts + (k - 1) * d) < 0.8
+                got = ap.ap_count(flags, k, d)
+                assert got == _direct_ap_count(flags, k, d), (k, starts, d)
 
 
 def _trial_spf(n):

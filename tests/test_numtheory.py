@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,37 @@ def test_prime_mask_prefix(sieve_2m):
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert np.nonzero(mask)[0].tolist() == primes
     assert sieve_2m.primes(30).tolist() == primes
+
+
+def test_packed_primes_are_the_prime_mask_read_only():
+    sieve = nt.build_factor_sieve(5000)
+    words = sieve.packed_primes(1000)
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little").astype(bool)
+    cover = sieve._packed[0]
+    assert 1000 <= cover <= 2000
+    assert np.array_equal(bits[:cover + 1], sieve.prime_mask(cover))
+    assert not bits[cover + 1:].any()
+    assert not words.flags.writeable
+    with pytest.raises(ValueError):
+        words[0] = 0
+    for bad in (1, 5001):
+        with pytest.raises(DomainError):
+            sieve.packed_primes(bad)
+
+
+def test_packed_primes_memo_grows_geometrically():
+    sieve = nt.build_factor_sieve(40000)
+    builds = []
+    prime_mask = sieve.prime_mask
+
+    def counting_mask(upto=None):
+        builds.append((upto, top))
+        return prime_mask(upto)
+
+    sieve.prime_mask = counting_mask
+    for top in range(100, 40001, 37):
+        sieve.packed_primes(top)
+        assert sieve._packed[0] >= top
+    for cover, top in builds:
+        assert top <= cover <= min(sieve.limit, 2 * top)
+    assert len(builds) <= math.log2(40000 / 100) + 2
