@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cutoff import gauss_panels
 from .errors import DomainError
 from .numtheory import pack_bits
 from .singular import DEFAULT_PMAX, as_shift, singular_series
@@ -179,14 +180,8 @@ class HLPrediction:
 
 def _log_integral(N, k, npanels=400):
     """int_2^N dt / (log t)^k by Gauss-Legendre in u = log t."""
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    a, b = math.log(2.0), math.log(float(N))
-    edges = np.linspace(a, b, npanels + 1)
-    mid = (edges[1:] + edges[:-1]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    u = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = np.exp(u) / u ** k
-    return float((vals @ weights * half).sum())
+    u, weights = gauss_panels(math.log(2.0), math.log(float(N)), npanels)
+    return float(np.sum(weights * np.exp(u) / u ** k))
 
 
 def hl_prediction(N, k, d, P_max=DEFAULT_PMAX):
@@ -252,11 +247,11 @@ class SubsetRule:
         return units / phi
 
     def mask(self, upto):
-        residues = np.arange(int(upto) + 1, dtype=np.int64) % self.modulus
+        """Boolean array m, n <= upto, with m[n] true when n mod modulus is kept."""
         keep = np.zeros(self.modulus, dtype=bool)
-        for c in self.classes:
-            keep[c] = True
-        return keep[residues]
+        keep[list(self.classes)] = True
+        size = int(upto) + 1
+        return np.tile(keep, -(-size // self.modulus))[:size]
 
 
 @dataclass(frozen=True)
@@ -281,6 +276,14 @@ class NarrownessReport:
     rows: tuple
 
 
+def log_power(N, L):
+    """(log N)^L, raising DomainError where it overflows a float."""
+    try:
+        return math.log(N) ** L
+    except OverflowError:
+        raise DomainError(f"(log {N})^{L} overflows a float") from None
+
+
 def narrowness_report(ladder, k, delta, rule, sieve):
     """Minimal and median common difference of k-APs in a prime subset.
 
@@ -302,8 +305,8 @@ def narrowness_report(ladder, k, delta, rule, sieve):
     L = (k - 1) * 2 ** (k - 2)
     rows = []
     for N in ladder:
-        logn = math.log(N)
-        cap = max(2, math.ceil(logn ** L))
+        high = log_power(N, L)
+        cap = max(2, math.ceil(high))
         top = N + (k - 1) * cap
         if top > sieve.limit:
             raise DomainError(
@@ -335,8 +338,7 @@ def narrowness_report(ladder, k, delta, rule, sieve):
                 f"no {k}-AP with d <= {cap} in the subset at N={N}"
             )
         median_d = float(np.median(diffs))
-        low = logn ** (k - 1)
-        high = logn ** L
+        low = log_power(N, k - 1)
         rows.append(NarrownessRow(
             N=N, min_d=min_d, median_d=median_d,
             log_pow_low=low, log_pow_high=high,

@@ -36,6 +36,8 @@ def _count(text):
         return int(s)
     except ValueError:
         value = float(s)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite count {text!r}")
         if value != int(value):
             raise DomainError(f"expected an integer, got {text!r}")
         return int(value)
@@ -127,7 +129,7 @@ _SPECS = {
         "S": (_count, 100, "box half-width"),
         "samples": (_count, 100000, "Monte Carlo samples"),
         "seed": (int, 0, "Monte Carlo seed"),
-        "workers": (int, 1, "worker streams"),
+        "workers": (int, 1, "deterministic seed streams, run one after another"),
         "exponents": (_ints, None, "0/1 exponent pattern"),
         "out": (str, None, "JSON output path"),
     },
@@ -534,7 +536,7 @@ def _cmd_lambda_d(params):
     D = params["D"]
     if D is None:
         L = (k - 1) * 2 ** (k - 2)
-        D = math.ceil(math.log(nprime) ** L)
+        D = math.ceil(aplab.log_power(nprime, L))
     sieve = _get_sieve(nprime, params["sieve"])
     f = aplab.prime_signal(sieve, nprime)
     value = aplab.lambda_D([f] * k, D)
@@ -577,7 +579,7 @@ def _cmd_apsearch(params):
         rule = aplab.SubsetRule(modulus=params["rule-mod"],
                                 classes=params["rule-classes"])
     top = max(
-        N + (k - 1) * max(2, math.ceil(math.log(N) ** L)) for N in ladder
+        N + (k - 1) * max(2, math.ceil(aplab.log_power(N, L))) for N in ladder
     )
     sieve = _get_sieve(top, params["sieve"])
     report = aplab.narrowness_report(ladder, k, params["delta"], rule, sieve)

@@ -172,8 +172,9 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1,
     """Monte Carlo average of prod nu(n + psi_i(x))^{e_i} over the box.
 
     Samples (n, x) uniformly with n in Z/N'Z and x an integer point of the
-    box.  Worker streams are split deterministically from the seed, so the
-    result depends only on (seed, workers).
+    box.  The seed is split deterministically into `workers` seed streams,
+    which run one after another in this process, so the result depends
+    only on (seed, workers).
     """
     _, d = _as_forms(sys)
     if box.d != d:

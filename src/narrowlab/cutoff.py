@@ -53,11 +53,6 @@ def gauss_panels(a, b, npanels, nodes=10):
     return xs, ws
 
 
-def _bump_profile_sq_deriv(x):
-    g = np.exp(-1.0 / (1.0 - x * x))
-    return (g * (-2.0 * x) / (1.0 - x * x) ** 2) ** 2
-
-
 _BUMP_NORM = None
 
 
@@ -65,7 +60,7 @@ def _bump_norm():
     global _BUMP_NORM
     if _BUMP_NORM is None:
         xs, ws = gauss_panels(0.0, 1.0, 80, nodes=12)
-        j = float(np.sum(ws * _bump_profile_sq_deriv(xs)))
+        j = float(np.sum(ws * chi_deriv(CutoffSpec("bump", 1.0), xs) ** 2))
         _BUMP_NORM = 1.0 / math.sqrt(j)
     return _BUMP_NORM
 

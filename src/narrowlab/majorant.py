@@ -15,14 +15,14 @@ from .cutoff import chi_value
 from .errors import DomainError, FormatError
 from .numtheory import (
     WTrickContext,
+    _bootstrap_primes,
     factorize,
     is_prime,
     moebius,
     payload_bytes,
-    primorial,
     replace_on_success,
 )
-from .singular import DEFAULT_PMAX, _factor_int, singular_series
+from .singular import DEFAULT_PMAX, singular_series
 
 MAJORANT_MAGIC = b"NAPMV1"
 
@@ -132,12 +132,11 @@ def check_minorization(table, sieve):
         raise DomainError(
             f"sieve limit {sieve.limit} does not cover W N' + b = {top}"
         )
-    m = ctx.W * np.arange(nprime, dtype=np.int64) + ctx.b
-    spf_m = sieve.spf[m].astype(np.int64)
-    prime_mask = (spf_m == m) & (m >= 2)
-    relevant = prime_mask & (m > table.R)
-    floor = minorization_floor(table)
-    return int(np.count_nonzero(relevant & (table.values < floor)))
+    primes = sieve.prime_mask(top)[ctx.b::ctx.W][:nprime]
+    # W n + b > R exactly when W n + b > floor(R)
+    first = max(0, (math.floor(table.R) - ctx.b) // ctx.W + 1)
+    dips = table.values[first:] < minorization_floor(table)
+    return int(np.count_nonzero(primes[first:] & dips))
 
 
 def majorant_pair_correlation(table, h, P_max=DEFAULT_PMAX):
@@ -148,22 +147,17 @@ def majorant_pair_correlation(table, h, P_max=DEFAULT_PMAX):
     average against the constant prediction 1, which validates the
     harness on degenerate input.
     """
-    if isinstance(table, np.ndarray):
-        values = np.asarray(table, dtype=np.float64)
-        nprime = values.shape[0]
-        h = int(h)
-        if h % nprime == 0:
-            raise DomainError(f"shift h={h} is 0 mod N'={nprime}")
-        empirical = float(values @ np.roll(values, -h) / nprime)
-        return PairCorrelation(empirical=empirical, predicted=1.0,
-                               ratio=empirical)
-    nprime = table.nprime
+    plain = isinstance(table, np.ndarray)
+    values = np.asarray(table, dtype=np.float64) if plain else table.values
+    nprime = values.shape[0]
     h = int(h)
     if h % nprime == 0:
         raise DomainError(f"shift h={h} is 0 mod N'={nprime}")
-    values = table.values
     empirical = float(values @ np.roll(values, -h) / nprime)
-    predicted = singular_series((0, h), P_max=P_max, W=table.context.W).value
+    if plain:
+        predicted = 1.0
+    else:
+        predicted = singular_series((0, h), P_max=P_max, W=table.context.W).value
     ratio = empirical / predicted if predicted > 0 else math.inf
     return PairCorrelation(empirical=empirical, predicted=predicted, ratio=ratio)
 
@@ -210,8 +204,12 @@ def load_majorant(path, cutoff=None):
         payload = np.fromfile(fh, dtype="<f8", count=2 * nprime)
     if not is_prime(nprime):
         raise FormatError(f"majorant modulus {nprime} is not prime")
-    w = max(_factor_int(W)) if W > 1 else 1
-    if primorial(w) != W:
+    w, primorial_w = 1, 1
+    for p in _bootstrap_primes(53):   # the primorial of 53 exceeds 2^64
+        if primorial_w >= W:
+            break
+        w, primorial_w = int(p), primorial_w * int(p)
+    if primorial_w != W:
         raise FormatError(f"majorant W={W} is not a primorial")
     ctx = WTrickContext(w=w, W=W, b=b, modulus=nprime)
     return MajorantTable(context=ctx, R=R, cutoff=cutoff,

@@ -53,7 +53,6 @@ class FactorSieve:
     def __init__(self, limit, spf):
         self.limit = int(limit)
         self.spf = spf
-        self._prime_cache = None
         self._packed = (0, None)
 
     def __repr__(self):
@@ -66,8 +65,7 @@ class FactorSieve:
         return n
 
     def is_prime(self, n):
-        n = self.check_range(n)
-        return n >= 2 and int(self.spf[n]) == n
+        return factorize(n, self) == [(int(n), 1)]
 
     def _check_upto(self, upto):
         upto = int(upto)
@@ -76,22 +74,22 @@ class FactorSieve:
         return upto
 
     def prime_mask(self, upto=None):
-        """Boolean array m with m[n] true exactly when n is prime, n <= upto."""
+        """Boolean array m with m[n] true exactly when n is prime, n <= upto.
+
+        A composite n <= upto has a prime factor <= r = isqrt(upto), so
+        past r the primes are the entries with spf > r; on [0, r] the
+        entries are compared with their indices.
+        """
         upto = self._check_upto(self.limit if upto is None else upto)
-        idx = np.arange(upto + 1, dtype=self.spf.dtype)
-        mask = self.spf[:upto + 1] == idx
+        r = math.isqrt(upto)
+        mask = self.spf[:upto + 1] > r
+        mask[:r + 1] = self.spf[:r + 1] == np.arange(r + 1)
         mask[:2] = False
         return mask
 
     def primes(self, upto=None):
         """Array of primes up to the given bound (default: the sieve limit)."""
-        if upto is None and self._prime_cache is not None:
-            return self._prime_cache
-        mask = self.prime_mask(upto)
-        out = np.nonzero(mask)[0]
-        if upto is None:
-            self._prime_cache = out
-        return out
+        return np.nonzero(self.prime_mask(upto))[0]
 
     def packed_primes(self, upto):
         """Read-only pack_bits words of the prime mask, covering at least [0, upto].
@@ -199,43 +197,63 @@ def _bootstrap_primes(upto):
     return np.nonzero(flags)[0].astype(np.int64)
 
 
-def factorize(n, sieve):
-    """Sorted list of (prime, exponent) pairs with product n; empty for n=1."""
-    n = sieve.check_range(n)
+def factorize(n, sieve=None):
+    """Sorted list of (prime, exponent) pairs with product |n|; empty for |n| = 1.
+
+    With a sieve, n must lie in its range and the smallest-prime-factor
+    table is walked.  Without one, |n| is factored by trial division.
+    """
     out = []
-    while n > 1:
-        p = int(sieve.spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
+    if sieve is not None:
+        n = sieve.check_range(n)
+        while n > 1:
+            p = int(sieve.spf[n])
+            n, e = _divide_out(n, p)
+            out.append((p, e))
+        return out
+    n = abs(int(n))
+    if n == 0:
+        raise DomainError("cannot factorize 0")
+    for p in _trial_divisors():
+        if p * p > n:
+            break
+        if n % p == 0:
+            n, e = _divide_out(n, p)
+            out.append((p, e))
+    if n > 1:
+        out.append((n, 1))
     return out
+
+
+def _trial_divisors():
+    """2, 3 and the numbers 6j +- 1 from 5 on, which include every prime."""
+    yield 2
+    yield 3
+    f = 5
+    while True:
+        yield f
+        yield f + 2
+        f += 6
+
+
+def _divide_out(n, p):
+    """n with every factor p removed, and the number of factors removed."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
 
 
 def moebius(n, sieve):
     """Moebius function mu(n)."""
-    n = sieve.check_range(n)
-    sign = 1
-    while n > 1:
-        p = int(sieve.spf[n])
-        n //= p
-        if n % p == 0:
-            return 0
-        sign = -sign
-    return sign
+    factors = factorize(n, sieve)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 def euler_phi(n, sieve):
     """Euler totient phi(n)."""
-    n = sieve.check_range(n)
-    result = n
-    while n > 1:
-        p = int(sieve.spf[n])
-        result -= result // p
-        while n % p == 0:
-            n //= p
-    return result
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n, sieve))
 
 
 def omega(q, sieve):
@@ -255,18 +273,12 @@ class WTrickContext:
 
     @property
     def phi_W(self):
-        phi = 1
-        for p in _bootstrap_primes(self.w):
-            phi *= int(p) - 1
-        return max(phi, 1)
+        return math.prod(p - 1 for p in _bootstrap_primes(self.w).tolist())
 
 
 def primorial(w):
     """Product of the primes up to w."""
-    out = 1
-    for p in _bootstrap_primes(int(w)):
-        out *= int(p)
-    return out
+    return math.prod(_bootstrap_primes(int(w)).tolist())
 
 
 def primorial_context(w, b, modulus):

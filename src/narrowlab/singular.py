@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .numtheory import _bootstrap_primes, is_prime
+from .numtheory import _bootstrap_primes, factorize, is_prime
 
 DEFAULT_PMAX = 100000
 EXACT_CAP = 10 ** 7
@@ -99,26 +99,6 @@ def delta(h):
     return out
 
 
-def _factor_int(n):
-    """Prime factors of |n| with exponents, by trial division."""
-    n = abs(int(n))
-    out = {}
-    for p in (2, 3):
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                n //= p
-                out[p] = out.get(p, 0) + 1
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 _generic_cache = {}
 
 
@@ -162,27 +142,27 @@ def singular_series(h, P_max=DEFAULT_PMAX, W=1):
     W = int(W)
     if W < 1:
         raise DomainError(f"W must be >= 1, got {W}")
-    W_factors = _factor_int(W)
-    if any(e > 1 for e in W_factors.values()):
+    W_factors = factorize(W)
+    if any(e > 1 for _, e in W_factors):
         raise DomainError(f"W={W} must be squarefree")
-    W_primes = sorted(W_factors)
+    W_primes = [p for p, _ in W_factors]
     P_max = int(P_max)
     r = h.r
     k = h.k
     if P_max < k:
         raise DomainError(f"P_max={P_max} must be at least k={k}")
     d = delta(h)
-    delta_primes = sorted(_factor_int(d))
+    delta_primes = [p for p, _ in factorize(d)]
     if delta_primes and delta_primes[-1] > P_max:
         raise DomainError(
             f"P_max={P_max} is below the largest prime factor "
             f"{delta_primes[-1]} of the discriminant"
         )
     tail = math.exp(r * r / P_max) - 1.0
-    small = sorted(set(delta_primes) | {p for p in range(2, k + 1) if is_prime(p)})
+    small = sorted(set(delta_primes) | set(_bootstrap_primes(k).tolist()))
     value = _generic_product(r, k, W_primes, P_max)
     for p in small:
-        if p in W_factors:
+        if p in W_primes:
             continue
         exact = _local_factor(h, p, r)
         if exact == 0.0:
@@ -199,8 +179,7 @@ def error_factor(h, C):
     C = float(C)
     if C <= 0:
         raise DomainError(f"C must be positive, got {C}")
-    primes = _factor_int(delta(h))
-    s = sum(1.0 / p for p in primes)
+    s = sum(1.0 / p for p, _ in factorize(delta(h)))
     return ErrorFactor(value=math.exp(C * s), prime_inverse_sum=s)
 
 

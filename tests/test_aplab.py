@@ -133,6 +133,15 @@ def test_subset_rule(sieve_2m):
         ap.SubsetRule(modulus=3, classes=())
 
 
+def test_subset_rule_mask_is_the_residue_definition():
+    cases = [(8, (1, 3), upto) for upto in (0, 1, 7, 8, 9, 12345)]
+    cases += [(1, (0,), 10), (3, (2,), 100), (30, (1, 7, 11, 13), 999)]
+    for m, classes, upto in cases:
+        want = np.isin(np.arange(upto + 1, dtype=np.int64) % m, classes)
+        got = ap.SubsetRule(modulus=m, classes=classes).mask(upto)
+        assert got.dtype == bool and np.array_equal(got, want)
+
+
 def test_narrowness_validation(sieve_2m):
     with pytest.raises(DomainError):
         ap.narrowness_report([], 3, 0.0, None, sieve_2m)
@@ -140,6 +149,8 @@ def test_narrowness_validation(sieve_2m):
         ap.narrowness_report([1000], 1, 0.0, None, sieve_2m)
     with pytest.raises(DomainError):
         ap.narrowness_report([10 ** 7], 3, 0.0, None, sieve_2m)
+    with pytest.raises(DomainError, match="overflows"):
+        ap.narrowness_report([10 ** 5], 40, 0.0, None, sieve_2m)
 
 
 def _rolled_cyclic_count(flags, k, D):

@@ -123,6 +123,22 @@ def test_non_integer_flag_value_is_usage_error(capsys):
     assert "--h" in err
 
 
+def test_non_finite_count_is_usage_error(capsys):
+    for value in ("1e400", "inf", "-inf"):
+        code, _, err = run(capsys, "sieve-build", f"--limit={value}")
+        assert code == 2
+        assert "invalid value" in err and "--limit" in err
+
+
+def test_overflowing_reference_width_is_usage_error(capsys):
+    for argv in (("lambda-d", "--N", "10007", "--k", "40"),
+                 ("apsearch", "--mode", "narrowness", "--ladder", "1e5",
+                  "--k", "40")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err and "overflows" in err
+
+
 def test_non_numeric_config_value_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("P-max=soon\n")

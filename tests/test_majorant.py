@@ -141,6 +141,38 @@ def test_check_minorization_detects_fake_dip(table, ctx, sieve_2m):
     assert mj.check_minorization(lowered, sieve_2m) == 1
 
 
+def _spf_gather_dips(table, sieve):
+    """Floor dips at primes W n + b > R, read from the factor table directly."""
+    ctx = table.context
+    m = ctx.W * np.arange(ctx.modulus, dtype=np.int64) + ctx.b
+    prime = (sieve.spf[m].astype(np.int64) == m) & (m >= 2)
+    floor = mj.minorization_floor(table)
+    return int(np.count_nonzero(prime & (m > table.R) & (table.values < floor)))
+
+
+def test_check_minorization_matches_spf_gather(table, ctx, sieve_2m):
+    rng = np.random.default_rng(7)
+    lowered = mj.MajorantTable(
+        context=ctx, R=table.R, cutoff=table.cutoff,
+        values=table.values.copy(), lambda_values=table.lambda_values,
+    )
+    lowered.values[rng.integers(0, NPRIME, size=400)] = 0.0
+    lowered.values[:int(table.R) // ctx.W + 2] = 0.0
+    got = mj.check_minorization(lowered, sieve_2m)
+    assert got == _spf_gather_dips(lowered, sieve_2m) > 0
+    for b in (1, 5):
+        edge_ctx = nt.primorial_context(3, b, NPRIME)
+        for n in (3, 4, 10):
+            m = edge_ctx.W * n + edge_ctx.b
+            for R in (m - 0.5, float(m), m + 0.5):
+                zeros = mj.MajorantTable(
+                    context=edge_ctx, R=R, cutoff=None,
+                    values=np.zeros(NPRIME), lambda_values=np.zeros(NPRIME),
+                )
+                assert (mj.check_minorization(zeros, sieve_2m)
+                        == _spf_gather_dips(zeros, sieve_2m))
+
+
 def test_build_domain_errors(ctx, chi, sieve_2m):
     top = ctx.W * ctx.modulus + ctx.b
     with pytest.raises(DomainError):
@@ -233,3 +265,19 @@ def test_load_rejects_bad_header_fields(table, tmp_path):
     bad2.write_bytes(bytes(wbad))
     with pytest.raises(FormatError):
         mj.load_majorant(str(bad2))
+
+
+def test_load_rejects_hostile_primorial_header(tmp_path):
+    def header(W):
+        return (b"NAPMV1" + (5).to_bytes(8, "little") + W.to_bytes(8, "little")
+                + (1).to_bytes(8, "little") + np.float64(2.0).tobytes()
+                + b"\x00" * 80)
+
+    path = tmp_path / "hostile.bin"
+    for W in (2 * (10 ** 7 + 19), 2 ** 61 - 1, 2 ** 64 - 1, 0, 4, 2 * 5):
+        path.write_bytes(header(W))
+        with pytest.raises(FormatError, match="primorial"):
+            mj.load_majorant(str(path))
+    for w in (1, 2, 47):
+        path.write_bytes(header(nt.primorial(w)))
+        assert mj.load_majorant(str(path)).context.w == w

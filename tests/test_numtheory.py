@@ -55,6 +55,45 @@ def test_factorize_moebius_phi(sieve_2m):
     assert nt.omega(30, sieve_2m) == 3
 
 
+def test_factorize_trial_division_matches_sieve(sieve_2m):
+    rng = np.random.default_rng(2026)
+    sample = [1, 2, 3, 4, 25, 49, 1409 ** 2, 2 * 10 ** 6]
+    sample += rng.integers(1, 2 * 10 ** 6 + 1, size=3000).tolist()
+    for n in sample:
+        factors = nt.factorize(n)
+        assert factors == nt.factorize(n, sieve_2m)
+        assert math.prod(p ** e for p, e in factors) == n
+
+
+def test_factorize_without_sieve_signs_and_zero():
+    assert nt.factorize(-360) == nt.factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert nt.factorize(-1) == nt.factorize(1) == []
+    assert nt.factorize(10007 * 10009) == [(10007, 1), (10009, 1)]
+    assert nt.factorize(-(10 ** 7 + 19) * 49) == [(7, 2), (10 ** 7 + 19, 1)]
+    with pytest.raises(DomainError):
+        nt.factorize(0)
+
+
+def _index_compare_mask(sieve, upto):
+    mask = sieve.spf[:upto + 1] == np.arange(upto + 1)
+    mask[:2] = False
+    return mask
+
+
+def test_prime_mask_matches_index_compare(sieve_2m):
+    r = math.isqrt(sieve_2m.limit)
+    for upto in (2, 3, 4, r * r - 1, r * r, r * r + 1,
+                 1409 ** 2 - 1, 1409 ** 2, 1409 ** 2 + 1, sieve_2m.limit):
+        assert np.array_equal(sieve_2m.prime_mask(upto),
+                              _index_compare_mask(sieve_2m, upto))
+    small = nt.build_factor_sieve(101 ** 2)
+    for upto in range(2, small.limit + 1):
+        assert np.array_equal(small.prime_mask(upto),
+                              _index_compare_mask(small, upto))
+    mask = small.prime_mask()
+    assert [small.is_prime(n) for n in range(1, small.limit + 1)] == mask[1:].tolist()
+
+
 def test_sieve_range_checks(sieve_2m):
     with pytest.raises(DomainError):
         sieve_2m.check_range(2 * 10 ** 6 + 1)
