@@ -277,7 +277,9 @@ class NarrownessReport:
 
 
 def log_power(N, L):
-    """(log N)^L, raising DomainError where it overflows a float."""
+    """(log N)^L, raising DomainError for N <= 1 or where it overflows."""
+    if not N > 1:
+        raise DomainError(f"(log N)^{L} needs N > 1, got N={N}")
     try:
         return math.log(N) ** L
     except OverflowError:

@@ -19,9 +19,9 @@ from .errors import DomainError, NumericError, ResourceError
 from .linforms import (
     _codim2_flats,
     _collision_hyperplanes,
+    _hyperplane_echelons,
+    _induced_atoms,
     _kernel_lattice,
-    _subspace,
-    induced_partition,
 )
 
 MAX_RANDOM_MODULUS = 1 << 27
@@ -362,15 +362,15 @@ class _DeviationEngine:
         rows = [row for row in _collision_hyperplanes(sys)
                 if row[-1] % math.gcd(*row[:-1]) == 0]
         self.hyperplanes = [
-            {"row": row, "psize": induced_partition(sys, _subspace([row])).size}
-            for row in rows
+            {"row": row, "psize": len(_induced_atoms(sys, ech))}
+            for row, ech in zip(rows, _hyperplane_echelons(rows))
         ]
         if not self.hyperplanes:
             raise DomainError(
                 "no collision hyperplane of the system holds integer points, "
                 "so the random model has no deviation to measure"
             )
-        flats = _codim2_flats(sys, rows)
+        flats = _codim2_flats(rows)
         if len(flats) > max_subspaces:
             raise ResourceError(
                 f"codim-2 lattice exceeded {max_subspaces} subspaces"
@@ -381,7 +381,7 @@ class _DeviationEngine:
                 [rows[p][:-1] for p in parents[:2]], sys.d
             )
             self.codim2.append({
-                "rows": flat.rows, "psize": induced_partition(sys, flat).size,
+                "psize": len(_induced_atoms(sys, flat)),
                 "covol": covol, "parents": parents,
             })
 

@@ -179,8 +179,8 @@ def sieve_factor_report(spec, m, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT,
     if T is None:
         T = DEFAULT_T[spec.kind] if m <= 2 else DEFAULT_T_TRIPLE
     T = float(T)
-    if T <= 0:
-        raise DomainError(f"truncation T must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0):
+        raise DomainError(f"truncation T must be positive and finite, got {T}")
     if extrapolate is None:
         extrapolate = spec.kind == "cosine" and m <= 2
     full = _factor_integral(spec, m, T, nodes_per_unit)

@@ -105,35 +105,59 @@ class Subspace:
     feasible: bool
 
 
-def _rref(rows, width):
-    """Reduced row echelon form over Fraction; detects infeasible rows.
+def _echelon_add(ech, row):
+    """Echelon ech with one more integer row (a_1, ..., a_d, rhs) added.
 
-    Returns (canonical rows, pivot columns, feasible).  A pivot in the
-    last column means 0 = nonzero, i.e. an empty affine subspace.
+    An echelon is a tuple of (pivot, row) pairs sorted by pivot; each row
+    is a primitive integer vector with a positive entry at its pivot and
+    zeros in the other rows' pivot columns.  It is the reduced row echelon
+    form scaled row by row, so it is canonical.  A row that adds nothing
+    returns ech itself; a pivot in the last column means 0 = nonzero,
+    i.e. an empty affine subspace.
     """
-    mat = [[Fraction(v) for v in r] for r in rows]
-    pivots = []
-    r = 0
-    for col in range(width):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    feasible = not (pivots and pivots[-1] == width - 1)
-    canon = tuple(tuple(row) for row in mat[:r])
-    return canon, tuple(pivots), feasible
+    for p, r in ech:
+        c = row[p]
+        if c:
+            a = r[p]
+            row = [a * x - c * y for x, y in zip(row, r)]
+    p = next((i for i, v in enumerate(row) if v), None)
+    if p is None:
+        return ech
+    g = math.gcd(*row)
+    if row[p] < 0:
+        g = -g
+    row = tuple(v // g for v in row)
+    a = row[p]
+    out = []
+    for q, r in ech:
+        c = r[p]
+        if c:
+            r = [a * x - c * y for x, y in zip(r, row)]
+            g = math.gcd(*r)
+            r = tuple(v // g for v in r)
+        out.append((q, r))
+    out.append((p, row))
+    out.sort()
+    return tuple(out)
+
+
+def _echelon(rows):
+    """Echelon of integer rows, added one at a time."""
+    ech = ()
+    for row in rows:
+        ech = _echelon_add(ech, row)
+    return ech
+
+
+def _feasible(ech):
+    """Whether the echelon's affine subspace has a rational point."""
+    return not ech or ech[-1][0] != len(ech[-1][1]) - 1
+
+
+def _as_subspace(ech):
+    """Public Subspace of an echelon: each row divided by its pivot entry."""
+    rows = tuple(tuple(Fraction(v, r[p]) for v in r) for p, r in ech)
+    return Subspace(rows=rows, codim=len(rows), feasible=_feasible(ech))
 
 
 def _constraint_rows(sys, pi):
@@ -151,8 +175,7 @@ def _constraint_rows(sys, pi):
 
 def subspace_of_partition(sys, pi):
     """Canonical Subspace cut out by equality within each atom of pi."""
-    rows, pivots, feasible = _rref(_constraint_rows(sys, pi), sys.d + 1)
-    return Subspace(rows=rows, codim=len(rows), feasible=feasible)
+    return _as_subspace(_echelon(_constraint_rows(sys, pi)))
 
 
 def codim_of_partition(sys, pi):
@@ -161,34 +184,54 @@ def codim_of_partition(sys, pi):
         raise DomainError(
             f"partition covers {pi.t} forms, system has {sys.t}"
         )
-    rows, pivots, feasible = _rref(_constraint_rows(sys, pi), sys.d + 1)
-    return len(rows) if feasible else INFINITE_CODIM
+    ech = _echelon(_constraint_rows(sys, pi))
+    return len(ech) if _feasible(ech) else INFINITE_CODIM
+
+
+def _induced_atoms(sys, ech):
+    """Canonical atoms of the forms that agree as functions on the echelon.
+
+    Forms are grouped by their residue modulo the functionals (a, -rhs)
+    of the rows: den * v minus, per row, v at the row's pivot times
+    den / pivot entry times the functional, where den is the lcm of the
+    pivot entries.  Each row has zeros in the other pivot columns, so the
+    residue vanishes in every pivot column but the rhs one.  Columns are
+    computed over all forms at once.
+    """
+    den = math.lcm(*(r[p] for p, r in ech))
+    cols = list(zip(*(f.functional() for f in sys.forms)))
+    last = len(cols) - 1
+    zero = {p for p, r in ech} - {last}
+    keys = []
+    for c, col in enumerate(cols):
+        if c in zero:
+            continue
+        res = [den * v for v in col]
+        for p, r in ech:
+            w = r[c] * (den // r[p])
+            if w:
+                if c == last:
+                    w = -w
+                res = [x - w * y for x, y in zip(res, cols[p])]
+        keys.append(res)
+    groups = {}
+    for idx, key in enumerate(zip(*keys)):
+        groups.setdefault(key, []).append(idx)
+    return tuple(tuple(g) for g in groups.values())
 
 
 def induced_partition(sys, subspace):
     """Partition grouping forms that agree as functions on the subspace.
 
-    Forms are grouped by their residue modulo the functionals (a, -rhs)
-    of the subspace's rows.  The rows are in reduced echelon form, so each
-    is subtracted once, scaled by the form's own entry at its pivot;
-    everything is scaled by a common denominator to stay in integers.
+    The subspace's rows are in reduced echelon form; each is scaled by the
+    lcm of its denominators to the primitive integer row of the echelon.
     """
-    den = math.lcm(*(v.denominator for row in subspace.rows for v in row))
-    funcs = []
+    ech = []
     for row in subspace.rows:
-        func = [v.numerator * (den // v.denominator) for v in row]
-        func[-1] = -func[-1]
-        funcs.append((func, next(i for i, v in enumerate(func) if v != 0)))
-    groups = {}
-    for idx, f in enumerate(sys.forms):
-        vec = f.functional()
-        residue = [den * v for v in vec]
-        for func, pivot in funcs:
-            coef = vec[pivot]
-            if coef != 0:
-                residue = [a - coef * b for a, b in zip(residue, func)]
-        groups.setdefault(tuple(residue), []).append(idx)
-    return FormPartition(atoms=tuple(tuple(g) for g in groups.values()))
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        r = tuple(int(v * den) for v in row)
+        ech.append((next(i for i, v in enumerate(r) if v), r))
+    return FormPartition(atoms=_induced_atoms(sys, tuple(ech)))
 
 
 # ----------------------------------------------------------------- families
@@ -291,28 +334,28 @@ def _collision_hyperplanes(sys):
     return list(rows)
 
 
-def _codim2_flats(sys, hyperplanes):
+def _hyperplane_echelons(hyperplanes):
+    """One-row echelons of primitive rows with a positive leading entry."""
+    return [((next(i for i, v in enumerate(row) if v), row),)
+            for row in hyperplanes]
+
+
+def _codim2_flats(hyperplanes):
     """Nonempty codim-2 intersections of the rows of _collision_hyperplanes.
 
     Returns (flat, parents) pairs in the order the hyperplane pairs first
-    produce them: flat is the canonical Subspace, parents the ascending
-    indices of the hyperplanes that contain it.  Two distinct hyperplanes
-    through a codim-2 flat meet exactly in it, so the pairs that produce
-    a flat name all of its parents.
+    produce them: flat is the echelon, parents the ascending indices of
+    the hyperplanes that contain it.  Two distinct hyperplanes through a
+    codim-2 flat meet exactly in it, so the pairs that produce a flat name
+    all of its parents.
     """
+    lines = _hyperplane_echelons(hyperplanes)
     flats = {}
-    for (i, hi), (j, hj) in itertools.combinations(enumerate(hyperplanes), 2):
-        rows, pivots, feasible = _rref([hi, hj], sys.d + 1)
-        if feasible and len(rows) == 2:
-            flats.setdefault(rows, set()).update((i, j))
-    return [(Subspace(rows=rows, codim=2, feasible=True), tuple(sorted(parents)))
-            for rows, parents in flats.items()]
-
-
-def _subspace(rows):
-    """Canonical Subspace of integer rows (a..., rhs) with common solutions."""
-    canon, pivots, feasible = _rref(rows, len(rows[0]))
-    return Subspace(rows=canon, codim=len(canon), feasible=True)
+    for (i, hi), (j, hj) in itertools.combinations(enumerate(lines), 2):
+        ech = _echelon_add(hi, hj[0][1])
+        if len(ech) == 2 and _feasible(ech):
+            flats.setdefault(ech, set()).update((i, j))
+    return [(ech, tuple(sorted(parents))) for ech, parents in flats.items()]
 
 
 def lindex(sys, max_subspaces=500000):
@@ -322,65 +365,60 @@ def lindex(sys, max_subspaces=500000):
     pairwise form differences.  For each subspace the induced partition
     (forms equal as functions there) is scored as
     (t - |pi|) / codim of the partition's own subvariety, and subspaces
-    too deep to beat the best ratio are pruned.
+    too deep to beat the best ratio are pruned.  Each subspace is an
+    integer echelon, grown by one generator row at a time.
     """
     t = sys.t
     if t < 2:
         raise DomainError(f"collision index needs t >= 2 forms, got t={t}")
-    generators = [_subspace([row]) for row in _collision_hyperplanes(sys)]
+    hyperplanes = _collision_hyperplanes(sys)
+    generators = _hyperplane_echelons(hyperplanes)
     best = Fraction(0)
     best_witness = None
     best_codim = 0
-    seen = set()
-    frontier = {}
-    for g in generators:
-        seen.add(g.rows)
-        frontier[g.rows] = g
+    seen = set(generators)
+    frontier = generators
     explored = len(seen)
 
-    def evaluate(subspace):
+    def evaluate(ech):
         nonlocal best, best_witness, best_codim
-        pi = induced_partition(sys, subspace)
-        if pi.size >= t:
+        atoms = _induced_atoms(sys, ech)
+        if len(atoms) >= t:
             return
-        c = codim_of_partition(sys, pi)
-        if c is INFINITE_CODIM or c == 0:
-            return
-        ratio = Fraction(t - pi.size, c)
+        # ech is cut out by collision hyperplanes whose form pairs share
+        # atoms, so the partition's own subvariety is ech's subspace.
+        c = len(ech)
+        ratio = Fraction(t - len(atoms), c)
         if ratio > best:
             best = ratio
-            best_witness = pi
+            best_witness = FormPartition(atoms=atoms)
             best_codim = c
 
     for g in generators:
         evaluate(g)
     while frontier:
-        next_frontier = {}
-        for rows, subspace in frontier.items():
-            if best > 0 and Fraction(t - 1, subspace.codim + 1) <= best:
+        next_frontier = []
+        for ech in frontier:
+            if best > 0 and Fraction(t - 1, len(ech) + 1) <= best:
                 continue
-            for g in generators:
-                new_rows, pivots, feasible = _rref(
-                    list(rows) + list(g.rows), sys.d + 1
-                )
-                if not feasible or new_rows in seen:
+            for row in hyperplanes:
+                child = _echelon_add(ech, row)
+                if not _feasible(child) or child in seen:
                     continue
-                codim = len(new_rows)
-                if codim == subspace.codim:
+                codim = len(child)
+                if codim == len(ech):
                     continue
-                seen.add(new_rows)
+                seen.add(child)
                 explored += 1
                 if explored > max_subspaces:
                     raise ResourceError(
                         f"closure lattice exceeded {max_subspaces} subspaces; "
                         "raise max_subspaces or cap the system size"
                     )
-                child = Subspace(rows=new_rows, codim=codim, feasible=True)
-                if best > 0 and Fraction(t - 1, codim) <= best:
-                    evaluate(child)
-                    continue
+                deep = best > 0 and Fraction(t - 1, codim) <= best
                 evaluate(child)
-                next_frontier[new_rows] = child
+                if not deep:
+                    next_frontier.append(child)
         frontier = next_frontier
     return LindexResult(value=best, witness=best_witness,
                         codim=best_codim, subspaces_explored=explored)
@@ -447,16 +485,17 @@ def min_distinct_on_codim(sys, c):
         raise DomainError(f"codimension must be 1 or 2, got {c}")
     hyperplanes = _collision_hyperplanes(sys)
     if c == 1:
-        candidates = [_subspace([row]) for row in hyperplanes]
+        candidates = _hyperplane_echelons(hyperplanes)
     else:
-        candidates = [flat for flat, parents in _codim2_flats(sys, hyperplanes)]
+        candidates = [flat for flat, parents in _codim2_flats(hyperplanes)]
     if not candidates:
         raise DomainError(
             f"system has no feasible codim-{c} collision subspaces"
         )
-    counts = [induced_partition(sys, sub).size for sub in candidates]
+    counts = [len(_induced_atoms(sys, ech)) for ech in candidates]
     best = counts.index(min(counts))
-    return MinDistinctResult(count=counts[best], witness=candidates[best])
+    return MinDistinctResult(count=counts[best],
+                             witness=_as_subspace(candidates[best]))
 
 
 # ----------------------------------------------------------- integer lattice
@@ -535,8 +574,7 @@ def solution_lattice(sys, pi):
     if pi.t != sys.t:
         raise DomainError(f"partition covers {pi.t} forms, system has {sys.t}")
     rows = _constraint_rows(sys, pi)
-    canon, pivots, feasible = _rref(rows, sys.d + 1)
-    if not feasible:
+    if not _feasible(_echelon(rows)):
         raise DomainError("partition forces an inconsistent affine constraint")
     basis, gdet, covolume = _kernel_lattice([r[:-1] for r in rows], sys.d)
     arr = np.array(basis, dtype=np.int64).reshape(len(basis), sys.d)

@@ -151,6 +151,9 @@ def test_narrowness_validation(sieve_2m):
         ap.narrowness_report([10 ** 7], 3, 0.0, None, sieve_2m)
     with pytest.raises(DomainError, match="overflows"):
         ap.narrowness_report([10 ** 5], 40, 0.0, None, sieve_2m)
+    for N in (1, 0, -7):
+        with pytest.raises(DomainError, match="needs N > 1"):
+            ap.narrowness_report([N], 3, 0.0, None, sieve_2m)
 
 
 def _rolled_cyclic_count(flags, k, D):

@@ -139,6 +139,22 @@ def test_overflowing_reference_width_is_usage_error(capsys):
         assert "error:" in err and "overflows" in err
 
 
+def test_reference_width_below_two_is_usage_error(capsys):
+    for argv in (("apsearch", "--mode", "narrowness", "--ladder", "0"),
+                 ("apsearch", "--mode", "narrowness", "--ladder", "1e5,-3"),
+                 ("lambda-d", "--N", "0", "--k", "3")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err and "needs N > 1" in err
+
+
+def test_non_finite_truncation_is_usage_error(capsys):
+    for value in ("inf", "nan"):
+        code, _, err = run(capsys, "cutoff-check", "--T", value, "--m", "1")
+        assert code == 2
+        assert "error:" in err and "finite" in err
+
+
 def test_non_numeric_config_value_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("P-max=soon\n")

@@ -147,3 +147,6 @@ def test_report_fields():
 def test_bad_truncation_rejected():
     with pytest.raises(DomainError):
         co.sieve_factor_report(co.make_cutoff("cosine"), 2, T=-3.0)
+    for T in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            co.sieve_factor_report(co.make_cutoff("cosine"), 1, T=T)

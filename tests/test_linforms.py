@@ -108,6 +108,18 @@ def test_subspace_and_induced_partition():
     assert (0, 1) in induced.atoms
 
 
+def test_induced_partition_of_empty_subspace_keeps_constants_apart():
+    # The rhs row (0, 1) of an empty subspace is not subtracted away, so
+    # forms that differ only in their constant stay in separate atoms.
+    shifted = lf.LinearSystem(
+        d=1,
+        forms=(lf.LinearForm(coeffs=(1,)), lf.LinearForm(coeffs=(1,), constant=1)),
+    )
+    sub = lf.subspace_of_partition(shifted, lf.FormPartition(atoms=((0, 1),)))
+    assert not sub.feasible and sub.rows == ((0, 1),)
+    assert lf.induced_partition(shifted, sub).atoms == ((0,), (1,))
+
+
 def test_lindex_family_values():
     cases = [
         (lf.first_family(2), Fraction(1)),
@@ -124,7 +136,10 @@ def test_lindex_family_values():
 
 
 def test_lindex_witness_is_consistent():
-    for sys in (lf.first_family(2), lf.first_family(3), lf.third_family(3, 1)):
+    rng = np.random.default_rng(7)
+    randoms = [_random_system(rng, 3, 6) for _ in range(10)]
+    for sys in (lf.first_family(2), lf.first_family(3), lf.third_family(3, 1),
+                *randoms):
         res = lf.lindex(sys)
         pi = res.witness
         assert lf.codim_of_partition(sys, pi) == res.codim
@@ -240,15 +255,21 @@ def test_codim2_flat_parents_are_the_containing_hyperplanes():
         hyperplanes = lf._collision_hyperplanes(sys)
         for row in hyperplanes:
             assert math.gcd(*row) == 1 and next(v for v in row if v) > 0
-        flats = lf._codim2_flats(sys, hyperplanes)
-        assert len({flat.rows for flat, parents in flats}) == len(flats) > 0
+        flats = lf._codim2_flats(hyperplanes)
+        assert len({flat for flat, parents in flats}) == len(flats) > 0
         for flat, parents in flats:
-            assert flat.codim == 2 and len(parents) >= 2
+            assert len(flat) == 2 and len(parents) >= 2
             containing = tuple(
                 i for i, row in enumerate(hyperplanes)
-                if len(lf._rref(list(flat.rows) + [row], sys.d + 1)[0]) == 2
+                if len(lf._echelon_add(flat, row)) == 2
             )
             assert parents == containing
+
+
+def test_lindex_first4_anchor():
+    res = lf.lindex(lf.first_family(4))
+    assert res.value == 12 and res.codim == 1
+    assert res.subspaces_explored == 36770
 
 
 def test_solution_lattice_diagonal():
