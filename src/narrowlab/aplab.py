@@ -117,11 +117,11 @@ def prime_signal(sieve, nprime):
         )
     if not sieve.is_prime(nprime):
         raise DomainError(f"modulus {nprime} must be prime")
-    mask = sieve.prime_mask(nprime - 1)
     lo = math.isqrt(nprime - 1) + 1
     f = np.zeros(nprime, dtype=np.float64)
-    f[: mask.shape[0]][mask] = math.log(nprime)
-    f[:lo] = 0.0
+    if lo < nprime:   # [sqrt(N'), N') holds no integer for N' = 2
+        f[sieve.prime_mask(nprime - 1)] = math.log(nprime)
+        f[:lo] = 0.0
     return f
 
 

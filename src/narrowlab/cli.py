@@ -537,6 +537,8 @@ def _cmd_lambda_d(params):
     if D is None:
         L = (k - 1) * 2 ** (k - 2)
         D = math.ceil(aplab.log_power(nprime, L))
+    if not numtheory.is_prime(nprime):
+        raise DomainError(f"modulus {nprime} must be prime")
     sieve = _get_sieve(nprime, params["sieve"])
     f = aplab.prime_signal(sieve, nprime)
     value = aplab.lambda_D([f] * k, D)

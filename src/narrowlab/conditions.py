@@ -480,6 +480,9 @@ def width_threshold_fit(sys, alphas, target=1.0, max_subspaces=200000):
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {a}")
+    target = float(target)
+    if not (math.isfinite(target) and target > 0):
+        raise DomainError(f"target must be positive and finite, got {target}")
     engine = _DeviationEngine(sys, max_subspaces=max_subspaces)
     rows = []
     for alpha in alphas:

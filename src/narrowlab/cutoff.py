@@ -6,7 +6,6 @@ the order-2 sieve factor equal to 1, which is the calibration the rest of
 the package relies on.
 """
 
-import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ KINDS = ("cosine", "bump")
 DEFAULT_T = {"cosine": 200.0, "bump": 50.0}
 DEFAULT_T_TRIPLE = 80.0
 DEFAULT_NODES_PER_UNIT = 3.2
+IMAG_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,10 @@ def gauss_panels(a, b, npanels, nodes=10):
     return xs, ws
 
 
-_BUMP_NORM = None
-
-
-def _bump_norm():
-    global _BUMP_NORM
-    if _BUMP_NORM is None:
-        xs, ws = gauss_panels(0.0, 1.0, 80, nodes=12)
-        j = float(np.sum(ws * chi_deriv(CutoffSpec("bump", 1.0), xs) ** 2))
-        _BUMP_NORM = 1.0 / math.sqrt(j)
-    return _BUMP_NORM
+def _deriv_energy(spec):
+    """Integral of chi'(t)^2 over [0, 1]."""
+    xs, ws = gauss_panels(0.0, 1.0, 80, nodes=12)
+    return float(np.sum(ws * chi_deriv(spec, xs) ** 2))
 
 
 def make_cutoff(kind):
@@ -70,7 +64,8 @@ def make_cutoff(kind):
     if kind == "cosine":
         return CutoffSpec(kind="cosine", norm_constant=2.0 * math.sqrt(2.0) / math.pi)
     if kind == "bump":
-        return CutoffSpec(kind="bump", norm_constant=_bump_norm())
+        unit = CutoffSpec(kind="bump", norm_constant=1.0)
+        return CutoffSpec(kind="bump", norm_constant=1.0 / math.sqrt(_deriv_energy(unit)))
     raise DomainError(f"unknown cutoff kind {kind!r}, expected one of {KINDS}")
 
 
@@ -107,62 +102,50 @@ def chi_deriv(spec, x):
 
 def norm_residual(spec):
     """Absolute deviation of the half-line integral of chi'^2 from 1."""
-    xs, ws = gauss_panels(0.0, 1.0, 80, nodes=12)
-    val = float(np.sum(ws * chi_deriv(spec, xs) ** 2))
-    return abs(val - 1.0)
-
-
-def _psi_array(spec, t):
-    """psi on an array of frequencies, where e^x chi(x) = int psi(t) e^{-ixt} dt."""
-    t = np.asarray(t, dtype=float)
-    if spec.kind == "cosine":
-        s = 1.0 + 1j * t
-        return (spec.norm_constant / 2.0) * np.cosh(s) / (s * s + math.pi ** 2 / 4.0)
-    tmax = float(np.max(np.abs(t))) if t.size else 0.0
-    npanels = max(8, int(math.ceil((tmax + 8.0) / 3.0)))
-    xs, ws = gauss_panels(-1.0, 1.0, npanels, nodes=10)
-    base = ws * np.exp(xs) * chi_value(spec, xs)
-    phase = np.exp(1j * np.outer(t, xs))
-    return phase @ base.astype(complex) / (2.0 * math.pi)
+    return abs(_deriv_energy(spec) - 1.0)
 
 
 def fourier_psi(spec, t):
-    """psi(t), complex; arrays map elementwise and psi(-t) = conj(psi(t))."""
-    if np.ndim(t) != 0:
-        return _psi_array(spec, t)
+    """psi(t), complex, where e^x chi(x) = int psi(t) e^{-ixt} dt.
+
+    Arrays map elementwise, a scalar gives a complex, and psi(-t) = conj(psi(t)).
+    """
+    arr = np.asarray(t, dtype=float)
     if spec.kind == "cosine":
-        s = complex(1.0, float(t))
-        return (spec.norm_constant / 2.0) * cmath.cosh(s) / (s * s + math.pi ** 2 / 4.0)
-    return complex(_psi_array(spec, np.array([float(t)]))[0])
-
-
-def _factor_grid(spec, T, nodes_per_unit):
-    npanels = max(4, int(math.ceil(2.0 * T * nodes_per_unit / 10.0)))
-    t, w = gauss_panels(-T, T, npanels, nodes=10)
-    psi = _psi_array(spec, t)
-    return t, w, psi
+        s = 1.0 + 1j * arr
+        psi = (spec.norm_constant / 2.0) * np.cosh(s) / (s * s + math.pi ** 2 / 4.0)
+    else:
+        tmax = float(np.max(np.abs(arr))) if arr.size else 0.0
+        npanels = max(8, int(math.ceil((tmax + 8.0) / 3.0)))
+        xs, ws = gauss_panels(-1.0, 1.0, npanels, nodes=10)
+        base = ws * np.exp(xs) * chi_value(spec, xs)
+        psi = np.exp(1j * np.multiply.outer(arr, xs)) @ base.astype(complex) / (2.0 * math.pi)
+    return complex(psi) if psi.ndim == 0 else psi
 
 
 def _factor_integral(spec, m, T, nodes_per_unit):
-    t, w, psi = _factor_grid(spec, T, nodes_per_unit)
-    a = w * psi * (1.0 + 1j * t)
+    """The m-fold oscillatory integral on [-T, T]^m, by Gauss-Legendre panels.
+
+    With a_j = w_j psi(t_j) (1 + i t_j) and P_jl = 1 / (2 + i (t_j + t_l)),
+    m = 2 is sum a_j a_l P_jl.  For m = 3 the identity
+    (3 + i (t_i + t_j + t_l)) P_jl = 1 + (1 + i t_i) P_jl splits
+    sum a_i a_j a_l P_ij P_il (3 + i (t_i + t_j + t_l)) P_jl into the row
+    sums of V and of (V P) * V, where V_ij = a_j P_ij.
+    """
+    npanels = max(4, int(math.ceil(2.0 * T * nodes_per_unit / 10.0)))
+    t, w = gauss_panels(-T, T, npanels, nodes=10)
+    a = w * fourier_psi(spec, t) * (1.0 + 1j * t)
     if m == 1:
         return complex(np.sum(a))
-    if m == 2:
-        denom = 2.0 + 1j * (t[:, None] + t[None, :])
-        return complex(np.sum(a[:, None] * a[None, :] / denom))
     pair = 2.0 + 1j * (t[:, None] + t[None, :])
-    total = 0.0 + 0.0j
-    for i in range(t.size):
-        di = 2.0 + 1j * (t[i] + t)
-        block = (a / di)[:, None] * (a / di)[None, :]
-        num = 3.0 + 1j * (t[i] + t[:, None] + t[None, :])
-        total += a[i] * np.sum(block * num / pair)
-    return total
+    if m == 2:
+        return complex(np.sum(a[:, None] * a[None, :] / pair))
+    P = 1.0 / pair
+    V = a[None, :] * P
+    return complex(np.sum(a * (V.sum(1) ** 2 + (1.0 + 1j * t) * ((V @ P) * V).sum(1))))
 
 
-def sieve_factor_report(spec, m, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT,
-                        extrapolate=None, imag_tol=1e-5):
+def sieve_factor_report(spec, m, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
     """Sieve factor c_{chi,m} with truncation diagnostics.
 
     The m-fold oscillatory integral is truncated to [-T, T]^m.  For the
@@ -172,7 +155,8 @@ def sieve_factor_report(spec, m, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT,
     Richardson step unreliable, so the raw value at a larger default T
     is used instead; the bump kind decays fast enough that the raw value
     is always used.  The difference of the two truncations is reported
-    as an empirical tail estimate either way.
+    as an empirical tail estimate either way.  An imaginary part above
+    IMAG_TOL relative to the value raises NumericError.
     """
     if m not in (1, 2, 3):
         raise UnsupportedError(f"sieve factor implemented for m in {{1,2,3}}, got {m}")
@@ -181,14 +165,13 @@ def sieve_factor_report(spec, m, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT,
     T = float(T)
     if not (math.isfinite(T) and T > 0):
         raise DomainError(f"truncation T must be positive and finite, got {T}")
-    if extrapolate is None:
-        extrapolate = spec.kind == "cosine" and m <= 2
+    extrapolate = spec.kind == "cosine" and m <= 2
     full = _factor_integral(spec, m, T, nodes_per_unit)
     half = _factor_integral(spec, m, T / 2.0, nodes_per_unit)
     combined = 2.0 * full - half if extrapolate else full
     tail = abs(full.real - half.real)
     residual = abs(combined.imag)
-    if residual > imag_tol * max(1.0, abs(combined.real)):
+    if residual > IMAG_TOL * max(1.0, abs(combined.real)):
         raise NumericError(
             f"imaginary residual {residual:.3e} exceeds tolerance for m={m}"
         )
@@ -201,9 +184,6 @@ def sieve_factor(spec, m, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
     return sieve_factor_report(spec, m, T=T, nodes_per_unit=nodes_per_unit).value
 
 
-_vector_cache = {}
-
-
 def sieve_factor_vector(spec, h, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
     """Product of c_{chi,m(v)} over the distinct values v of the shift vector h.
 
@@ -213,15 +193,11 @@ def sieve_factor_vector(spec, h, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
     entries = tuple(getattr(h, "entries", h))
     if not entries:
         raise DomainError("shift vector must be non-empty")
-    mult = Counter(entries)
     out = 1.0
-    for v, m in sorted(mult.items()):
+    for v, m in sorted(Counter(entries).items()):
         if m > 3:
             raise UnsupportedError(
                 f"multiplicity {m} of shift {v} exceeds the supported maximum 3"
             )
-        key = (spec.kind, m, T, nodes_per_unit)
-        if key not in _vector_cache:
-            _vector_cache[key] = sieve_factor(spec, m, T=T, nodes_per_unit=nodes_per_unit)
-        out *= _vector_cache[key]
+        out *= sieve_factor(spec, m, T=T, nodes_per_unit=nodes_per_unit)
     return out

@@ -7,6 +7,7 @@ bound P_max with every prime dividing the discriminant handled exactly,
 so truncation affects precision only, never vanishing.
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -99,34 +100,21 @@ def delta(h):
     return out
 
 
-_generic_cache = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _generic_product(r, k, W_primes, P_max):
-    """Product of (1-1/p)^(-r) (1-r/p) over primes k < p <= P_max, p not in W."""
-    key = (r, k, tuple(W_primes), P_max)
-    if key not in _generic_cache:
-        p = _bootstrap_primes(P_max)
-        mask = p > k
-        for q in W_primes:
-            mask &= p != q
-        p = p[mask]
-        logs = -r * np.log1p(-1.0 / p) + np.log1p(-r / p)
-        _generic_cache[key] = float(np.exp(np.sum(logs)))
-        if len(_generic_cache) > 64:
-            _generic_cache.pop(next(iter(_generic_cache)))
-    return _generic_cache[key]
+    """Product of the generic local factors over primes k < p <= P_max, p not in W."""
+    p = _bootstrap_primes(P_max)
+    mask = p > k
+    for q in W_primes:
+        mask &= p != q
+    p = p[mask]
+    logs = -r * np.log1p(-1.0 / p) + np.log1p(-r / p)
+    return float(np.exp(np.sum(logs)))
 
 
-def _local_factor(h, p, r):
-    nu = len({v % p for v in h.entries})
-    if nu == p:
-        return 0.0
+def _local_factor(p, nu, r):
+    """(1 - 1/p)^(-r) (1 - nu/p); the generic factor has nu = r, and nu = p gives 0."""
     return (1.0 - 1.0 / p) ** (-r) * (1.0 - nu / p)
-
-
-def _generic_factor(p, r):
-    return (1.0 - 1.0 / p) ** (-r) * (1.0 - r / p)
 
 
 def singular_series(h, P_max=DEFAULT_PMAX, W=1):
@@ -160,15 +148,15 @@ def singular_series(h, P_max=DEFAULT_PMAX, W=1):
         )
     tail = math.exp(r * r / P_max) - 1.0
     small = sorted(set(delta_primes) | set(_bootstrap_primes(k).tolist()))
-    value = _generic_product(r, k, W_primes, P_max)
+    value = _generic_product(r, k, tuple(W_primes), P_max)
     for p in small:
         if p in W_primes:
             continue
-        exact = _local_factor(h, p, r)
+        exact = _local_factor(p, len({v % p for v in h.entries}), r)
         if exact == 0.0:
             return SingularValue(value=0.0, P_max=P_max, tail_bound=tail)
         if p > k:
-            value /= _generic_factor(p, r)
+            value /= _local_factor(p, r, r)
         value *= exact
     return SingularValue(value=value, P_max=P_max, tail_bound=tail)
 

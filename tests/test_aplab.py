@@ -95,6 +95,12 @@ def test_prime_signal_properties(sieve_2m):
     assert float(f[nz[0]]) == log_n
 
 
+def test_prime_signal_of_two_is_zero():
+    # [sqrt 2, 2) holds no integer, so no prime mask is needed or built.
+    f = ap.prime_signal(nt.build_factor_sieve(2), 2)
+    assert f.dtype == np.float64 and f.tolist() == [0.0, 0.0]
+
+
 def test_lambda_d_positive_on_prime_signal(sieve_2m):
     nprime = 10 ** 5 + 3
     f = ap.prime_signal(sieve_2m, nprime)

@@ -190,6 +190,29 @@ def test_domain_error_exit_code(capsys):
     assert "error:" in err and "prime" in err
 
 
+def test_lambda_d_smallest_modulus_is_zero(capsys, tmp_path):
+    out = tmp_path / "lam.json"
+    code, _, _ = run(capsys, "lambda-d", "--N", "2", "--k", "3",
+                     "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["value"] == 0.0
+
+
+def test_lambda_d_composite_modulus_builds_no_sieve(capsys, tmp_path):
+    code, _, err = run(capsys, "lambda-d", "--N", "10", "--k", "3")
+    assert code == 2
+    assert "error:" in err and "must be prime" in err
+    assert list(tmp_path.glob("sieve-*.bin")) == []
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "0", "-1"])
+def test_threshold_bad_target_is_usage_error(capsys, target):
+    code, _, err = run(capsys, "threshold", "--family", "second", "--k", "2",
+                       f"--target={target}")
+    assert code == 2
+    assert "error:" in err and "target" in err
+
+
 def test_resource_error_exit_code(capsys):
     code, _, err = run(capsys, "gallagher", "--weight", "E",
                        "--hi", "2000", "--t", "3")

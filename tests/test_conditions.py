@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -254,3 +255,10 @@ def test_threshold_fit_validation():
         cd.width_threshold_fit(lf.second_family(2), [0.2, 0.1])
     with pytest.raises(DomainError):
         cd.width_threshold_fit(lf.second_family(2), [0.2, 0.1, 1.5])
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0])
+def test_threshold_fit_rejects_bad_target(target):
+    with pytest.raises(DomainError, match="target"):
+        cd.width_threshold_fit(lf.second_family(2), [0.2, 0.1, 0.05],
+                               target=target)

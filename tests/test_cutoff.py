@@ -15,7 +15,7 @@ def test_cosine_norm_constant_closed_form():
 
 def test_bump_norm_constant_frozen():
     spec = co.make_cutoff("bump")
-    assert abs(spec.norm_constant - 2.2097435943384465) < 1e-12
+    assert spec.norm_constant == 2.2097435943384465
     assert abs(co.chi_value(spec, 0.0) - 0.812919238617402) < 1e-12
 
 
@@ -70,6 +70,47 @@ def test_first_factor_vanishes():
 def test_second_factor_is_one():
     for kind in co.KINDS:
         assert abs(co.sieve_factor(co.make_cutoff(kind), 2) - 1.0) < 1e-3
+
+
+# (value, imag_residual, tail_estimate) of sieve_factor_report at the default T.
+_PINNED_FACTORS = {
+    ("cosine", 1): (0.003973044518251335, 1.1102230246251565e-16, 0.0065577631521365615),
+    ("cosine", 2): (0.9999938219882621, 2.7755575615628914e-17, 0.003169761937346194),
+    ("bump", 1): (-0.0026277374624011675, 1.1102230246251565e-16, 0.031371636649011936),
+    ("bump", 2): (0.9999190826868255, 0.0, 0.0030208672049670815),
+}
+
+
+def test_first_and_second_factors_pinned_exactly():
+    for (kind, m), want in _PINNED_FACTORS.items():
+        rep = co.sieve_factor_report(co.make_cutoff(kind), m)
+        assert (rep.value, rep.imag_residual, rep.tail_estimate) == want, (kind, m)
+
+
+def _triple_sum(spec, T, nodes_per_unit):
+    """The explicit triple quadrature sum behind the m = 3 factor.
+
+    sum over i, j, l of a_i a_j a_l (3 + i(t_i + t_j + t_l)) divided by
+    (2 + i(t_i + t_j)) (2 + i(t_i + t_l)) (2 + i(t_j + t_l)), with
+    a = w psi(t) (1 + i t), added with math.fsum.
+    """
+    npanels = max(4, math.ceil(2.0 * T * nodes_per_unit / 10.0))
+    t, w = co.gauss_panels(-T, T, npanels, nodes=10)
+    a = w * co.fourier_psi(spec, t) * (1.0 + 1j * t)
+    ti, tj, tl = t[:, None, None], t[None, :, None], t[None, None, :]
+    terms = (a[:, None, None] * a[None, :, None] * a[None, None, :]
+             * (3.0 + 1j * (ti + tj + tl))
+             / ((2.0 + 1j * (ti + tj)) * (2.0 + 1j * (ti + tl)) * (2.0 + 1j * (tj + tl))))
+    return complex(math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel()))
+
+
+def test_triple_integral_matches_explicit_sum():
+    for kind in co.KINDS:
+        spec = co.make_cutoff(kind)
+        for T in (6.0, 12.0):
+            got = co._factor_integral(spec, 3, T, 3.2)
+            want = _triple_sum(spec, T, 3.2)
+            assert abs(got - want) < 1e-14, (kind, T, got, want)
 
 
 def _c3_real_space(spec):

@@ -88,11 +88,37 @@ def test_series_matches_direct_product(sieve):
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (h, W, got, want)
 
 
+# singular_series values at P_max = 10^5, frozen bit for bit.
+_PINNED_SERIES = {
+    ((0, 2), 1): 1.3203246909334732,
+    ((0, 2), 30): 0.9388975579971365,
+    ((0, 2, 6), 1): 2.8582554749039146,
+    ((0, 2, 6), 6): 0.6351678833119812,
+    ((0, 4, 6, 10), 1): 8.302401690630424,
+    ((0, 4, 6, 10), 30): 0.6297525430522635,
+    ((0, 0, 2), 1): 1.320324690933473,
+    ((0, 1), 1): 0.0,
+    ((0, 1), 6): 0.8802164606223154,
+    ((0, 6, 12, 18, 24), 6): 0.0,
+    ((0, 6, 12, 18, 24), 30): 0.40987817338681704,
+}
+
+
 def test_frozen_values():
     assert abs(sg.singular_series((0, 6), P_max=10 ** 5, W=6).value
                - 0.8802164606223154) < 1e-12
     assert abs(sg.singular_series((0, 6, 12), P_max=10 ** 5).value
                - 5.716510949807829) < 1e-12
+    for (h, W), want in _PINNED_SERIES.items():
+        assert sg.singular_series(h, W=W).value == want, (h, W)
+
+
+def test_generic_product_is_memoised():
+    sg.singular_series((0, 2, 6), W=30)
+    before = sg._generic_product.cache_info()
+    sg.singular_series((0, 2, 6), W=30)
+    after = sg._generic_product.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
 
 
 def test_shift_and_permutation_invariance():
