@@ -38,9 +38,7 @@ def lambda_D(f_list, D):
             raise DomainError(
                 f"arrays must share one length, got {f.shape} vs {n}"
             )
-    D = int(D)
-    if not 1 <= D < n:
-        raise DomainError(f"need 1 <= D < N', got D={D}, N'={n}")
+    D = check_difference_cap(D, n)
     scaled = [_scaled_indicator(f) for f in fs]
     if any(s is None for s in scaled):
         return float(lambda_sweep(np.vstack(fs), D))
@@ -48,6 +46,13 @@ def lambda_D(f_list, D):
     if count == 0:   # 0.0, not -0.0, when a scale is negative
         return 0.0
     return math.prod(c for c, _ in scaled) * count / (n * D)
+
+
+def check_difference_cap(D, nprime):
+    """D as an int, raising DomainError unless 1 <= D < N'."""
+    if not 1 <= int(D) < nprime:
+        raise DomainError(f"need 1 <= D < N', got D={D}, N'={nprime}")
+    return int(D)
 
 
 def _scaled_indicator(f):
@@ -79,20 +84,28 @@ def cyclic_ap_count(sets, D):
 
     sets are boolean arrays of one length N.  Each d costs one AND of k
     packed windows and a popcount: sets[0] packed as is, whose zero bits
-    past N clear the tails, and sets[j] packed twice over, read from bit
-    j*d mod N.
+    past N clear the tails (so whole words are counted), and sets[j]
+    packed twice over, read from bit j*d mod N.
     """
     n = sets[0].shape[0]
-    nwords = (n + 63) // 64
-    first = pack_bits(sets[0])[:nwords]
+    first = pack_bits(sets[0])
     doubled = [pack_bits(np.concatenate([s, s])) for s in sets[1:]]
-    total = 0
-    for d in range(1, D + 1):
-        v = first
-        for j, words in enumerate(doubled, start=1):
-            v = v & _window(words, j * d % n, nwords)
-        total += int(np.bitwise_count(v).sum())
-    return total
+    whole = (n + 63) // 64 * 64
+    return sum(
+        _and_count(first, [(w, j * d % n) for j, w in enumerate(doubled, 1)],
+                   whole)
+        for d in range(1, D + 1)
+    )
+
+
+def _and_count(first, windows, nbits):
+    """Set bits among the first nbits of first AND each (words, start) window."""
+    nwords = (nbits + 63) // 64
+    v = first[:nwords]
+    for words, start in windows:
+        v = v & _window(words, start, nwords)
+    spill = int(v[-1]) >> (nbits % 64) if nbits % 64 else 0
+    return int(np.bitwise_count(v).sum()) - spill.bit_count()
 
 
 def _window(words, start, nwords):
@@ -125,14 +138,20 @@ def prime_signal(sieve, nprime):
     return f
 
 
-def count_aps_with_difference(N, k, d, sieve):
-    """Number of primes p <= N with p, p+d, ..., p+(k-1)d all prime."""
+def count_sieve_limit(N, k, d):
+    """Sieve limit N + (k-1)d of a count; DomainError unless k, d >= 1."""
     N, k, d = int(N), int(k), int(d)
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    top = N + (k - 1) * d
+    return N + (k - 1) * d
+
+
+def count_aps_with_difference(N, k, d, sieve):
+    """Number of primes p <= N with p, p+d, ..., p+(k-1)d all prime."""
+    N, k, d = int(N), int(k), int(d)
+    top = count_sieve_limit(N, k, d)
     if top > sieve.limit:
         raise DomainError(
             f"need sieve limit >= {top}, have {sieve.limit}"
@@ -152,12 +171,7 @@ def packed_ap_count(words, starts, k, d):
     """
     if starts <= 0:
         return 0
-    nwords = (starts + 63) // 64
-    v = _window(words, 0, nwords)
-    for j in range(1, k):
-        v = v & _window(words, j * d, nwords)
-    spill = int(v[-1]) >> (starts % 64) if starts % 64 else 0
-    return int(np.bitwise_count(v).sum()) - spill.bit_count()
+    return _and_count(words, [(words, j * d) for j in range(1, k)], starts)
 
 
 @dataclass(frozen=True)
@@ -286,6 +300,33 @@ def log_power(N, L):
         raise DomainError(f"(log {N})^{L} overflows a float") from None
 
 
+def _narrowness_scales(ladder, k, delta, rule):
+    """Reference widths (N, (log N)^L, cap) of the ladder, L = (k-1) 2^(k-2).
+
+    cap = max(2, ceil((log N)^L)).  Raises DomainError for the arguments
+    narrowness_report rejects.
+    """
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
+    ladder = [int(N) for N in ladder]
+    if not ladder:
+        raise DomainError("ladder must be non-empty")
+    highs = [log_power(N, (k - 1) * 2 ** (k - 2)) for N in ladder]
+    if rule is not None and rule.prime_density < float(delta):
+        raise DomainError(
+            f"rule density {rule.prime_density:.4f} below requested {delta}"
+        )
+    return [(N, high, max(2, math.ceil(high)))
+            for N, high in zip(ladder, highs)]
+
+
+def narrowness_sieve_limit(ladder, k, delta=0.0, rule=None):
+    """Sieve limit narrowness_report needs; DomainError for what it rejects."""
+    k = int(k)
+    scales = _narrowness_scales(ladder, k, delta, rule)
+    return max(N + (k - 1) * cap for N, _, cap in scales)
+
+
 def narrowness_report(ladder, k, delta, rule, sieve):
     """Minimal and median common difference of k-APs in a prime subset.
 
@@ -298,17 +339,9 @@ def narrowness_report(ladder, k, delta, rule, sieve):
     and (log N)^L.
     """
     k = int(k)
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
     delta = float(delta)
-    ladder = [int(N) for N in ladder]
-    if not ladder:
-        raise DomainError("ladder must be non-empty")
-    L = (k - 1) * 2 ** (k - 2)
     rows = []
-    for N in ladder:
-        high = log_power(N, L)
-        cap = max(2, math.ceil(high))
+    for N, high, cap in _narrowness_scales(ladder, k, delta, rule):
         top = N + (k - 1) * cap
         if top > sieve.limit:
             raise DomainError(
@@ -316,11 +349,6 @@ def narrowness_report(ladder, k, delta, rule, sieve):
             )
         mask = sieve.prime_mask(top)
         if rule is not None:
-            if rule.prime_density < delta:
-                raise DomainError(
-                    f"rule density {rule.prime_density:.4f} below "
-                    f"requested {delta}"
-                )
             mask = mask & rule.mask(top)
         if not mask[: N + 1].any():
             raise DomainError(f"prime subset empty below N={N}")

@@ -10,23 +10,19 @@ printed to stdout only.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
 from . import aplab, conditions, cutoff, linforms, majorant, numtheory, singular
-from .errors import (
-    DomainError,
-    FormatError,
-    NumericError,
-    ResourceError,
-    UnsupportedError,
-)
+from .errors import DomainError, NarrowlabError, NumericError, ResourceError
 
 
 def _count(text):
@@ -43,34 +39,36 @@ def _count(text):
         return int(value)
 
 
-def _counts(text):
-    return tuple(_count(part) for part in str(text).split(",") if part != "")
+def _list_of(conv):
+    """Parser of comma-separated values; empty parts are skipped."""
+    return lambda text: tuple(
+        conv(part) for part in str(text).split(",") if part != ""
+    )
 
 
-def _floats(text):
-    return tuple(float(part) for part in str(text).split(",") if part != "")
-
-
-def _ints(text):
-    return tuple(int(part) for part in str(text).split(",") if part != "")
+_counts = _list_of(_count)
+_floats = _list_of(float)
+_ints = _list_of(int)
 
 
 # Option tables: dest -> (converter, default, help).  A default of
 # _REQUIRED marks the option as mandatory.
 _REQUIRED = object()
 
+# A linear system, from a named family or from an interchange file.
+_SYSTEM = {
+    "family": (str, None, "family name: first, second, or third"),
+    "k": (int, None, "family parameter k"),
+    "j": (int, 1, "anchor index for the third family"),
+    "file": (str, None, "system interchange file"),
+}
+
 _SPECS = {
     "sieve-build": {
         "limit": (_count, _REQUIRED, "sieve upper bound"),
         "out": (str, None, "output path (default: cache directory)"),
     },
-    "lindex": {
-        "family": (str, None, "family name: first, second, or third"),
-        "k": (int, None, "family parameter k"),
-        "j": (int, 1, "anchor index for the third family"),
-        "file": (str, None, "read the system from an interchange file"),
-        "out": (str, None, "JSON output path"),
-    },
+    "lindex": {**_SYSTEM, "out": (str, None, "JSON output path")},
     "forms-dump": {
         "family": (str, _REQUIRED, "family name: first, second, or third"),
         "k": (int, _REQUIRED, "family parameter k"),
@@ -117,10 +115,7 @@ _SPECS = {
         "out": (str, None, "CSV output path"),
     },
     "lfc": {
-        "family": (str, None, "family name"),
-        "k": (int, None, "family parameter k"),
-        "j": (int, 1, "anchor index for the third family"),
-        "file": (str, None, "system interchange file"),
+        **_SYSTEM,
         "model": (str, "one", "weight model: majorant, random, or one"),
         "table": (str, None, "majorant table path (model=majorant)"),
         "alpha": (float, 0.1, "density for the random model"),
@@ -134,10 +129,7 @@ _SPECS = {
         "out": (str, None, "JSON output path"),
     },
     "threshold": {
-        "family": (str, None, "family name"),
-        "k": (int, None, "family parameter k"),
-        "j": (int, 1, "anchor index for the third family"),
-        "file": (str, None, "system interchange file"),
+        **_SYSTEM,
         "alphas": (_floats, (0.2, 0.1, 0.05), "comma-separated densities"),
         "target": (float, 1.0, "deviation level defining S*"),
         "out": (str, None, "CSV output path"),
@@ -175,31 +167,24 @@ def _build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name, spec in _SPECS.items():
         sub = subs.add_parser(name)
-        sub.add_argument("--config", default=None,
-                         help="key=value config file")
-        for dest, (conv, default, help_text) in spec.items():
-            sub.add_argument(
-                f"--{dest}", dest=dest.replace("-", "_"),
-                type=str, default=argparse.SUPPRESS, help=help_text,
-            )
+        sub.add_argument("--config", help="key=value config file")
+        for dest, (_, _, help_text) in spec.items():
+            sub.add_argument(f"--{dest}", dest=dest.replace("-", "_"),
+                             default=argparse.SUPPRESS, help=help_text)
     return parser
 
 
 def _load_config(path, spec):
     values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DomainError(f"cannot read config file {path}: {exc}")
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DomainError(
-                f"config line {lineno} is not key=value: {line!r}"
-            )
+            raise DomainError(f"config line {lineno} is not key=value: "
+                              f"{line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in spec:
@@ -218,9 +203,7 @@ def _apply_conv(conv, dest, raw):
 def _resolve(ns, name):
     """Merge defaults, config file, and explicit flags for a subcommand."""
     spec = _SPECS[name]
-    params = {}
-    for dest, (conv, default, _) in spec.items():
-        params[dest] = default
+    params = {dest: default for dest, (_, default, _) in spec.items()}
     if ns.config is not None:
         for key, raw in _load_config(ns.config, spec).items():
             params[key] = _apply_conv(spec[key][0], key, raw)
@@ -234,44 +217,51 @@ def _resolve(ns, name):
     return params
 
 
-def _meta_lines(name, params):
-    lines = [f"# narrowlab {__version__}", f"# command: {name}"]
-    for key in sorted(params):
-        value = params[key]
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"# {key}: {value}")
-    return lines
+# ----------------------------------------------------------------- reports
+
+def _config(params):
+    """Resolved options by sorted name, as text; tuples are comma-joined."""
+    return {
+        key: ",".join(map(str, value)) if isinstance(value, tuple)
+        else str(value)
+        for key, value in sorted(params.items())
+    }
 
 
-def _meta_dict(name, params):
-    config = {}
-    for key in sorted(params):
-        value = params[key]
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        config[key] = str(value)
-    return {"version": __version__, "command": name, "config": config}
+def _cell(value):
+    """Report text of a value: floats as %.12g, fractions as n/d."""
+    if isinstance(value, float):
+        return "%.12g" % value
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
-def _write_json(path, payload):
+def _fields(cls):
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _write_report(path, name, params, report):
+    """Write a handler's report to path, the one writer of --out reports.
+
+    A dict becomes JSON {"meta", "result"}.  A (fields, rows, extra)
+    triple becomes CSV: '#' lines with the version, command, config and
+    the extra lines, then the header and one line per row.
+    """
+    config = _config(params)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_csv(path, meta, columns, rows):
-    def fmt(v):
-        if isinstance(v, float):
-            return "%.12g" % v
-        return str(v)
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in meta:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        if isinstance(report, dict):
+            meta = {"version": __version__, "command": name, "config": config}
+            json.dump({"meta": meta, "result": report}, fh,
+                      sort_keys=True, indent=2)
+            fh.write("\n")
+            return
+        fields, rows, extra = report
+        lines = [f"# narrowlab {__version__}", f"# command: {name}"]
+        lines += [f"# {key}: {value}" for key, value in config.items()]
+        lines += [*extra, ",".join(fields)]
+        lines += [",".join(map(_cell, row)) for row in rows]
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def _family_system(params):
@@ -312,11 +302,10 @@ def _get_sieve(limit, path):
     return sieve
 
 
-def _fraction_str(value):
-    return f"{value.numerator}/{value.denominator}"
-
-
 # ------------------------------------------------------------- subcommands
+#
+# Each handler prints its summary and returns its --out report for main
+# to write, or None when --out names a data file it writes itself.
 
 def _cmd_sieve_build(params):
     limit = params["limit"]
@@ -327,25 +316,15 @@ def _cmd_sieve_build(params):
     numtheory.save_sieve(sieve, out)
     pi = int(np.count_nonzero(sieve.prime_mask(limit)))
     print(f"sieve limit {limit}, {pi} primes, saved to {out}")
-    return 0
 
 
 def _cmd_lindex(params):
-    sys_ = _family_system(params)
-    result = linforms.lindex(sys_)
-    payload = {
-        "L": _fraction_str(result.value),
-        "witness_atoms": [list(atom) for atom in result.witness.atoms],
-        "codim": result.codim,
-        "subspaces_explored": result.subspaces_explored,
-    }
+    result = linforms.lindex(_family_system(params))
     print(f"L = {result.value} (codim {result.codim}, "
           f"{result.subspaces_explored} subspaces explored)")
-    if params["out"]:
-        _write_json(params["out"], {
-            "meta": _meta_dict("lindex", params), "result": payload,
-        })
-    return 0
+    return {"L": _cell(result.value), "codim": result.codim,
+            "witness_atoms": [list(atom) for atom in result.witness.atoms],
+            "subspaces_explored": result.subspaces_explored}
 
 
 def _cmd_forms_dump(params):
@@ -357,27 +336,14 @@ def _cmd_forms_dump(params):
         print(f"wrote {sys_.t} forms to {params['out']}")
     else:
         print(text, end="")
-    return 0
 
 
 def _cmd_singular(params):
     W = numtheory.primorial(params["w"])
-    value = singular.singular_series(
-        params["h"], P_max=params["P-max"], W=W,
-    )
-    payload = {
-        "value": value.value,
-        "P_max": value.P_max,
-        "tail_bound": value.tail_bound,
-        "W": W,
-    }
+    value = singular.singular_series(params["h"], P_max=params["P-max"], W=W)
     print(f"G_W(h) = {value.value:.10g} (W={W}, P_max={value.P_max}, "
           f"tail <= {value.tail_bound:.2e})")
-    if params["out"]:
-        _write_json(params["out"], {
-            "meta": _meta_dict("singular", params), "result": payload,
-        })
-    return 0
+    return {**dataclasses.asdict(value), "W": W}
 
 
 def _cmd_gallagher(params):
@@ -387,20 +353,9 @@ def _cmd_gallagher(params):
         params["weight"], box, W=W, P_max=params["P-max"], C=params["C"],
         sample=params["samples"], seed=params["seed"],
     )
-    payload = {
-        "mean": report.mean,
-        "abs_dev": report.abs_dev,
-        "stderr": report.stderr,
-        "n_points": report.n_points,
-        "mode": report.mode,
-    }
     print(f"mean = {report.mean:.6f}, |mean-1| = {report.abs_dev:.6f}, "
           f"mode = {report.mode}")
-    if params["out"]:
-        _write_json(params["out"], {
-            "meta": _meta_dict("gallagher", params), "result": payload,
-        })
-    return 0
+    return dataclasses.asdict(report)
 
 
 def _cmd_cutoff_check(params):
@@ -409,27 +364,14 @@ def _cmd_cutoff_check(params):
     factors = {}
     for m in params["m"]:
         rep = cutoff.sieve_factor_report(spec, m, T=params["T"])
-        factors[str(m)] = {
-            "value": rep.value,
-            "imag_residual": rep.imag_residual,
-            "tail_estimate": rep.tail_estimate,
-            "T": rep.T,
-        }
+        factors[str(m)] = {key: getattr(rep, key) for key in
+                           ("value", "imag_residual", "tail_estimate", "T")}
         print(f"c_{{chi,{m}}} = {rep.value:.8f} "
               f"(tail ~ {rep.tail_estimate:.2e}, T={rep.T})")
     print(f"norm constant {spec.norm_constant:.10f}, "
           f"normalization residual {residual:.2e}")
-    if params["out"]:
-        _write_json(params["out"], {
-            "meta": _meta_dict("cutoff-check", params),
-            "result": {
-                "kind": spec.kind,
-                "norm_constant": spec.norm_constant,
-                "norm_residual": residual,
-                "factors": factors,
-            },
-        })
-    return 0
+    return {"kind": spec.kind, "norm_constant": spec.norm_constant,
+            "norm_residual": residual, "factors": factors}
 
 
 def _cmd_majorant(params):
@@ -443,7 +385,6 @@ def _cmd_majorant(params):
     print(f"N' = {ctx.modulus}, R = {R:.3f}, mean nu = "
           f"{float(table.values.mean()):.6f}, floor violations = {violations}")
     print(f"saved table to {params['out']}")
-    return 0
 
 
 def _cmd_correlate(params):
@@ -452,13 +393,10 @@ def _cmd_correlate(params):
     for h in params["h"]:
         pc = majorant.majorant_pair_correlation(table, h,
                                                 P_max=params["P-max"])
-        rows.append((h, pc.empirical, pc.predicted, pc.ratio))
+        rows.append((h, *dataclasses.astuple(pc)))
         print(f"h = {h}: empirical {pc.empirical:.6f}, "
               f"predicted {pc.predicted:.6f}, ratio {pc.ratio:.4f}")
-    if params["out"]:
-        _write_csv(params["out"], _meta_lines("correlate", params),
-                   ("h", "empirical", "predicted", "ratio"), rows)
-    return 0
+    return ("h", *_fields(majorant.PairCorrelation)), rows, ()
 
 
 def _cmd_lfc(params):
@@ -487,45 +425,22 @@ def _cmd_lfc(params):
         model, sys_, e, box, params["samples"],
         seed=params["seed"], workers=params["workers"],
     )
-    payload = {
-        "estimate": est.estimate,
-        "stderr": est.stderr,
-        "samples": est.samples,
-        "workers": est.workers,
-    }
     print(f"average = {est.estimate:.6f} +- {est.stderr:.6f} "
           f"({est.samples} samples, {est.workers} workers)")
-    if params["out"]:
-        _write_json(params["out"], {
-            "meta": _meta_dict("lfc", params), "result": payload,
-        })
-    return 0
+    return dataclasses.asdict(est)
 
 
 def _cmd_threshold(params):
-    sys_ = _family_system(params)
     fit = conditions.width_threshold_fit(
-        sys_, params["alphas"], target=params["target"],
+        _family_system(params), params["alphas"], target=params["target"],
     )
-    rows = [
-        (r.alpha, r.S_star, r.dominant_codim,
-         _fraction_str(r.dominant_ratio), r.deviation)
-        for r in fit.rows
-    ]
     for r in fit.rows:
         print(f"alpha = {r.alpha}: S* = {r.S_star:.1f}, dominant codim "
               f"{r.dominant_codim}, ratio {r.dominant_ratio}")
     print(f"fitted slope of log S* vs log(1/alpha): {fit.slope:.4f}")
-    if params["out"]:
-        meta = _meta_lines("threshold", params)
-        meta.append("# slope: %.12g" % fit.slope)
-        _write_csv(
-            params["out"], meta,
-            ("alpha", "S_star", "dominant_codim", "dominant_ratio",
-             "deviation"),
-            rows,
-        )
-    return 0
+    rows = [dataclasses.astuple(r) for r in fit.rows]
+    return (_fields(conditions.ThresholdRow), rows,
+            [f"# slope: {_cell(fit.slope)}"])
 
 
 def _cmd_lambda_d(params):
@@ -539,69 +454,45 @@ def _cmd_lambda_d(params):
         D = math.ceil(aplab.log_power(nprime, L))
     if not numtheory.is_prime(nprime):
         raise DomainError(f"modulus {nprime} must be prime")
+    aplab.check_difference_cap(D, nprime)
     sieve = _get_sieve(nprime, params["sieve"])
     f = aplab.prime_signal(sieve, nprime)
     value = aplab.lambda_D([f] * k, D)
-    payload = {"value": value, "N": nprime, "k": k, "D": D}
     print(f"Lambda_D = {value:.6f} (N' = {nprime}, k = {k}, D = {D})")
-    if params["out"]:
-        _write_json(params["out"], {
-            "meta": _meta_dict("lambda-d", params), "result": payload,
-        })
-    return 0
+    return {"value": value, "N": nprime, "k": k, "D": D}
 
 
 def _cmd_apsearch(params):
     mode = params["mode"]
+    k = params["k"]
     if mode == "count":
-        N, k, d = params["N"], params["k"], params["d"]
-        sieve = _get_sieve(N + (k - 1) * d, params["sieve"])
+        N, d = params["N"], params["d"]
+        sieve = _get_sieve(aplab.count_sieve_limit(N, k, d), params["sieve"])
         report = aplab.ap_count_report(N, k, d, sieve, P_max=params["P-max"])
         print(f"count = {report.count}, prediction = {report.prediction:.1f},"
               f" ratio = {report.ratio:.4f}")
-        if params["out"]:
-            _write_csv(
-                params["out"], _meta_lines("apsearch", params),
-                ("N", "k", "d", "count", "prediction", "ratio"),
-                [(report.N, report.k, report.d, report.count,
-                  report.prediction, report.ratio)],
-            )
-        return 0
+        return _fields(aplab.APCountReport), [dataclasses.astuple(report)], ()
     if mode != "narrowness":
         raise DomainError(
             f"unknown mode {mode!r} (expected count or narrowness)"
         )
-    ladder = params["ladder"]
-    k = params["k"]
-    L = (k - 1) * 2 ** (k - 2)
+    ladder, delta = params["ladder"], params["delta"]
     rule = None
     if params["rule-mod"] is not None:
         if params["rule-classes"] is None:
             raise DomainError("--rule-mod requires --rule-classes")
         rule = aplab.SubsetRule(modulus=params["rule-mod"],
                                 classes=params["rule-classes"])
-    top = max(
-        N + (k - 1) * max(2, math.ceil(aplab.log_power(N, L))) for N in ladder
-    )
-    sieve = _get_sieve(top, params["sieve"])
-    report = aplab.narrowness_report(ladder, k, params["delta"], rule, sieve)
-    rows = [
-        (r.N, r.min_d, r.median_d, r.log_pow_low, r.log_pow_high,
-         r.ratio_low, r.ratio_high)
-        for r in report.rows
-    ]
+    limit = aplab.narrowness_sieve_limit(ladder, k, delta, rule)
+    sieve = _get_sieve(limit, params["sieve"])
+    report = aplab.narrowness_report(ladder, k, delta, rule, sieve)
+    L = (k - 1) * 2 ** (k - 2)
     for r in report.rows:
         print(f"N = {r.N}: min_d = {r.min_d}, median_d = {r.median_d:.1f}, "
               f"(log N)^{k - 1} = {r.log_pow_low:.1f}, "
               f"(log N)^{L} = {r.log_pow_high:.1f}")
-    if params["out"]:
-        _write_csv(
-            params["out"], _meta_lines("apsearch", params),
-            ("N", "min_d", "median_d", "log_pow_low", "log_pow_high",
-             "ratio_low", "ratio_high"),
-            rows,
-        )
-    return 0
+    rows = [dataclasses.astuple(r) for r in report.rows]
+    return _fields(aplab.NarrownessRow), rows, ()
 
 
 _HANDLERS = {
@@ -627,17 +518,17 @@ def main(argv=None):
     try:
         ns = parser.parse_args(argv)
         params = _resolve(ns, ns.subcommand)
-        code = _HANDLERS[ns.subcommand](params)
+        report = _HANDLERS[ns.subcommand](params)
+        if report is not None and params["out"]:
+            _write_report(params["out"], ns.subcommand, params, report)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (DomainError, FormatError, UnsupportedError) as exc:
+    except (NarrowlabError, OSError) as exc:
+        # Resource limits and numerical failures exit 1; bad input exits 2.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ResourceError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (ResourceError, NumericError)) else 2
     print(f"wall time: {time.time() - start:.2f}s")
-    return code
+    return 0
 
 
 if __name__ == "__main__":

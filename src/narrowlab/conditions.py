@@ -93,6 +93,8 @@ class WeightModel:
     def __init__(self, kind, modulus, values=None, alpha=None, seed=None):
         self.kind = kind
         self.modulus = int(modulus)
+        if self.modulus < 1:
+            raise DomainError(f"modulus must be >= 1, got {self.modulus}")
         self.values = values
         self.alpha = alpha
         self.seed = seed
@@ -110,16 +112,15 @@ class WeightModel:
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-        modulus = int(modulus)
-        if modulus > MAX_RANDOM_MODULUS:
+        model = cls(kind="random", modulus=modulus, alpha=alpha, seed=seed)
+        if model.modulus > MAX_RANDOM_MODULUS:
             raise ResourceError(
-                f"random model materializes {modulus} draws; cap is "
+                f"random model materializes {model.modulus} draws; cap is "
                 f"{MAX_RANDOM_MODULUS}"
             )
-        draws = np.random.default_rng(seed).random(modulus)
-        values = np.where(draws < alpha, 1.0 / alpha, 0.0)
-        return cls(kind="random", modulus=modulus, values=values,
-                   alpha=alpha, seed=seed)
+        draws = np.random.default_rng(seed).random(model.modulus)
+        model.values = np.where(draws < alpha, 1.0 / alpha, 0.0)
+        return model
 
     def lookup(self, idx):
         if self.kind == "one":

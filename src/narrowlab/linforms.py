@@ -399,14 +399,14 @@ def lindex(sys, max_subspaces=500000):
     while frontier:
         next_frontier = []
         for ech in frontier:
-            if best > 0 and Fraction(t - 1, len(ech) + 1) <= best:
+            # A child has codim c + 1 and ratio at most (t - 1) / (c + 1);
+            # this also drops, a round later, each child too deep to beat best.
+            if Fraction(t - 1, len(ech) + 1) <= best:
                 continue
             for row in hyperplanes:
                 child = _echelon_add(ech, row)
+                # A row that adds nothing returns ech, which is in seen.
                 if not _feasible(child) or child in seen:
-                    continue
-                codim = len(child)
-                if codim == len(ech):
                     continue
                 seen.add(child)
                 explored += 1
@@ -415,10 +415,8 @@ def lindex(sys, max_subspaces=500000):
                         f"closure lattice exceeded {max_subspaces} subspaces; "
                         "raise max_subspaces or cap the system size"
                     )
-                deep = best > 0 and Fraction(t - 1, codim) <= best
                 evaluate(child)
-                if not deep:
-                    next_frontier.append(child)
+                next_frontier.append(child)
         frontier = next_frontier
     return LindexResult(value=best, witness=best_witness,
                         codim=best_codim, subspaces_explored=explored)

@@ -200,3 +200,28 @@ def test_count_reuses_packed_primes():
 def test_count_with_no_first_term_is_zero(sieve_2m):
     # N < 0 leaves no p <= N, while N + (k-1)d stays inside the sieve.
     assert ap.count_aps_with_difference(-5, 3, 10, sieve_2m) == 0
+
+
+def test_sieve_limits_validate_before_any_sieve():
+    assert ap.count_sieve_limit(1000, 3, 6) == 1012
+    assert ap.count_sieve_limit(-5, 3, 10) == 15
+    for k, d in ((0, 6), (3, 0)):
+        with pytest.raises(DomainError):
+            ap.count_sieve_limit(1000, k, d)
+    assert ap.narrowness_sieve_limit([1000], 2) == 1000 + math.ceil(math.log(1000))
+    rule = ap.SubsetRule(modulus=4, classes=(2,))   # no odd prime is 2 mod 4
+    for ladder, k, delta, bad_rule in (([], 3, 0.0, None), ([10 ** 4], 1, 0.0, None),
+                                       ([10 ** 4, 1], 3, 0.0, None),
+                                       ([10 ** 4], 3, 0.3, rule)):
+        with pytest.raises(DomainError):
+            ap.narrowness_sieve_limit(ladder, k, delta, bad_rule)
+
+
+def test_narrowness_sieve_limit_is_what_the_report_needs():
+    ladder = (3000, 1000)
+    top = ap.narrowness_sieve_limit(ladder, 3)
+    assert top == max(N + 2 * math.ceil(math.log(N) ** 4) for N in ladder)
+    rep = ap.narrowness_report(ladder, 3, 0.0, None, nt.build_factor_sieve(top))
+    assert [row.N for row in rep.rows] == list(ladder)
+    with pytest.raises(DomainError, match="need sieve limit"):
+        ap.narrowness_report(ladder, 3, 0.0, None, nt.build_factor_sieve(top - 1))

@@ -1,10 +1,11 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from narrowlab import cli
+from narrowlab import __version__, cli
 from narrowlab import linforms as lf
 from narrowlab import numtheory as nt
 from narrowlab import singular as sg
@@ -345,3 +346,129 @@ def test_apsearch_rule_requires_classes(capsys):
                        "--ladder", "1e5", "--rule-mod", "3")
     assert code == 2
     assert "rule-classes" in err
+
+
+# ------------------------------------------------------------ report format
+
+REPORTS = pathlib.Path(__file__).resolve().parent / "data" / "reports"
+
+
+@pytest.fixture
+def report_dir(tmp_path, monkeypatch):
+    """A working directory, so the --out paths in each report's meta are relative."""
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name, setup, argv", [
+    ("lindex_family.json", (), "lindex --family first --k 3"),
+    ("lindex_file.json",
+     ("forms-dump --family third --k 3 --j 1 --out system.txt",),
+     "lindex --file system.txt"),
+    ("threshold.csv", (), "threshold --family third --k 3 --j 1"),
+    ("apsearch_count.csv", (), "apsearch --mode count --N 1e5 --k 3 --d 6"),
+    ("apsearch_narrowness.csv", (),
+     "apsearch --mode narrowness --ladder 1e5 --k 3"),
+    ("correlate.csv", ("sieve-build --limit 60050 --out sieve.bin",
+                       "majorant --N 10007 --sieve sieve.bin --out table.bin"),
+     "correlate --table table.bin --h 2,6 --P-max 1e4"),
+    ("correlate_empty.csv", ("sieve-build --limit 60050 --out sieve.bin",
+                             "majorant --N 10007 --sieve sieve.bin "
+                             "--out table.bin"),
+     "correlate --table table.bin --h ,"),
+])
+def test_report_bytes_are_pinned(capsys, report_dir, name, setup, argv):
+    # The pinned reports print floats to 12 significant digits, which do
+    # not vary across platforms, so any byte change is a format change.
+    for step in setup:
+        assert run(capsys, *step.split())[0] == 0
+    assert run(capsys, *argv.split(), "--out", name)[0] == 0
+    assert (report_dir / name).read_bytes() == (REPORTS / name).read_bytes()
+
+
+_JSON_META = {
+    "singular": ("singular --h 0,2 --P-max 1e5",
+                 {"P-max": "100000", "h": "0,2", "w": "1"},
+                 ["P_max", "W", "tail_bound", "value"]),
+    "gallagher": ("gallagher --lo 1 --hi 20 --t 2 --w 3 --P-max 1000",
+                  {"C": "1.0", "P-max": "1000", "hi": "20", "lo": "1",
+                   "samples": "None", "seed": "0", "t": "2", "w": "3",
+                   "weight": "GW"},
+                  ["abs_dev", "mean", "mode", "n_points", "stderr"]),
+    "lfc": ("lfc --family first --k 2 --model one --samples 2000",
+            {"N": "10007", "S": "100", "alpha": "0.1", "exponents": "None",
+             "family": "first", "file": "None", "j": "1", "k": "2",
+             "model": "one", "model-seed": "0", "samples": "2000",
+             "seed": "0", "table": "None", "workers": "1"},
+            ["estimate", "samples", "stderr", "workers"]),
+    "cutoff-check": ("cutoff-check --m 1,2",
+                     {"T": "None", "chi": "cosine", "m": "1,2"},
+                     ["factors", "kind", "norm_constant", "norm_residual"]),
+    "lambda-d": ("lambda-d --N 10007",
+                 {"D": "None", "N": "10007", "k": "3", "sieve": "None"},
+                 ["D", "N", "k", "value"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_JSON_META))
+def test_json_report_meta_and_result_keys(capsys, report_dir, command):
+    # Full-precision floats may differ across platforms, so these reports
+    # pin their meta block and the ordered keys of their result.
+    argv, config, keys = _JSON_META[command]
+    assert run(capsys, *argv.split(), "--out", "r.json")[0] == 0
+    text = (report_dir / "r.json").read_text()
+    assert text.endswith("}\n")
+    payload = json.loads(text)
+    assert list(payload) == ["meta", "result"]
+    assert payload["meta"] == {
+        "command": command, "version": __version__,
+        "config": {**config, "out": "r.json"},
+    }
+    assert list(payload["result"]) == keys
+    if command == "cutoff-check":
+        assert list(payload["result"]["factors"]) == ["1", "2"]
+        assert list(payload["result"]["factors"]["1"]) == [
+            "T", "imag_residual", "tail_estimate", "value"]
+
+
+# ------------------------------------------------------ rejected arguments
+
+@pytest.mark.parametrize("argv", [
+    "correlate --table nothere.bin --h 2",
+    "lindex --file nothere.txt",
+    "lambda-d --N 10007 --sieve nothere.bin",
+    "lfc --model majorant --table nothere.bin --family first --k 2",
+    "singular --h 0,2 --out nothere/x.json",
+    "singular --h 0,2 --config nothere.cfg",
+])
+def test_missing_file_is_usage_error(capsys, report_dir, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert code == 2
+    assert err.startswith("error:") and "nothere" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", ["one", "random"])
+def test_lfc_modulus_below_one_is_usage_error(capsys, model):
+    code, _, err = run(capsys, "lfc", "--family", "first", "--k", "2",
+                       "--model", model, "--N", "0")
+    assert code == 2
+    assert "error:" in err and "modulus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "apsearch --mode count --N 1000 --k 3 --d 0",
+    "apsearch --mode count --N 1000 --k 0",
+    "apsearch --mode narrowness --ladder 1e4 --k 1",
+    "apsearch --mode narrowness --ladder ,",
+    "apsearch --mode narrowness --ladder 1e4 --rule-mod 4 --rule-classes 2 "
+    "--delta 0.3",
+    "lambda-d --N 10007 --D 20000",
+    "lambda-d --N 10007 --D 0",
+])
+def test_rejected_arguments_build_no_sieve(capsys, tmp_path, argv):
+    # The conftest fixture makes tmp_path the cache directory.
+    code, _, err = run(capsys, *argv.split())
+    assert code == 2
+    assert "error:" in err
+    assert list(tmp_path.iterdir()) == []

@@ -51,6 +51,14 @@ def test_weight_models():
         cd.WeightModel.random(0.5, 0, cd.MAX_RANDOM_MODULUS * 2 + 1)
 
 
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_weight_model_modulus_below_one(modulus):
+    with pytest.raises(DomainError, match="modulus must be >= 1"):
+        cd.WeightModel.constant_one(modulus)
+    with pytest.raises(DomainError, match="modulus must be >= 1"):
+        cd.WeightModel.random(0.3, 1, modulus)
+
+
 def test_constant_one_average_is_exactly_one():
     sys3 = lf.first_family(3)
     box = cd.symmetric_box(6, 50)
