@@ -14,7 +14,7 @@ import numpy as np
 
 from .cutoff import gauss_panels
 from .errors import DomainError
-from .numtheory import pack_bits
+from .numtheory import is_prime, pack_bits
 from .singular import DEFAULT_PMAX, as_shift, singular_series
 
 MEDIAN_TARGET = 512
@@ -128,7 +128,7 @@ def prime_signal(sieve, nprime):
         raise DomainError(
             f"modulus {nprime} exceeds sieve limit {sieve.limit}"
         )
-    if not sieve.is_prime(nprime):
+    if not is_prime(nprime):
         raise DomainError(f"modulus {nprime} must be prime")
     lo = math.isqrt(nprime - 1) + 1
     f = np.zeros(nprime, dtype=np.float64)
@@ -192,17 +192,23 @@ class HLPrediction:
     d: int
 
 
-def _log_integral(N, k, npanels=400):
-    """int_2^N dt / (log t)^k by Gauss-Legendre in u = log t."""
-    u, weights = gauss_panels(math.log(2.0), math.log(float(N)), npanels)
+def _log_integral(N, k):
+    """int_2^N dt / (log t)^k by Gauss-Legendre on 400 panels in u = log t."""
+    u, weights = gauss_panels(math.log(2.0), math.log(float(N)), 400)
     return float(np.sum(weights * np.exp(u) / u ** k))
+
+
+def check_scale(N):
+    """N as an int, raising DomainError unless N >= 3, where predictions start."""
+    N = int(N)
+    if N < 3:
+        raise DomainError(f"N must be >= 3, got {N}")
+    return N
 
 
 def hl_prediction(N, k, d, P_max=DEFAULT_PMAX):
     """Singular-series prediction for count_aps_with_difference(N, k, d)."""
-    N, k, d = int(N), int(k), int(d)
-    if N < 3:
-        raise DomainError(f"N must be >= 3, got {N}")
+    N, k, d = check_scale(N), int(k), int(d)
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     shifts = as_shift(tuple(i * d for i in range(k)))
@@ -290,6 +296,11 @@ class NarrownessReport:
     rows: tuple
 
 
+def narrow_exponent(k):
+    """The paper's exponent L_k = (k-1) 2^(k-2): differences up to (log N)^L_k."""
+    return (k - 1) * 2 ** (k - 2)
+
+
 def log_power(N, L):
     """(log N)^L, raising DomainError for N <= 1 or where it overflows."""
     if not N > 1:
@@ -311,7 +322,7 @@ def _narrowness_scales(ladder, k, delta, rule):
     ladder = [int(N) for N in ladder]
     if not ladder:
         raise DomainError("ladder must be non-empty")
-    highs = [log_power(N, (k - 1) * 2 ** (k - 2)) for N in ladder]
+    highs = [log_power(N, narrow_exponent(k)) for N in ladder]
     if rule is not None and rule.prime_density < float(delta):
         raise DomainError(
             f"rule density {rule.prime_density:.4f} below requested {delta}"

@@ -174,11 +174,19 @@ def _build_parser():
     return parser
 
 
+def _read_text(path):
+    """Contents of a text file, raising DomainError unless it is UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path} is not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
+
+
 def _load_config(path, spec):
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -266,8 +274,7 @@ def _write_report(path, name, params, report):
 
 def _family_system(params):
     if params.get("file"):
-        with open(params["file"], "r", encoding="utf-8") as fh:
-            return linforms.parse_system(fh.read())
+        return linforms.parse_system(_read_text(params["file"]))
     family = params.get("family")
     if family is None:
         raise DomainError("pass either --family or --file")
@@ -450,8 +457,7 @@ def _cmd_lambda_d(params):
         raise DomainError(f"k must be >= 2, got {k}")
     D = params["D"]
     if D is None:
-        L = (k - 1) * 2 ** (k - 2)
-        D = math.ceil(aplab.log_power(nprime, L))
+        D = math.ceil(aplab.log_power(nprime, aplab.narrow_exponent(k)))
     if not numtheory.is_prime(nprime):
         raise DomainError(f"modulus {nprime} must be prime")
     aplab.check_difference_cap(D, nprime)
@@ -466,7 +472,7 @@ def _cmd_apsearch(params):
     mode = params["mode"]
     k = params["k"]
     if mode == "count":
-        N, d = params["N"], params["d"]
+        N, d = aplab.check_scale(params["N"]), params["d"]
         sieve = _get_sieve(aplab.count_sieve_limit(N, k, d), params["sieve"])
         report = aplab.ap_count_report(N, k, d, sieve, P_max=params["P-max"])
         print(f"count = {report.count}, prediction = {report.prediction:.1f},"
@@ -486,7 +492,7 @@ def _cmd_apsearch(params):
     limit = aplab.narrowness_sieve_limit(ladder, k, delta, rule)
     sieve = _get_sieve(limit, params["sieve"])
     report = aplab.narrowness_report(ladder, k, delta, rule, sieve)
-    L = (k - 1) * 2 ** (k - 2)
+    L = aplab.narrow_exponent(k)
     for r in report.rows:
         print(f"N = {r.N}: min_d = {r.min_d}, median_d = {r.median_d:.1f}, "
               f"(log N)^{k - 1} = {r.log_pow_low:.1f}, "

@@ -25,6 +25,8 @@ from .linforms import (
 )
 
 MAX_RANDOM_MODULUS = 1 << 27
+MC_BATCH = 1 << 18   # Monte Carlo samples drawn per batch
+EXACT_CAP = 10 ** 7   # evaluations allowed in an exact average
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,6 @@ class BoxRegion:
     @property
     def d(self):
         return len(self.intervals)
-
-    @property
-    def inradius(self):
-        return min(hi - lo for lo, hi in self.intervals) / 2.0
 
     @property
     def point_count(self):
@@ -90,14 +88,13 @@ class WeightModel:
     per residue, materialized once per seed so repeated lookups agree.
     """
 
-    def __init__(self, kind, modulus, values=None, alpha=None, seed=None):
+    def __init__(self, kind, modulus, values=None, alpha=None):
         self.kind = kind
         self.modulus = int(modulus)
         if self.modulus < 1:
             raise DomainError(f"modulus must be >= 1, got {self.modulus}")
         self.values = values
         self.alpha = alpha
-        self.seed = seed
 
     @classmethod
     def constant_one(cls, modulus):
@@ -112,7 +109,7 @@ class WeightModel:
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-        model = cls(kind="random", modulus=modulus, alpha=alpha, seed=seed)
+        model = cls(kind="random", modulus=modulus, alpha=alpha)
         if model.modulus > MAX_RANDOM_MODULUS:
             raise ResourceError(
                 f"random model materializes {model.modulus} draws; cap is "
@@ -138,11 +135,13 @@ class LfcEstimate:
     workers: int
 
 
-def _as_forms(sys):
-    """Forms and dimension of a LinearSystem or a plain form sequence.
+def _form_arrays(sys, e, box):
+    """Active form indices, coefficient matrix and constants of a system.
 
-    Plain sequences may repeat a form (useful for degenerate averages that
-    LinearSystem's distinctness invariant rules out).
+    The system is a LinearSystem or a plain form sequence; plain sequences
+    may repeat a form (useful for degenerate averages that LinearSystem's
+    distinctness invariant rules out).  e selects the active forms (all
+    when None), and the box must have the forms' dimension.
     """
     forms = list(getattr(sys, "forms", sys))
     if not forms:
@@ -150,11 +149,8 @@ def _as_forms(sys):
     d = forms[0].dim
     if any(f.dim != d for f in forms):
         raise DomainError("forms have mixed dimensions")
-    return forms, d
-
-
-def _form_arrays(sys, e):
-    forms, d = _as_forms(sys)
+    if box.d != d:
+        raise DomainError(f"box dimension {box.d} does not match d={d}")
     t = len(forms)
     if e is None:
         e = ExponentPattern.all_ones(t)
@@ -168,23 +164,19 @@ def _form_arrays(sys, e):
     return active, A.reshape(len(active), d), c
 
 
-def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1,
-                   batch=1 << 18):
+def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     """Monte Carlo average of prod nu(n + psi_i(x))^{e_i} over the box.
 
     Samples (n, x) uniformly with n in Z/N'Z and x an integer point of the
-    box.  The seed is split deterministically into `workers` seed streams,
-    which run one after another in this process, so the result depends
-    only on (seed, workers).
+    box, MC_BATCH at a time.  The seed is split deterministically into
+    `workers` seed streams, which run one after another in this process,
+    so the result depends only on (seed, workers).
     """
-    _, d = _as_forms(sys)
-    if box.d != d:
-        raise DomainError(f"box dimension {box.d} does not match d={d}")
+    active, A, c = _form_arrays(sys, e, box)
     samples = int(samples)
     if samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {samples}")
     workers = max(1, int(workers))
-    active, A, c = _form_arrays(sys, e)
     d = A.shape[1]
     modulus = model.modulus
     lo = np.array([iv[0] for iv in box.intervals], dtype=np.int64)
@@ -197,15 +189,12 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1,
         rng = np.random.default_rng(stream)
         left = quota + (1 if w < rem else 0)
         while left > 0:
-            m = min(batch, left)
+            m = min(MC_BATCH, left)
             left -= m
             x = rng.integers(lo, hi + 1, size=(m, d))
             n = rng.integers(0, modulus, size=m)
-            if len(active) == 0:
-                vals = np.ones(m)
-            else:
-                phi = (x @ A.T + c + n[:, None]) % modulus
-                vals = model.lookup(phi).prod(axis=1)
+            phi = (x @ A.T + c + n[:, None]) % modulus
+            vals = model.lookup(phi).prod(axis=1)
             total += float(vals.sum())
             total_sq += float((vals * vals).sum())
     mean = total / samples
@@ -215,19 +204,16 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1,
                        workers=workers)
 
 
-def lfc_average_exact(model, sys, e, box, cap=10 ** 7):
+def lfc_average_exact(model, sys, e, box):
     """Exact linear-forms average on a small box.
 
     For the table model every (x, n) pair is evaluated, so the box size
-    times the modulus must stay under the cap.  For the random model the
+    times the modulus must stay under EXACT_CAP.  For the random model the
     average over the randomness is analytic: each point contributes
     alpha^(distinct - active) through its collision pattern.  The constant
     model is identically 1.
     """
-    _, d = _as_forms(sys)
-    if box.d != d:
-        raise DomainError(f"box dimension {box.d} does not match d={d}")
-    active, A, c = _form_arrays(sys, e)
+    active, A, c = _form_arrays(sys, e, box)
     npoints = box.point_count
     if len(active) == 0 or model.kind == "one":
         return 1.0
@@ -235,9 +221,9 @@ def lfc_average_exact(model, sys, e, box, cap=10 ** 7):
         budget = npoints * model.modulus
     else:
         budget = npoints
-    if budget > cap:
+    if budget > EXACT_CAP:
         raise ResourceError(
-            f"exact average needs {budget} evaluations (cap {cap})"
+            f"exact average needs {budget} evaluations (cap {EXACT_CAP})"
         )
     ranges = [range(lo, hi + 1) for lo, hi in box.intervals]
     if model.kind == "random":

@@ -123,7 +123,7 @@ def fourier_psi(spec, t):
     return complex(psi) if psi.ndim == 0 else psi
 
 
-def _factor_integral(spec, m, T, nodes_per_unit):
+def _factor_integral(spec, m, T):
     """The m-fold oscillatory integral on [-T, T]^m, by Gauss-Legendre panels.
 
     With a_j = w_j psi(t_j) (1 + i t_j) and P_jl = 1 / (2 + i (t_j + t_l)),
@@ -132,7 +132,7 @@ def _factor_integral(spec, m, T, nodes_per_unit):
     sum a_i a_j a_l P_ij P_il (3 + i (t_i + t_j + t_l)) P_jl into the row
     sums of V and of (V P) * V, where V_ij = a_j P_ij.
     """
-    npanels = max(4, int(math.ceil(2.0 * T * nodes_per_unit / 10.0)))
+    npanels = max(4, int(math.ceil(2.0 * T * DEFAULT_NODES_PER_UNIT / 10.0)))
     t, w = gauss_panels(-T, T, npanels, nodes=10)
     a = w * fourier_psi(spec, t) * (1.0 + 1j * t)
     if m == 1:
@@ -145,7 +145,7 @@ def _factor_integral(spec, m, T, nodes_per_unit):
     return complex(np.sum(a * (V.sum(1) ** 2 + (1.0 + 1j * t) * ((V @ P) * V).sum(1))))
 
 
-def sieve_factor_report(spec, m, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
+def sieve_factor_report(spec, m, T=None):
     """Sieve factor c_{chi,m} with truncation diagnostics.
 
     The m-fold oscillatory integral is truncated to [-T, T]^m.  For the
@@ -166,8 +166,8 @@ def sieve_factor_report(spec, m, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
     if not (math.isfinite(T) and T > 0):
         raise DomainError(f"truncation T must be positive and finite, got {T}")
     extrapolate = spec.kind == "cosine" and m <= 2
-    full = _factor_integral(spec, m, T, nodes_per_unit)
-    half = _factor_integral(spec, m, T / 2.0, nodes_per_unit)
+    full = _factor_integral(spec, m, T)
+    half = _factor_integral(spec, m, T / 2.0)
     combined = 2.0 * full - half if extrapolate else full
     tail = abs(full.real - half.real)
     residual = abs(combined.imag)
@@ -179,12 +179,12 @@ def sieve_factor_report(spec, m, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
                              tail_estimate=tail, T=T, m=m)
 
 
-def sieve_factor(spec, m, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
+def sieve_factor(spec, m, T=None):
     """Sieve factor c_{chi,m} for m in {1, 2, 3}."""
-    return sieve_factor_report(spec, m, T=T, nodes_per_unit=nodes_per_unit).value
+    return sieve_factor_report(spec, m, T=T).value
 
 
-def sieve_factor_vector(spec, h, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
+def sieve_factor_vector(spec, h, T=None):
     """Product of c_{chi,m(v)} over the distinct values v of the shift vector h.
 
     m(v) is the multiplicity of v among the entries.  Multiplicities above
@@ -199,5 +199,5 @@ def sieve_factor_vector(spec, h, T=None, nodes_per_unit=DEFAULT_NODES_PER_UNIT):
             raise UnsupportedError(
                 f"multiplicity {m} of shift {v} exceeds the supported maximum 3"
             )
-        out *= sieve_factor(spec, m, T=T, nodes_per_unit=nodes_per_unit)
+        out *= sieve_factor(spec, m, T=T)
     return out

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DomainError, FormatError, ResourceError
 
 SIEVE_MAGIC = b"NAPSV1"
-DEFAULT_SEGMENT = 1 << 26
+SEGMENT_SIZE = 1 << 26   # entries per sieve segment
 
 # Witness set proving primality for every n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -64,9 +64,6 @@ class FactorSieve:
             raise DomainError(f"n={n} outside sieve range [1, {self.limit}]")
         return n
 
-    def is_prime(self, n):
-        return factorize(n, self) == [(int(n), 1)]
-
     def _check_upto(self, upto):
         upto = int(upto)
         if not 2 <= upto <= self.limit:
@@ -108,13 +105,6 @@ class FactorSieve:
             self._packed = (cover, words)
         return words
 
-    def save(self, path):
-        save_sieve(self, path)
-
-    @classmethod
-    def load(cls, path):
-        return load_sieve(path)
-
 
 def pack_bits(flags):
     """A boolean array as little-endian uint64 words, plus one spare zero word.
@@ -130,10 +120,10 @@ def pack_bits(flags):
     return buf.view("<u8")
 
 
-def build_factor_sieve(limit, segment_size=DEFAULT_SEGMENT):
+def build_factor_sieve(limit):
     """Build a FactorSieve via segmented smallest-prime-factor marking.
 
-    Segments of at most segment_size entries are filled in turn, so the
+    Segments of at most SEGMENT_SIZE entries are filled in turn, so the
     working set beyond the table itself stays bounded.
     """
     limit = int(limit)
@@ -143,7 +133,6 @@ def build_factor_sieve(limit, segment_size=DEFAULT_SEGMENT):
         raise ResourceError(
             f"sieve limit {limit} exceeds the uint32 factor table range"
         )
-    segment_size = max(int(segment_size), 1 << 10)
     try:
         spf = np.zeros(limit + 1, dtype=np.uint32)
     except MemoryError:
@@ -155,7 +144,7 @@ def build_factor_sieve(limit, segment_size=DEFAULT_SEGMENT):
     base_primes = _bootstrap_primes(root)
     lo = 2
     while lo <= limit:
-        hi = min(lo + segment_size, limit + 1)
+        hi = min(lo + SEGMENT_SIZE, limit + 1)
         spf_segment(spf[lo:hi], lo, base_primes)
         lo = hi
     unmarked = np.nonzero(spf == 0)[0]

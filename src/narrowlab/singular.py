@@ -185,12 +185,12 @@ def _box_points(box):
 
 
 def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
-                      sample=None, seed=0, exact_cap=EXACT_CAP):
+                      sample=None, seed=0):
     """Average of a weight over the integer points of a box.
 
     weight "GW" averages the W-tricked singular series, weight "E" the
     discriminant error factor with constant C.  Boxes with at most
-    exact_cap points are enumerated exactly (pair boxes are aggregated
+    EXACT_CAP points are enumerated exactly (pair boxes are aggregated
     over the difference of the two coordinates, which the weights depend
     on); larger boxes require a sample count and report a standard error.
     """
@@ -203,7 +203,7 @@ def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
             return singular_series(point, P_max=P_max, W=W).value
         return error_factor(point, C).value
 
-    if count <= exact_cap and sample is None:
+    if count <= EXACT_CAP and sample is None:
         if len(dims) == 2:
             (lo1, hi1), (lo2, hi2) = dims
             total = 0.0
@@ -226,7 +226,7 @@ def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
                                stderr=0.0, n_points=count, mode="exact")
     if sample is None:
         raise ResourceError(
-            f"box has {count} points (cap {exact_cap}); pass sample=... "
+            f"box has {count} points (cap {EXACT_CAP}); pass sample=... "
             "to switch to uniform sampling"
         )
     sample = int(sample)

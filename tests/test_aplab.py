@@ -91,7 +91,7 @@ def test_prime_signal_properties(sieve_2m):
     log_n = math.log(nprime)
     nz = np.nonzero(f)[0]
     assert int(nz.min()) >= math.isqrt(nprime)
-    assert all(sieve_2m.is_prime(int(i)) for i in nz[:50])
+    assert all(nt.is_prime(int(i)) for i in nz[:50])
     assert float(f[nz[0]]) == log_n
 
 

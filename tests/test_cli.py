@@ -448,6 +448,16 @@ def test_missing_file_is_usage_error(capsys, report_dir, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", ["lindex --file", "singular --h 0,2 --config"])
+def test_non_utf8_input_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, *argv.split(), str(path))
+    assert code == 2
+    assert err.startswith("error:") and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("model", ["one", "random"])
 def test_lfc_modulus_below_one_is_usage_error(capsys, model):
     code, _, err = run(capsys, "lfc", "--family", "first", "--k", "2",
@@ -459,6 +469,7 @@ def test_lfc_modulus_below_one_is_usage_error(capsys, model):
 @pytest.mark.parametrize("argv", [
     "apsearch --mode count --N 1000 --k 3 --d 0",
     "apsearch --mode count --N 1000 --k 0",
+    "apsearch --mode count --N 2",
     "apsearch --mode narrowness --ladder 1e4 --k 1",
     "apsearch --mode narrowness --ladder ,",
     "apsearch --mode narrowness --ladder 1e4 --rule-mod 4 --rule-classes 2 "

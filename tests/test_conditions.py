@@ -65,9 +65,13 @@ def test_constant_one_average_is_exactly_one():
     one = cd.WeightModel.constant_one(10007)
     est = cd.lfc_average_mc(one, sys3, None, box, samples=2000, seed=1)
     assert est.estimate == 1.0 and est.stderr == 0.0
+    # With no active form the product is empty, so every model gives 1.
     zeros = cd.ExponentPattern(entries=(0,) * 12)
-    est0 = cd.lfc_average_mc(one, sys3, zeros, box, samples=2000, seed=1)
-    assert est0.estimate == 1.0
+    table = cd.WeightModel(kind="table", modulus=10007,
+                           values=np.random.default_rng(2).random(10007) * 2)
+    for model in (one, cd.WeightModel.random(0.3, 1, 10007), table):
+        est0 = cd.lfc_average_mc(model, sys3, zeros, box, samples=2000, seed=1)
+        assert est0.estimate == 1.0 and est0.stderr == 0.0
 
 
 def test_duplicate_forms_always_collide():
@@ -122,11 +126,11 @@ def test_exact_average_cap():
     sys2 = lf.first_family(2)
     rnd = cd.WeightModel.random(0.5, 0, 101)
     with pytest.raises(ResourceError):
-        cd.lfc_average_exact(rnd, sys2, None, cd.symmetric_box(4, 200), cap=10 ** 6)
+        cd.lfc_average_exact(rnd, sys2, None, cd.symmetric_box(4, 200))
     tab = cd.WeightModel(kind="table", modulus=101, values=np.ones(101))
     box = cd.BoxRegion(intervals=((1, 401), (1, 401), (0, 0), (0, 0)))
     with pytest.raises(ResourceError):
-        cd.lfc_average_exact(tab, sys2, None, box, cap=10 ** 6)
+        cd.lfc_average_exact(tab, sys2, None, box)
 
 
 def test_random_model_collision_identity():

@@ -87,14 +87,14 @@ def test_first_and_second_factors_pinned_exactly():
         assert (rep.value, rep.imag_residual, rep.tail_estimate) == want, (kind, m)
 
 
-def _triple_sum(spec, T, nodes_per_unit):
+def _triple_sum(spec, T):
     """The explicit triple quadrature sum behind the m = 3 factor.
 
     sum over i, j, l of a_i a_j a_l (3 + i(t_i + t_j + t_l)) divided by
     (2 + i(t_i + t_j)) (2 + i(t_i + t_l)) (2 + i(t_j + t_l)), with
     a = w psi(t) (1 + i t), added with math.fsum.
     """
-    npanels = max(4, math.ceil(2.0 * T * nodes_per_unit / 10.0))
+    npanels = max(4, math.ceil(2.0 * T * co.DEFAULT_NODES_PER_UNIT / 10.0))
     t, w = co.gauss_panels(-T, T, npanels, nodes=10)
     a = w * co.fourier_psi(spec, t) * (1.0 + 1j * t)
     ti, tj, tl = t[:, None, None], t[None, :, None], t[None, None, :]
@@ -108,8 +108,8 @@ def test_triple_integral_matches_explicit_sum():
     for kind in co.KINDS:
         spec = co.make_cutoff(kind)
         for T in (6.0, 12.0):
-            got = co._factor_integral(spec, 3, T, 3.2)
-            want = _triple_sum(spec, T, 3.2)
+            got = co._factor_integral(spec, 3, T)
+            want = _triple_sum(spec, T)
             assert abs(got - want) < 1e-14, (kind, T, got, want)
 
 

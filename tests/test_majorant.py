@@ -96,13 +96,13 @@ def test_table_matches_pointwise_weights(table, ctx, chi, sieve_2m):
         assert table.lambda_values[int(n)] == pytest.approx(lam, rel=1e-9, abs=1e-12)
 
 
-def test_prime_arguments_get_full_weight(table, ctx, sieve_2m):
+def test_prime_arguments_get_full_weight(table, ctx):
     chi0 = co.chi_value(table.cutoff, 0.0)
     log_r = math.log(table.R)
     hits = 0
     for n in range(NPRIME):
         m = ctx.W * n + ctx.b
-        if m > table.R and sieve_2m.is_prime(m):
+        if m > table.R and nt.is_prime(m):
             assert table.lambda_values[n] == pytest.approx(chi0 * log_r, rel=1e-12)
             hits += 1
             if hits >= 5:
@@ -134,7 +134,7 @@ def test_check_minorization_detects_fake_dip(table, ctx, sieve_2m):
     target = None
     for n in range(NPRIME):
         m = ctx.W * n + ctx.b
-        if m > table.R and sieve_2m.is_prime(m):
+        if m > table.R and nt.is_prime(m):
             target = n
             break
     lowered.values[target] = 0.5 * mj.minorization_floor(table)

@@ -19,9 +19,10 @@ def test_spf_matches_trial_division():
         assert int(sieve.spf[n]) == p
 
 
-def test_segmented_matches_unsegmented():
+def test_segmented_matches_unsegmented(monkeypatch):
     whole = nt.build_factor_sieve(100000)
-    pieces = nt.build_factor_sieve(100000, segment_size=1 << 10)
+    monkeypatch.setattr(nt, "SEGMENT_SIZE", 1 << 10)
+    pieces = nt.build_factor_sieve(100000)
     assert np.array_equal(whole.spf, pieces.spf)
 
 
@@ -91,7 +92,7 @@ def test_prime_mask_matches_index_compare(sieve_2m):
         assert np.array_equal(small.prime_mask(upto),
                               _index_compare_mask(small, upto))
     mask = small.prime_mask()
-    assert [small.is_prime(n) for n in range(1, small.limit + 1)] == mask[1:].tolist()
+    assert [nt.is_prime(n) for n in range(1, small.limit + 1)] == mask[1:].tolist()
 
 
 def test_sieve_range_checks(sieve_2m):

@@ -180,8 +180,8 @@ def test_gallagher_error_weight_exact():
 
 def test_gallagher_sampling_reproducible():
     box = ((1, 500), (1, 500), (1, 500))
-    a = sg.gallagher_average("E", box, C=1.0, sample=300, seed=9, exact_cap=10 ** 4)
-    b = sg.gallagher_average("E", box, C=1.0, sample=300, seed=9, exact_cap=10 ** 4)
+    a = sg.gallagher_average("E", box, C=1.0, sample=300, seed=9)
+    b = sg.gallagher_average("E", box, C=1.0, sample=300, seed=9)
     assert a.mode == "sample" and a.stderr > 0.0
     assert a.mean == b.mean and a.stderr == b.stderr
 
@@ -189,9 +189,9 @@ def test_gallagher_sampling_reproducible():
 def test_gallagher_resource_and_domain_errors():
     big = ((1, 500), (1, 500), (1, 500))
     with pytest.raises(ResourceError):
-        sg.gallagher_average("E", big, exact_cap=10 ** 4)
+        sg.gallagher_average("E", big)
     with pytest.raises(DomainError):
-        sg.gallagher_average("E", big, sample=1, exact_cap=10 ** 4)
+        sg.gallagher_average("E", big, sample=1)
     with pytest.raises(DomainError):
         sg.gallagher_average("XX", ((0, 1),))
     with pytest.raises(DomainError):
