@@ -198,17 +198,11 @@ def _log_integral(N, k):
     return float(np.sum(weights * np.exp(u) / u ** k))
 
 
-def check_scale(N):
-    """N as an int, raising DomainError unless N >= 3, where predictions start."""
-    N = int(N)
-    if N < 3:
-        raise DomainError(f"N must be >= 3, got {N}")
-    return N
-
-
 def hl_prediction(N, k, d, P_max=DEFAULT_PMAX):
     """Singular-series prediction for count_aps_with_difference(N, k, d)."""
-    N, k, d = check_scale(N), int(k), int(d)
+    N, k, d = int(N), int(k), int(d)
+    if N < 3:   # where predictions start
+        raise DomainError(f"N must be >= 3, got {N}")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     shifts = as_shift(tuple(i * d for i in range(k)))

@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -66,7 +65,7 @@ _SYSTEM = {
 _SPECS = {
     "sieve-build": {
         "limit": (_count, _REQUIRED, "sieve upper bound"),
-        "out": (str, None, "output path (default: cache directory)"),
+        "out": (str, _REQUIRED, "output path of the NAPSV1 sieve file"),
     },
     "lindex": {**_SYSTEM, "out": (str, None, "JSON output path")},
     "forms-dump": {
@@ -105,7 +104,7 @@ _SPECS = {
         "b": (int, 1, "residue class"),
         "R-exp": (float, 0.45, "R = (W N')^exp"),
         "chi": (str, "cosine", "cutoff kind"),
-        "sieve": (str, None, "factor sieve path (default: cache)"),
+        "sieve": (str, None, "factor sieve file (default: build in memory)"),
         "out": (str, _REQUIRED, "output table path"),
     },
     "correlate": {
@@ -138,7 +137,7 @@ _SPECS = {
         "N": (_count, _REQUIRED, "modulus N'"),
         "k": (int, 3, "progression length"),
         "D": (_count, None, "difference cap (default: ceil((log N')^L))"),
-        "sieve": (str, None, "factor sieve path (default: cache)"),
+        "sieve": (str, None, "factor sieve file (default: build in memory)"),
         "out": (str, None, "JSON output path"),
     },
     "apsearch": {
@@ -151,7 +150,7 @@ _SPECS = {
         "rule-mod": (int, None, "congruence modulus of the subset rule"),
         "rule-classes": (_ints, None, "kept residue classes"),
         "P-max": (_count, singular.DEFAULT_PMAX, "Euler product truncation"),
-        "sieve": (str, None, "factor sieve path (default: cache)"),
+        "sieve": (str, None, "factor sieve file (default: build in memory)"),
         "out": (str, None, "CSV output path"),
     },
 }
@@ -293,19 +292,14 @@ def _family_system(params):
 
 
 def _get_sieve(limit, path):
-    """Load a sieve covering limit, building into the cache if needed."""
-    if path is not None:
-        sieve = numtheory.load_sieve(path)
-        if sieve.limit < limit:
-            raise DomainError(
-                f"sieve at {path} covers {sieve.limit}, need {limit}"
-            )
-        return sieve
-    cache_path = os.path.join(numtheory.cache_dir(), f"sieve-{limit}.bin")
-    if os.path.exists(cache_path):
-        return numtheory.load_sieve(cache_path)
-    sieve = numtheory.build_factor_sieve(limit)
-    numtheory.save_sieve(sieve, cache_path)
+    """The sieve at path, checked to cover limit, or one built in memory."""
+    if path is None:
+        return numtheory.build_factor_sieve(limit)
+    sieve = numtheory.load_sieve(path)
+    if sieve.limit < limit:
+        raise DomainError(
+            f"sieve at {path} covers {sieve.limit}, need {limit}"
+        )
     return sieve
 
 
@@ -315,10 +309,7 @@ def _get_sieve(limit, path):
 # to write, or None when --out names a data file it writes itself.
 
 def _cmd_sieve_build(params):
-    limit = params["limit"]
-    out = params["out"]
-    if out is None:
-        out = os.path.join(numtheory.cache_dir(), f"sieve-{limit}.bin")
+    limit, out = params["limit"], params["out"]
     sieve = numtheory.build_factor_sieve(limit)
     numtheory.save_sieve(sieve, out)
     pi = int(np.count_nonzero(sieve.prime_mask(limit)))
@@ -460,6 +451,11 @@ def _cmd_lambda_d(params):
         D = math.ceil(aplab.log_power(nprime, aplab.narrow_exponent(k)))
     if not numtheory.is_prime(nprime):
         raise DomainError(f"modulus {nprime} must be prime")
+    if params["D"] is None and D >= nprime:
+        raise DomainError(
+            f"default D = ceil((log N')^{aplab.narrow_exponent(k)}) = {D} "
+            f"is not below N' = {nprime}; pass --D"
+        )
     aplab.check_difference_cap(D, nprime)
     sieve = _get_sieve(nprime, params["sieve"])
     f = aplab.prime_signal(sieve, nprime)
@@ -472,9 +468,12 @@ def _cmd_apsearch(params):
     mode = params["mode"]
     k = params["k"]
     if mode == "count":
-        N, d = aplab.check_scale(params["N"]), params["d"]
-        sieve = _get_sieve(aplab.count_sieve_limit(N, k, d), params["sieve"])
-        report = aplab.ap_count_report(N, k, d, sieve, P_max=params["P-max"])
+        N, d, P_max = params["N"], params["d"], params["P-max"]
+        limit = aplab.count_sieve_limit(N, k, d)
+        # hl_prediction rejects N < 3 and P_max < k before any sieve work.
+        aplab.hl_prediction(N, k, d, P_max=P_max)
+        sieve = _get_sieve(limit, params["sieve"])
+        report = aplab.ap_count_report(N, k, d, sieve, P_max=P_max)
         print(f"count = {report.count}, prediction = {report.prediction:.1f},"
               f" ratio = {report.ratio:.4f}")
         return _fields(aplab.APCountReport), [dataclasses.astuple(report)], ()

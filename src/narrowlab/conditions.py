@@ -357,13 +357,8 @@ class _DeviationEngine:
                 "no collision hyperplane of the system holds integer points, "
                 "so the random model has no deviation to measure"
             )
-        flats = _codim2_flats(rows)
-        if len(flats) > max_subspaces:
-            raise ResourceError(
-                f"codim-2 lattice exceeded {max_subspaces} subspaces"
-            )
         self.codim2 = []
-        for flat, parents in flats:
+        for flat, parents in _codim2_flats(rows, max_subspaces):
             basis, gdet, covol = _kernel_lattice(
                 [rows[p][:-1] for p in parents[:2]], sys.d
             )

@@ -340,14 +340,15 @@ def _hyperplane_echelons(hyperplanes):
             for row in hyperplanes]
 
 
-def _codim2_flats(hyperplanes):
+def _codim2_flats(hyperplanes, cap):
     """Nonempty codim-2 intersections of the rows of _collision_hyperplanes.
 
     Returns (flat, parents) pairs in the order the hyperplane pairs first
     produce them: flat is the echelon, parents the ascending indices of
     the hyperplanes that contain it.  Two distinct hyperplanes through a
     codim-2 flat meet exactly in it, so the pairs that produce a flat name
-    all of its parents.
+    all of its parents.  Raises ResourceError as soon as there are more
+    than cap flats.
     """
     lines = _hyperplane_echelons(hyperplanes)
     flats = {}
@@ -355,6 +356,10 @@ def _codim2_flats(hyperplanes):
         ech = _echelon_add(hi, hj[0][1])
         if len(ech) == 2 and _feasible(ech):
             flats.setdefault(ech, set()).update((i, j))
+            if len(flats) > cap:
+                raise ResourceError(
+                    f"codim-2 lattice exceeded {cap} subspaces"
+                )
     return [(ech, tuple(sorted(parents))) for ech, parents in flats.items()]
 
 
@@ -485,7 +490,7 @@ def min_distinct_on_codim(sys, c):
     if c == 1:
         candidates = _hyperplane_echelons(hyperplanes)
     else:
-        candidates = [flat for flat, parents in _codim2_flats(hyperplanes)]
+        candidates = [flat for flat, _ in _codim2_flats(hyperplanes, math.inf)]
     if not candidates:
         raise DomainError(
             f"system has no feasible codim-{c} collision subspaces"

@@ -162,7 +162,7 @@ def majorant_pair_correlation(table, h, P_max=DEFAULT_PMAX):
     return PairCorrelation(empirical=empirical, predicted=predicted, ratio=ratio)
 
 
-# ------------------------------------------------------------- cache files
+# -------------------------------------------------------------- table files
 
 def save_majorant(table, path):
     """Write the NAPMV1 binary format: magic, N', W, b, R, then both arrays."""

@@ -289,12 +289,7 @@ def primorial_context(w, b, modulus):
     return WTrickContext(w=w, W=W, b=b, modulus=modulus)
 
 
-# ------------------------------------------------------------- cache files
-
-def cache_dir():
-    """Directory for binary caches, from NARROWLAB_CACHE_DIR (default cwd)."""
-    return os.environ.get("NARROWLAB_CACHE_DIR", ".")
-
+# ------------------------------------------------------------------ file IO
 
 @contextlib.contextmanager
 def replace_on_success(path):

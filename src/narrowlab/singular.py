@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conditions import BoxRegion
 from .errors import DomainError, ResourceError
 from .numtheory import _bootstrap_primes, factorize, is_prime
 
@@ -171,19 +172,6 @@ def error_factor(h, C):
     return ErrorFactor(value=math.exp(C * s), prime_inverse_sum=s)
 
 
-def _box_points(box):
-    dims = []
-    for lo, hi in box:
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise DomainError(f"empty box interval [{lo}, {hi}]")
-        dims.append((lo, hi))
-    count = 1
-    for lo, hi in dims:
-        count *= hi - lo + 1
-    return dims, count
-
-
 def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
                       sample=None, seed=0):
     """Average of a weight over the integer points of a box.
@@ -196,7 +184,8 @@ def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
     """
     if weight not in ("GW", "E"):
         raise DomainError(f"weight must be 'GW' or 'E', got {weight!r}")
-    dims, count = _box_points(box)
+    box = BoxRegion(intervals=box)
+    dims, count = box.intervals, box.point_count
 
     def g(point):
         if weight == "GW":

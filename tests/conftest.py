@@ -7,9 +7,3 @@ from narrowlab import numtheory
 def sieve_2m():
     """Shared factor sieve to 2 * 10^6 for the fast test modules."""
     return numtheory.build_factor_sieve(2 * 10 ** 6)
-
-
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    """Keep any cache writes inside the test's temporary directory."""
-    monkeypatch.setenv("NARROWLAB_CACHE_DIR", str(tmp_path))

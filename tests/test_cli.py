@@ -17,6 +17,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_sieve(monkeypatch):
+    """Fail the test if the run builds or loads a factor sieve."""
+    def forbidden(*args):
+        raise AssertionError("a rejected run reached the sieve")
+    monkeypatch.setattr(nt, "build_factor_sieve", forbidden)
+    monkeypatch.setattr(nt, "load_sieve", forbidden)
+
+
 def test_version_exits_cleanly(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
@@ -189,6 +198,14 @@ def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "lambda-d", "--N", "10008", "--D", "10")
     assert code == 2
     assert "error:" in err and "prime" in err
+    code, _, err = run(capsys, "gallagher", "--t", "0")
+    assert code == 2
+    assert "error: box needs at least one coordinate" in err
+    # L_4 = 12, and ceil((log 10007)^12) is far above N' = 10007.
+    code, _, err = run(capsys, "lambda-d", "--N", "10007", "--k", "4")
+    assert code == 2
+    assert ("error: default D = ceil((log N')^12) = 372995928559 is not "
+            "below N' = 10007; pass --D") in err
 
 
 def test_lambda_d_smallest_modulus_is_zero(capsys, tmp_path):
@@ -199,11 +216,10 @@ def test_lambda_d_smallest_modulus_is_zero(capsys, tmp_path):
     assert json.loads(out.read_text())["result"]["value"] == 0.0
 
 
-def test_lambda_d_composite_modulus_builds_no_sieve(capsys, tmp_path):
+def test_lambda_d_composite_modulus_builds_no_sieve(capsys, no_sieve):
     code, _, err = run(capsys, "lambda-d", "--N", "10", "--k", "3")
     assert code == 2
     assert "error:" in err and "must be prime" in err
-    assert list(tmp_path.glob("sieve-*.bin")) == []
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "0", "-1"])
@@ -474,12 +490,19 @@ def test_lfc_modulus_below_one_is_usage_error(capsys, model):
     "apsearch --mode narrowness --ladder ,",
     "apsearch --mode narrowness --ladder 1e4 --rule-mod 4 --rule-classes 2 "
     "--delta 0.3",
+    "apsearch --mode count --N 1000 --P-max 0",
     "lambda-d --N 10007 --D 20000",
     "lambda-d --N 10007 --D 0",
+    "lambda-d --N 10007 --k 4",
 ])
-def test_rejected_arguments_build_no_sieve(capsys, tmp_path, argv):
-    # The conftest fixture makes tmp_path the cache directory.
+def test_rejected_arguments_build_no_sieve(capsys, no_sieve, argv):
     code, _, err = run(capsys, *argv.split())
     assert code == 2
     assert "error:" in err
-    assert list(tmp_path.iterdir()) == []
+
+
+def test_sieve_build_requires_out(capsys, report_dir):
+    code, _, err = run(capsys, "sieve-build", "--limit", "100")
+    assert code == 2
+    assert "error: missing required option --out" in err
+    assert list(report_dir.iterdir()) == []

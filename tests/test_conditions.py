@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -232,6 +233,16 @@ def test_deviation_input_validation():
         cd.random_model_deviation(single, 0.5, 100)
     with pytest.raises(ResourceError):
         cd.random_model_deviation(lf.first_family(3), 0.5, 100, max_subspaces=10)
+
+
+def test_deviation_cap_stops_the_codim2_enumeration():
+    # first(5) has 1,825,922 codim-2 flats; building them all before the
+    # cap check took about 15 s and 1.45 GB.
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="exceeded 1000 subspaces"):
+        cd.random_model_deviation(lf.first_family(5), 0.5, 100,
+                                  max_subspaces=1000)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_deviation_without_integer_hyperplanes_is_a_domain_error():

@@ -255,7 +255,7 @@ def test_codim2_flat_parents_are_the_containing_hyperplanes():
         hyperplanes = lf._collision_hyperplanes(sys)
         for row in hyperplanes:
             assert math.gcd(*row) == 1 and next(v for v in row if v) > 0
-        flats = lf._codim2_flats(hyperplanes)
+        flats = lf._codim2_flats(hyperplanes, math.inf)
         assert len({flat for flat, parents in flats}) == len(flats) > 0
         for flat, parents in flats:
             assert len(flat) == 2 and len(parents) >= 2

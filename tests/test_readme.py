@@ -1,5 +1,8 @@
 import pathlib
 import re
+import shlex
+
+from narrowlab import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +15,21 @@ def test_library_tour_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "4 1"
     assert len(lines) == 4
+
+
+def test_command_line_tour_writes_only_named_files(capsys, tmp_path,
+                                                   monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    tour = text[text.index("## Command line tour"):text.index("## Library tour")]
+    blocks = re.findall(r"```sh\n(.*?)```", tour, re.S)
+    commands = [shlex.split(line, comments=True)
+                for line in "".join(blocks).replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands and all(argv[0] == "narrowlab" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, shlex.join(argv)
+    capsys.readouterr()
+    named = {argv[i + 1] for argv in commands
+             for i, arg in enumerate(argv) if arg == "--out"}
+    assert {path.name for path in tmp_path.iterdir()} == named

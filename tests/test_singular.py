@@ -196,3 +196,5 @@ def test_gallagher_resource_and_domain_errors():
         sg.gallagher_average("XX", ((0, 1),))
     with pytest.raises(DomainError):
         sg.gallagher_average("E", ((3, 2),))
+    with pytest.raises(DomainError, match="box needs at least one coordinate"):
+        sg.gallagher_average("GW", ())
