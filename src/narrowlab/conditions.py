@@ -8,6 +8,7 @@ function of the box width S locates the width threshold, whose growth
 exponent in 1/alpha is the collision index.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .linforms import (
 MAX_RANDOM_MODULUS = 1 << 27
 MC_BATCH = 1 << 18   # Monte Carlo samples drawn per batch
 EXACT_CAP = 10 ** 7   # evaluations allowed in an exact average
+EHRHART_MEMO = 4096   # (row, residue class) quasi-polynomial fits kept
 
 
 @dataclass(frozen=True)
@@ -252,11 +254,16 @@ def count_hyperplane_points(coeffs, S, rhs=0):
     """Number of integer points of [-S, S]^d on coeffs . x = rhs.
 
     Coordinates with zero coefficient range freely and contribute a factor
-    of (2S+1) each.  The active part uses closed forms for up to two
-    coordinates and a strided-boxcar convolution of int64 value
-    distributions beyond.  Every partial count of that convolution is at
-    most (2S+1)^(t-1) for t active coordinates, so counts are exact
-    whenever that bound is below 2^63; larger inputs raise ResourceError.
+    of (2S+1) each, and the count is 0 whenever gcd(coeffs) does not divide
+    rhs.  For rhs = 0 and t active coordinates the count is an Ehrhart
+    quasi-polynomial in S of degree t-1 whose period divides
+    p = lcm|coeffs_i| (its polytope's vertices lie on edges of [-1, 1]^t).
+    Once S >= t*p + (S mod p) it is evaluated exactly in Python ints from t
+    boxcar counts at widths no larger than S, with no upper limit on S.
+    Narrower widths and rhs != 0 rows run a strided-boxcar convolution of
+    int64 value distributions.  Its partial counts are at most
+    (2S+1)^(t-1), so it is exact whenever that bound is below 2^63; larger
+    inputs raise ResourceError.
     """
     S = int(S)
     if S < 0:
@@ -266,30 +273,75 @@ def count_hyperplane_points(coeffs, S, rhs=0):
     free = (2 * S + 1) ** (len(list(coeffs)) - len(a))
     if not a:
         return free if rhs == 0 else 0
+    g = math.gcd(*a)
+    if rhs % g:
+        return 0
     if len(a) == 1:
-        q, r = divmod(rhs, a[0])
-        return free if r == 0 and abs(q) <= S else 0
-    if len(a) == 2 and rhs == 0:
-        g = math.gcd(abs(a[0]), abs(a[1]))
-        return free * (2 * (S * g // max(abs(a[0]), abs(a[1]))) + 1)
+        return free if abs(rhs // a[0]) <= S else 0
+    if rhs == 0:
+        key = tuple(sorted(abs(v) // g for v in a))
+        p = math.lcm(*key)
+        c = S % p
+        if S >= len(key) * p + c:
+            diffs = _ehrhart_differences(key, c)
+            j = S // p
+            return free * sum(math.comb(j - 1, k) * dk
+                              for k, dk in enumerate(diffs))
+    return free * _boxcar_count(a, S, rhs)
+
+
+@functools.lru_cache(maxsize=EHRHART_MEMO)
+def _ehrhart_differences(key, c):
+    """Forward differences of f(j) = count at width c + j*p, j = 1..t.
+
+    key is the sorted primitive |coefficients| of an rhs = 0 row, whose
+    count sign flips and permutations leave unchanged, and p = lcm(key).
+    f is a polynomial of degree t-1 in j, so Newton's formula
+    f(j) = sum_k C(j-1, k) * diffs[k] gives it at every j >= 1.
+    """
+    p = math.lcm(*key)
+    vals = [_boxcar_count(key, c + j * p, 0) for j in range(1, len(key) + 1)]
+    diffs = []
+    while vals:
+        diffs.append(vals[0])
+        vals = [y - x for x, y in zip(vals, vals[1:])]
+    return tuple(diffs)
+
+
+def _boxcar_count(a, S, rhs):
+    """Count of |x_i| <= S with a . x = rhs by int64 boxcar convolutions.
+
+    x_i -> -x_i maps the box to itself, so only |a_i| matters.  The value
+    distribution of the smaller coefficients' terms is held on g*Z, one
+    entry per multiple of g = gcd of those coefficients, and the largest
+    coefficient is summed against it rather than convolved in, so two
+    coordinates take O(S) memory whatever their size.
+    """
     if (2 * S + 1) ** (len(a) - 1) >= 1 << 63:
         raise ResourceError(
             f"hyperplane count with {len(a)} active coordinates at S={S} "
             "exceeds the int64 range"
         )
-    pmf = np.ones(1, dtype=np.int64)
-    offset = 0
-    for coef in a:
-        pmf, offset = _boxcar_convolve(pmf, offset, coef, S)
-    idx = rhs - offset
-    if idx < 0 or idx >= pmf.shape[0]:
+    *head, last = sorted(abs(v) for v in a)
+    if abs(rhs) > S * (sum(head) + last):
         return 0
-    return free * int(pmf[idx])
+    pmf = np.ones(2 * S + 1, dtype=np.int64)
+    step = head[0]
+    low = -step * S   # value at pmf[0]; pmf[i] is at low + i * step
+    for coef in head[1:]:
+        g = math.gcd(step, coef)
+        spread = np.zeros((pmf.shape[0] - 1) * (step // g) + 1, dtype=np.int64)
+        spread[::step // g] = pmf
+        pmf = _boxcar_convolve(spread, coef // g, S)
+        step = g
+        low -= coef * S
+    v = rhs - low - last * np.arange(-S, S + 1, dtype=np.int64)
+    v = v[(v >= 0) & (v % step == 0)] // step
+    return int(pmf[v[v < pmf.shape[0]]].sum())
 
 
-def _boxcar_convolve(pmf, offset, coef, S):
-    """Convolve a value distribution with the comb {coef * x : |x| <= S}."""
-    step = abs(coef)
+def _boxcar_convolve(pmf, step, S):
+    """Convolve a distribution with the comb {step * x : |x| <= S}."""
     span = step * S
     n = pmf.shape[0]
     out_len = n + 2 * span
@@ -304,7 +356,7 @@ def _boxcar_convolve(pmf, offset, coef, S):
         hi = np.minimum(q + S + 1, m)
         lo = np.maximum(q - S, 0)
         out[r::step] = csum[hi] - csum[lo]
-    return out, offset - span
+    return out
 
 
 # ------------------------------------------------------ deviation machinery

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,8 +188,101 @@ def test_hyperplane_count_exact_past_double_precision():
     S = 244038
     n = 2 * S + 1
     assert cd.count_hyperplane_points([1, 1, -1, -1], S) == (2 * n ** 3 + n) // 3
+    # x1 + x2 + x3 = y1 + y2 at S = 10^5 holds partial counts past 2^63:
+    # sum over m of c3(m) * c2(m), with c_k(m) the ways k coordinates sum
+    # to m, built by Python-int window sums.
+    S = 10 ** 5
+    c2 = [2 * S + 1 - abs(m) for m in range(-2 * S, 2 * S + 1)]
+    prefix = list(itertools.accumulate(c2, initial=0))
+
+    def c3(m):   # sum of c2(m - x) over |x| <= S; c2[i] holds c2(i - 2S)
+        lo = min(max(m + S, 0), len(c2))
+        hi = min(max(m + 3 * S + 1, 0), len(c2))
+        return prefix[hi] - prefix[lo]
+
+    want = sum(c3(m) * c for m, c in zip(range(-2 * S, 2 * S + 1), c2))
+    assert want >= 1 << 63
+    assert cd.count_hyperplane_points([1, 1, 1, -1, -1], S) == want
+    # rhs != 0 rows still run the int64 boxcar, with its ceiling.
     with pytest.raises(ResourceError):
-        cd.count_hyperplane_points([1, 1, 1, -1, -1], 10 ** 5)
+        cd.count_hyperplane_points([1, 1, 1, -1, -1], S, rhs=1)
+
+
+def _brute_count(a, S):
+    """Points of [-S, S]^t on a . x = 0: enumerate t-1 coordinates, solve
+    for the last."""
+    *head, last = a
+    total = 0
+    for x in itertools.product(range(-S, S + 1), repeat=len(head)):
+        q, r = divmod(-sum(u * v for u, v in zip(head, x)), last)
+        total += r == 0 and abs(q) <= S
+    return total
+
+
+def test_hyperplane_quasi_polynomial_matches_boxcar_and_brute():
+    rng = np.random.default_rng(12)
+    brute_on_fit = 0
+    for _ in range(40):
+        t = int(rng.integers(3, 7))
+        a = [int(v) * int(rng.choice((-1, 1)))
+             for v in rng.integers(1, 5, size=t)]
+        p = math.lcm(*a) // math.gcd(*a)
+        for S in range((t + 2) * p + p + 1):
+            got = cd.count_hyperplane_points(a, S)
+            assert got == cd._boxcar_count(a, S, 0), (a, S)
+            if (2 * S + 1) ** (t - 1) <= 20000:
+                assert got == _brute_count(a, S), (a, S)
+                brute_on_fit += S >= t * p + S % p
+    assert brute_on_fit >= 50
+
+
+def test_hyperplane_quasi_polynomial_on_family_rows():
+    for k in (3, 4):
+        for row in lf._collision_hyperplanes(lf.first_family(k)):
+            a, rhs = row[:-1], row[-1]
+            active = [v for v in a if v]
+            for S in (97, 1103):
+                want = (cd._boxcar_count(active, S, rhs)
+                        * (2 * S + 1) ** (len(a) - len(active)))
+                assert cd.count_hyperplane_points(a, S, rhs=rhs) == want
+
+
+def test_large_period_row_at_small_width_stays_on_boxcar():
+    # lcm(997, 991, 983) is about 10^9: sampling its quasi-polynomial would
+    # need boxcars at widths near 10^9, far beyond the queried width.
+    a = [997, -991, 983]
+    misses = cd._ehrhart_differences.cache_info().misses
+    start = time.perf_counter()
+    got = cd.count_hyperplane_points(a, 60)
+    assert time.perf_counter() - start < 2.0
+    assert cd._ehrhart_differences.cache_info().misses == misses
+    assert got == _brute_count(a, 60)
+
+
+def test_two_coordinate_rows_keep_their_closed_form_counts():
+    # 1000 x = 999 y on |x|, |y| <= S has the 2 * (S // 1000) + 1 points
+    # x = 999 k.  A dense boxcar of this row would hold 2 * 1999 * S
+    # entries; below the switch (S < 2 * 999000) the count stays O(S).
+    tracemalloc.start()
+    try:
+        assert cd.count_hyperplane_points([1000, -999], 5000) == 11
+        assert tracemalloc.get_traced_memory()[1] < 10 * 2 ** 20
+    finally:
+        tracemalloc.stop()
+    for S in (3 * 10 ** 6, 10 ** 12):
+        assert cd.count_hyperplane_points([0, 1000, -999], S) == (
+            (2 * S + 1) * (2 * (S // 1000) + 1))
+
+
+def test_hyperplane_count_is_zero_when_gcd_misses_rhs():
+    start = time.perf_counter()
+    assert cd.count_hyperplane_points([2, 4, 6, 8, 10], 10 ** 6, rhs=1) == 0
+    assert time.perf_counter() - start < 1.0
+    assert cd.count_hyperplane_points([0, 3, -6], 5, rhs=4) == 0
+    assert cd.count_hyperplane_points([0, 3, -6], 5, rhs=3) == 11 * sum(
+        1 for x, y in itertools.product(range(-5, 6), repeat=2)
+        if 3 * x - 6 * y == 3
+    )
 
 
 def test_deviation_frozen_value_first_family():
@@ -271,6 +365,16 @@ def test_threshold_fit_slopes_and_dominant_ratios():
             assert row.deviation == pytest.approx(1.0, abs=0.35)
     s_stars = [row.S_star for row in fit31.rows]
     assert s_stars == sorted(s_stars)
+
+
+def test_threshold_fit_reaches_first4():
+    # S* runs from about 8 * 10^3 to 4 * 10^6, where (2S+1)^5 >= 2^63
+    # rules out the int64 boxcar on six-coordinate rows; the exact
+    # quasi-polynomials carry the fit there.
+    fit = cd.width_threshold_fit(lf.first_family(4), (0.5, 0.4, 0.3))
+    assert abs(fit.slope - 12) <= 0.3
+    assert all(row.dominant_ratio == 12 for row in fit.rows)
+    assert all((2 * int(row.S_star) + 1) ** 5 >= 1 << 63 for row in fit.rows)
 
 
 def test_threshold_fit_validation():
