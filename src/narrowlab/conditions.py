@@ -20,9 +20,9 @@ from .errors import DomainError, NumericError, ResourceError
 from .linforms import (
     _codim2_flats,
     _collision_hyperplanes,
+    _flat_gram_det,
     _hyperplane_echelons,
     _induced_atoms,
-    _kernel_lattice,
 )
 
 MAX_RANDOM_MODULUS = 1 << 27
@@ -386,86 +386,72 @@ class DeviationReport:
 
 
 class _DeviationEngine:
-    """Closure-lattice data reused across deviation evaluations.
+    """The collision arrangement of a system, tabulated once.
 
-    Enumerates collision subspaces up to codimension 2, their induced
-    partitions, the integer data needed for box counts, and the
-    containment order used for inclusion-exclusion.
+    Holds, in term order (hyperplanes, then codim-2 flats), each collision
+    subspace's (codim, partition size, ratio), each hyperplane's row for
+    the exact box counts, and each flat's parents and lattice covolume for
+    inclusion-exclusion and the density approximation.
     """
 
     def __init__(self, sys, max_subspaces=200000):
-        self.sys = sys
         self.t = sys.t
         self.d = sys.d
         # Only hyperplanes with integer points (gcd(a) | rhs) meet the box.
-        rows = [row for row in _collision_hyperplanes(sys)
-                if row[-1] % math.gcd(*row[:-1]) == 0]
-        self.hyperplanes = [
-            {"row": row, "psize": len(_induced_atoms(sys, ech))}
-            for row, ech in zip(rows, _hyperplane_echelons(rows))
-        ]
-        if not self.hyperplanes:
+        self.rows = [row for row in _collision_hyperplanes(sys)
+                     if row[-1] % math.gcd(*row[:-1]) == 0]
+        if not self.rows:
             raise DomainError(
                 "no collision hyperplane of the system holds integer points, "
                 "so the random model has no deviation to measure"
             )
-        self.codim2 = []
-        for flat, parents in _codim2_flats(rows, max_subspaces):
-            basis, gdet, covol = _kernel_lattice(
-                [rows[p][:-1] for p in parents[:2]], sys.d
-            )
-            self.codim2.append({
-                "psize": len(_induced_atoms(sys, flat)),
-                "covol": covol, "parents": parents,
-            })
+        echelons = _hyperplane_echelons(self.rows)
+        self.flats = []
+        for flat, parents in _codim2_flats(self.rows, max_subspaces):
+            a, b = (self.rows[p][:-1] for p in parents[:2])
+            self.flats.append((parents, math.sqrt(float(_flat_gram_det(a, b)))))
+            echelons.append(flat)
+        self.entries = []
+        for ech in echelons:   # an echelon's length is its codimension
+            size = len(_induced_atoms(sys, ech))
+            self.entries.append((len(ech), size, Fraction(self.t - size, len(ech))))
+        self.sizes = {size for _, size, _ in self.entries}
 
-    def deviation(self, alpha, S):
+    def evaluate(self, alpha, S):
+        """Terms' box and exclusive fractions, contributions, and total."""
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
         S = int(S)
         if S < 2:
             raise DomainError(f"width S must be >= 2, got {S}")
-        t = self.t
         width = 2 * S + 1
-        frac2 = []
-        for elt in self.codim2:
-            frac2.append(1.0 / (elt["covol"] * width * width))
         box_total = width ** self.d
-        frac1 = []
-        for hp in self.hyperplanes:
-            cnt = count_hyperplane_points(hp["row"][:-1], S,
-                                          rhs=hp["row"][-1])
-            frac1.append(cnt / box_total)
-        excl1 = list(frac1)
-        for elt, f2 in zip(self.codim2, frac2):
-            for parent in elt["parents"]:
-                excl1[parent] -= f2
-        terms = []
+        frac1 = [count_hyperplane_points(row[:-1], S, rhs=row[-1]) / box_total
+                 for row in self.rows]
+        frac2 = [1.0 / (covol * width * width) for _, covol in self.flats]
+        fracs = frac1 + frac2
+        excl = list(fracs)
+        for (parents, _), f2 in zip(self.flats, frac2):
+            for parent in parents:
+                excl[parent] -= f2
+        gains = {size: alpha ** (size - self.t) - 1.0 for size in self.sizes}
+        contributions = []
         total = 0.0
-        for hp, f, ex in zip(self.hyperplanes, frac1, excl1):
-            gain = alpha ** (hp["psize"] - t) - 1.0
-            contribution = ex * gain
+        for (_, size, _), ex in zip(self.entries, excl):
+            contribution = ex * gains[size]
             total += contribution
-            terms.append(SubspaceTerm(
-                codim=1, partition_size=hp["psize"],
-                ratio=Fraction(t - hp["psize"], 1),
-                box_fraction=f, exclusive_fraction=ex,
-                contribution=contribution, approximate=False,
-            ))
-        for elt, f2 in zip(self.codim2, frac2):
-            gain = alpha ** (elt["psize"] - t) - 1.0
-            contribution = f2 * gain
-            total += contribution
-            terms.append(SubspaceTerm(
-                codim=2, partition_size=elt["psize"],
-                ratio=Fraction(t - elt["psize"], 2),
-                box_fraction=f2, exclusive_fraction=f2,
-                contribution=contribution, approximate=True,
-            ))
+            contributions.append(contribution)
+        return fracs, excl, contributions, total
+
+    def deviation(self, alpha, S):
+        fracs, excl, contributions, total = self.evaluate(alpha, S)
+        terms = tuple(SubspaceTerm(codim, size, ratio, f, ex, c, codim == 2)
+                      for (codim, size, ratio), f, ex, c
+                      in zip(self.entries, fracs, excl, contributions))
         dominant = max(terms, key=lambda term: term.contribution)
-        return DeviationReport(total=total, terms=tuple(terms),
-                               dominant=dominant, S=S, alpha=alpha)
+        return DeviationReport(total=total, terms=terms, dominant=dominant,
+                               S=int(S), alpha=float(alpha))
 
 
 def random_model_deviation(sys, alpha, S, max_subspaces=200000):
@@ -518,36 +504,34 @@ def width_threshold_fit(sys, alphas, target=1.0, max_subspaces=200000):
     if not (math.isfinite(target) and target > 0):
         raise DomainError(f"target must be positive and finite, got {target}")
     engine = _DeviationEngine(sys, max_subspaces=max_subspaces)
+
+    def log_between(lo, hi, frac):   # frac of the way from lo to hi in log S
+        return math.exp(math.log(lo) + frac * (math.log(hi) - math.log(lo)))
+
     rows = []
     for alpha in alphas:
-        cache = {}
-
-        def dev(S):
-            if S not in cache:
-                cache[S] = engine.deviation(alpha, S)
-            return cache[S]
-
+        dev = functools.cache(lambda S, a=alpha: engine.evaluate(a, S)[-1])
         lo = 2
-        if dev(lo).total < target:
+        if dev(lo) < target:
             s_star = float(lo)
         else:
             hi = 4
-            while dev(hi).total >= target:
+            while dev(hi) >= target:
                 prev = hi
                 hi *= 2
                 if hi > 1 << 40:
                     raise NumericError(
                         f"deviation never fell below {target} up to S={prev}"
                     )
-                if dev(hi).total > dev(prev).total * (1 + 1e-9):
+                if dev(hi) > dev(prev) * (1 + 1e-9):
                     raise NumericError(
                         f"deviation increased from S={prev} to S={hi}: "
-                        f"{dev(prev).total} -> {dev(hi).total}"
+                        f"{dev(prev)} -> {dev(hi)}"
                     )
             lo = hi // 2
             while hi - lo > max(1, lo // 1024):
-                f_lo = dev(lo).total
-                f_hi = dev(hi).total
+                f_lo = dev(lo)
+                f_hi = dev(hi)
                 span = math.log(f_lo) - math.log(f_hi)
                 if span <= 0:
                     raise NumericError(
@@ -555,26 +539,21 @@ def width_threshold_fit(sys, alphas, target=1.0, max_subspaces=200000):
                         f"at alpha={alpha}"
                     )
                 frac = (math.log(f_lo) - math.log(target)) / span
-                frac = min(max(frac, 0.1), 0.9)
-                mid = int(round(math.exp(
-                    math.log(lo) + frac * (math.log(hi) - math.log(lo))
-                )))
+                mid = int(round(log_between(lo, hi, min(max(frac, 0.1), 0.9))))
                 mid = min(max(mid, lo + 1), hi - 1)
-                if dev(mid).total >= target:
+                if dev(mid) >= target:
                     lo = mid
                 else:
                     hi = mid
-            f_lo = dev(lo).total
-            f_hi = dev(hi).total
+            f_lo = dev(lo)
+            f_hi = dev(hi)
             if f_lo > f_hi:
                 span = math.log(f_lo) - math.log(f_hi)
                 frac = (math.log(f_lo) - math.log(target)) / span
-                s_star = math.exp(
-                    math.log(lo) + frac * (math.log(hi) - math.log(lo))
-                )
+                s_star = log_between(lo, hi, frac)
             else:
                 s_star = float(lo)
-        report = dev(max(2, int(round(s_star))))
+        report = engine.deviation(alpha, max(2, int(round(s_star))))
         rows.append(ThresholdRow(
             alpha=alpha, S_star=s_star,
             dominant_codim=report.dominant.codim,

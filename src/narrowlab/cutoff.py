@@ -24,11 +24,10 @@ IMAG_TOL = 1e-5
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """A normalized cutoff: kind, scale factor, and support interval."""
+    """A normalized cutoff, supported on [-1, 1]: kind and scale factor."""
 
     kind: str
     norm_constant: float
-    support: tuple = (-1.0, 1.0)
 
 
 @dataclass(frozen=True)

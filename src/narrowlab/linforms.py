@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainError, ResourceError, UnsupportedError
 
 INFINITE_CODIM = math.inf
+MAX_FAMILY_FORMS = 1 << 16   # forms a family constructor builds at most
 
 
 @dataclass(frozen=True)
@@ -236,6 +237,16 @@ def induced_partition(sys, subspace):
 
 # ----------------------------------------------------------------- families
 
+def _check_family_size(name, k, count):
+    """ResourceError, before any allocation, if count(k) > MAX_FAMILY_FORMS.
+
+    A family has at least k forms, so count(k) runs only for k <= the cap:
+    no 2^(k-1) is ever built for a huge k (256 MB at k = 2^31)."""
+    if k > MAX_FAMILY_FORMS or count(k) > MAX_FAMILY_FORMS:
+        raise ResourceError(f"the {name} family with k={k} has more than "
+                            f"{MAX_FAMILY_FORMS} forms")
+
+
 def psi_j(k, j):
     """The form sum over i of (j - i) s_i in k variables."""
     k = int(k)
@@ -257,6 +268,7 @@ def first_family(k):
     k = int(k)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
+    _check_family_size("first", k, lambda k: k << (k - 1))
     forms = []
     for j in range(1, k + 1):
         others = [i for i in range(1, k + 1) if i != j]
@@ -273,6 +285,7 @@ def second_family(k):
     k = int(k)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
+    _check_family_size("second", k, lambda k: 1 << k)
     scale = math.factorial(k)
     forms = []
     for omega in itertools.product((0, 1), repeat=k):
@@ -291,6 +304,7 @@ def third_family(k, j):
         raise DomainError(f"k must be >= 2, got {k}")
     if not 1 <= j <= k:
         raise DomainError(f"j must be in [1, {k}], got {j}")
+    _check_family_size("third", k, lambda k: 2 * k - 1)
     forms = [LinearForm(coeffs=(0, 0))]
     for tau in (0, 1):
         for i in range(1, k + 1):
@@ -559,12 +573,18 @@ def _int_det(mat):
     return sign * m[-1][-1]
 
 
-def _kernel_lattice(rows, d):
-    """Integer kernel basis of the rows, its Gram determinant and covolume."""
-    basis = _integer_kernel(rows, d)
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
-    gdet = _int_det(gram)
-    return basis, gdet, math.sqrt(float(gdet))
+def _flat_gram_det(a, b):
+    """Gram determinant of {x in Z^d : a . x = b . x = 0}, a and b independent.
+
+    With m_ij = a_i b_j - a_j b_i, Cauchy-Binet gives the row lattice of
+    (a, b) squared covolume sum m_ij^2; its index in its saturation is
+    gcd(m); and a primitive lattice and its orthogonal complement in Z^d
+    have equal covolumes.  So the determinant is sum m_ij^2 / gcd(m)^2.
+    """
+    minors = [a[i] * b[j] - a[j] * b[i]
+              for i, j in itertools.combinations(range(len(a)), 2)]
+    g = math.gcd(*minors)
+    return sum(m * m for m in minors) // (g * g)
 
 
 def solution_lattice(sys, pi):
@@ -579,10 +599,12 @@ def solution_lattice(sys, pi):
     rows = _constraint_rows(sys, pi)
     if not _feasible(_echelon(rows)):
         raise DomainError("partition forces an inconsistent affine constraint")
-    basis, gdet, covolume = _kernel_lattice([r[:-1] for r in rows], sys.d)
+    basis = _integer_kernel([r[:-1] for r in rows], sys.d)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    gdet = _int_det(gram)
     arr = np.array(basis, dtype=np.int64).reshape(len(basis), sys.d)
     return SolutionLattice(basis=arr, dimension=len(basis), gram_det=gdet,
-                           covolume=covolume)
+                           covolume=math.sqrt(float(gdet)))
 
 
 # ------------------------------------------------------------- interchange

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -235,6 +236,19 @@ def test_resource_error_exit_code(capsys):
                        "--hi", "2000", "--t", "3")
     assert code == 1
     assert "sample" in err
+
+
+@pytest.mark.parametrize("command", ["lindex", "forms-dump", "lfc",
+                                     "threshold"])
+def test_huge_family_is_rejected_before_building(capsys, tmp_path, command):
+    out = tmp_path / "report"
+    start = time.perf_counter()
+    code, _, err = run(capsys, command, "--family", "first",
+                       "--k", "2147483648", "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_threshold_without_integer_hyperplanes_exit_code(capsys, tmp_path):

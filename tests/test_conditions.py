@@ -374,6 +374,12 @@ def test_threshold_fit_reaches_first4():
     fit = cd.width_threshold_fit(lf.first_family(4), (0.5, 0.4, 0.3))
     assert abs(fit.slope - 12) <= 0.3
     assert all(row.dominant_ratio == 12 for row in fit.rows)
+    # Pinned exactly, as first3_deviation.json pins the first(3) floats.
+    assert [(row.S_star, row.deviation) for row in fit.rows] == [
+        (8413.780947183672, 0.9999736075294495),
+        (120008.87620375167, 0.9999989630180688),
+        (3769534.3892842997, 1.0000001034068442),
+    ]
     assert all((2 * int(row.S_star) + 1) ** 5 >= 1 << 63 for row in fit.rows)
 
 

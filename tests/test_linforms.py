@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from narrowlab import linforms as lf
-from narrowlab.errors import DomainError, UnsupportedError
+from narrowlab.errors import DomainError, ResourceError, UnsupportedError
 
 
 def _random_system(rng, d, t):
@@ -270,6 +270,75 @@ def test_lindex_first4_anchor():
     res = lf.lindex(lf.first_family(4))
     assert res.value == 12 and res.codim == 1
     assert res.subspaces_explored == 36770
+
+
+def _kernel_gram_det(a, b):
+    """Gram determinant of the integer kernel of rows a, b, the route
+    solution_lattice takes: unimodular column reduction, Gram matrix and
+    Bareiss determinant."""
+    basis = lf._integer_kernel([a, b], len(a))
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]
+    return lf._int_det(gram)
+
+
+def _minors_gcd(a, b):
+    return math.gcd(*(a[i] * b[j] - a[j] * b[i]
+                      for i, j in itertools.combinations(range(len(a)), 2)))
+
+
+def _flat_row_pairs(sys):
+    rows = lf._collision_hyperplanes(sys)
+    return [(rows[p][:-1], rows[q][:-1])
+            for _, (p, q, *_) in lf._codim2_flats(rows, math.inf)]
+
+
+def test_flat_gram_det_hand_checked_with_shared_minor_factor():
+    # x0 + x1 = 0 and x0 - x1 + 2 x2 = 0 leave x = (s, -s, -s, u), basis
+    # (1, -1, -1, 0) and (0, 0, 0, 1), Gram det 3.  The minors
+    # (-2, 2, 0, 2, 0, 0) share the factor 2, so sum m^2 = 12 is the row
+    # lattice's squared covolume, four times the kernel's.
+    a, b = (1, 1, 0, 0), (1, -1, 2, 0)
+    assert _minors_gcd(a, b) == 2
+    assert lf._flat_gram_det(a, b) == 3 == _kernel_gram_det(a, b)
+
+
+@pytest.mark.parametrize("family", [lf.first_family(3), lf.second_family(4)],
+                         ids=["first3", "second4"])
+def test_flat_gram_det_matches_kernel_on_family_flats(family):
+    pairs = _flat_row_pairs(family)
+    assert len(pairs) in (347, 362)
+    for a, b in pairs:
+        assert lf._flat_gram_det(a, b) == _kernel_gram_det(a, b)
+
+
+def test_flat_gram_det_matches_kernel_on_random_systems():
+    rng = np.random.default_rng(13)
+    systems = []
+    while len(systems) < 20:
+        sys = _random_system(rng, int(rng.integers(3, 6)), 5)
+        pairs = _flat_row_pairs(sys)
+        if any(_minors_gcd(a, b) > 1 for a, b in pairs):
+            systems.append(pairs)
+    assert {len(a) for pairs in systems for a, _ in pairs} == {3, 4, 5}
+    for pairs in systems:
+        for a, b in pairs:
+            assert lf._flat_gram_det(a, b) == _kernel_gram_det(a, b)
+
+
+def test_family_sizes_are_capped_before_building(monkeypatch):
+    # The cap keeps first(13) (53,248 forms) and second(16) (65,536).
+    assert 13 << 12 <= lf.MAX_FAMILY_FORMS == 1 << 16
+    monkeypatch.setattr(lf, "MAX_FAMILY_FORMS", 32)
+    assert lf.first_family(4).t == 32
+    assert lf.second_family(5).t == 32
+    assert lf.third_family(16, 1).t == 31
+    for build in (lambda: lf.first_family(5), lambda: lf.second_family(6),
+                  lambda: lf.third_family(17, 1),
+                  lambda: lf.first_family(1 << 31),
+                  lambda: lf.second_family(1 << 31),
+                  lambda: lf.third_family(1 << 31, 1)):
+        with pytest.raises(ResourceError, match="more than 32 forms"):
+            build()
 
 
 def test_solution_lattice_diagonal():
