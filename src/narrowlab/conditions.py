@@ -398,7 +398,7 @@ class _DeviationEngine:
         self.t = sys.t
         self.d = sys.d
         # Only hyperplanes with integer points (gcd(a) | rhs) meet the box.
-        self.rows = [row for row in _collision_hyperplanes(sys)
+        self.rows = [row for row in _collision_hyperplanes(sys, max_subspaces)
                      if row[-1] % math.gcd(*row[:-1]) == 0]
         if not self.rows:
             raise DomainError(

@@ -328,12 +328,13 @@ class LindexResult:
     subspaces_explored: int
 
 
-def _collision_hyperplanes(sys):
+def _collision_hyperplanes(sys, cap):
     """Distinct hyperplanes on which two forms agree, as integer rows.
 
     Each row (a_1, ..., a_d, rhs) means a . x = rhs, is primitive and has
     a positive first nonzero entry.  Rows keep the order in which the
-    pairs (i, j), i < j, first produce them.
+    pairs (i, j), i < j, first produce them.  Raises ResourceError as
+    soon as there are more than cap rows.
     """
     rows = {}
     for fi, fj in itertools.combinations(sys.forms, 2):
@@ -345,6 +346,11 @@ def _collision_hyperplanes(sys):
         if next(v for v in row if v) < 0:
             g = -g
         rows.setdefault(tuple(v // g for v in row), None)
+        if len(rows) > cap:
+            raise ResourceError(
+                f"collision hyperplanes exceeded {cap} subspaces; "
+                "raise max_subspaces or cap the system size"
+            )
     return list(rows)
 
 
@@ -385,12 +391,14 @@ def lindex(sys, max_subspaces=500000):
     (forms equal as functions there) is scored as
     (t - |pi|) / codim of the partition's own subvariety, and subspaces
     too deep to beat the best ratio are pruned.  Each subspace is an
-    integer echelon, grown by one generator row at a time.
+    integer echelon, grown by one generator row at a time.  Raises
+    ResourceError once more than max_subspaces subspaces, the
+    hyperplanes included, have been found.
     """
     t = sys.t
     if t < 2:
         raise DomainError(f"collision index needs t >= 2 forms, got t={t}")
-    hyperplanes = _collision_hyperplanes(sys)
+    hyperplanes = _collision_hyperplanes(sys, max_subspaces)
     generators = _hyperplane_echelons(hyperplanes)
     best = Fraction(0)
     best_witness = None
@@ -500,7 +508,7 @@ def min_distinct_on_codim(sys, c):
     """
     if c not in (1, 2):
         raise DomainError(f"codimension must be 1 or 2, got {c}")
-    hyperplanes = _collision_hyperplanes(sys)
+    hyperplanes = _collision_hyperplanes(sys, math.inf)
     if c == 1:
         candidates = _hyperplane_echelons(hyperplanes)
     else:

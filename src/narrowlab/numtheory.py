@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DomainError, FormatError, ResourceError
 
 SIEVE_MAGIC = b"NAPSV1"
-SEGMENT_SIZE = 1 << 26   # entries per sieve segment
+SEGMENT_SIZE = 1 << 19   # entries per sieve segment: 2 MB of uint32, sized for L2
 
 # Witness set proving primality for every n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -123,8 +123,9 @@ def pack_bits(flags):
 def build_factor_sieve(limit):
     """Build a FactorSieve via segmented smallest-prime-factor marking.
 
-    Segments of at most SEGMENT_SIZE entries are filled in turn, so the
-    working set beyond the table itself stays bounded.
+    Segments of SEGMENT_SIZE entries, sized to stay in L2 cache, are
+    filled in turn by spf_segment; the entries it leaves at 0 (the
+    primes, and 0 and 1) get their own index before the next segment.
     """
     limit = int(limit)
     if limit < 2:
@@ -140,18 +141,12 @@ def build_factor_sieve(limit):
             f"cannot allocate sieve of {limit + 1} entries "
             f"(~{4 * (limit + 1)} bytes required)"
         ) from None
-    root = math.isqrt(limit)
-    base_primes = _bootstrap_primes(root)
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + SEGMENT_SIZE, limit + 1)
-        spf_segment(spf[lo:hi], lo, base_primes)
-        lo = hi
-    unmarked = np.nonzero(spf == 0)[0]
-    spf[unmarked] = unmarked
-    spf[0] = 0
-    if limit >= 1:
-        spf[1] = 1
+    base_primes = _bootstrap_primes(math.isqrt(limit))
+    for lo in range(0, limit + 1, SEGMENT_SIZE):
+        seg = spf[lo:lo + SEGMENT_SIZE]
+        spf_segment(seg, lo, base_primes)
+        unmarked = np.flatnonzero(seg == 0)
+        seg[unmarked] = unmarked + lo
     return FactorSieve(limit, spf)
 
 
@@ -160,18 +155,19 @@ def spf_segment(spf_seg, lo, base_primes):
 
     Entries that remain 0 afterwards are primes (or below 2) relative to
     the base prime list, which must contain every prime up to
-    sqrt(lo + len - 1).
+    sqrt(lo + len - 1).  The even entries get 2 in one store; each odd
+    base prime p then stores p at its odd multiples from max(p^2, lo) on,
+    largest p first, so a smaller prime overwrites a larger one and every
+    entry ends at its smallest factor without being read.
     """
     hi = lo + spf_seg.shape[0]
-    for p in base_primes:
-        p = int(p)
-        start = p * p
-        if start < lo:
-            start = ((lo + p - 1) // p) * p
-        if start >= hi:
-            continue
-        view = spf_seg[start - lo::p]
-        view[view == 0] = p
+    spf_seg[max(lo + (lo & 1), 4) - lo::2] = 2
+    p = np.asarray(base_primes, dtype=np.int64)
+    p = p[(p > 2) & (p * p < hi)]
+    start = np.maximum(p * p, -(-lo // p) * p)
+    start += p * (start % 2 == 0)
+    for q, s in zip(p[::-1].tolist(), start[::-1].tolist()):
+        spf_seg[s - lo::2 * q] = q
 
 
 def _bootstrap_primes(upto):

@@ -238,7 +238,7 @@ def test_hyperplane_quasi_polynomial_matches_boxcar_and_brute():
 
 def test_hyperplane_quasi_polynomial_on_family_rows():
     for k in (3, 4):
-        for row in lf._collision_hyperplanes(lf.first_family(k)):
+        for row in lf._collision_hyperplanes(lf.first_family(k), math.inf):
             a, rhs = row[:-1], row[-1]
             active = [v for v in a if v]
             for S in (97, 1103):
@@ -337,6 +337,17 @@ def test_deviation_cap_stops_the_codim2_enumeration():
         cd.random_model_deviation(lf.first_family(5), 0.5, 100,
                                   max_subspaces=1000)
     assert time.perf_counter() - start < 2.0
+
+
+def test_deviation_cap_counts_hyperplanes_then_flats():
+    # first(5) has 2,057 hyperplanes: a cap of 1,000 stops their pair
+    # loop, and a cap of 5,000 passes it and stops the flats.
+    for cap, stage in ((1000, "collision hyperplanes"), (5000, "codim-2 lattice")):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=f"{stage} exceeded {cap} subspaces"):
+            cd.random_model_deviation(lf.first_family(5), 0.5, 100,
+                                      max_subspaces=cap)
+        assert time.perf_counter() - start < 2.0
 
 
 def test_deviation_without_integer_hyperplanes_is_a_domain_error():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -250,9 +251,9 @@ def test_min_distinct_witness_realizes_count_with_constants():
 def test_codim2_flat_parents_are_the_containing_hyperplanes():
     mixed = _random_system(np.random.default_rng(3), 3, 6)
     assert any(row[-1] % math.gcd(*row[:-1])
-               for row in lf._collision_hyperplanes(mixed))
+               for row in lf._collision_hyperplanes(mixed, math.inf))
     for sys in (lf.first_family(3), mixed):
-        hyperplanes = lf._collision_hyperplanes(sys)
+        hyperplanes = lf._collision_hyperplanes(sys, math.inf)
         for row in hyperplanes:
             assert math.gcd(*row) == 1 and next(v for v in row if v) > 0
         flats = lf._codim2_flats(hyperplanes, math.inf)
@@ -272,6 +273,28 @@ def test_lindex_first4_anchor():
     assert res.subspaces_explored == 36770
 
 
+def test_hyperplane_cap_stops_the_pair_loop():
+    # first(10) has 5,120 forms and about 1.3e7 form pairs; the cap must
+    # stop the hyperplane enumeration long before it has seen them all.
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="hyperplanes exceeded 10000 subspaces"):
+        lf.lindex(lf.first_family(10), max_subspaces=10_000)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_hyperplane_cap_leaves_explored_counts_alone():
+    # The families and the 105 seeded random systems of the benchmark's
+    # collision-threshold workload, whose total it reports.
+    systems = [lf.first_family(k) for k in (2, 3)]
+    systems += [lf.second_family(k) for k in (2, 3, 4)]
+    systems += [lf.third_family(k, j) for k in (3, 4) for j in range(1, k + 1)]
+    rng = np.random.default_rng(1509)
+    systems += [_random_system(rng, d, t) for d in (2, 3, 4) for t in (2, 3, 4, 5, 6)
+                for _ in range(7)]
+    assert sum(lf.lindex(s).subspaces_explored for s in systems) == 4751
+    assert lf.lindex(lf.first_family(3)).subspaces_explored == 384
+
+
 def _kernel_gram_det(a, b):
     """Gram determinant of the integer kernel of rows a, b, the route
     solution_lattice takes: unimodular column reduction, Gram matrix and
@@ -287,7 +310,7 @@ def _minors_gcd(a, b):
 
 
 def _flat_row_pairs(sys):
-    rows = lf._collision_hyperplanes(sys)
+    rows = lf._collision_hyperplanes(sys, math.inf)
     return [(rows[p][:-1], rows[q][:-1])
             for _, (p, q, *_) in lf._codim2_flats(rows, math.inf)]
 

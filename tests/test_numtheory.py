@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,36 @@ def test_segmented_matches_unsegmented(monkeypatch):
     monkeypatch.setattr(nt, "SEGMENT_SIZE", 1 << 10)
     pieces = nt.build_factor_sieve(100000)
     assert np.array_equal(whole.spf, pieces.spf)
+
+
+def _trial_spf_table(limit):
+    """spf[0..limit] by trial division: 0, 1, then each n's least divisor > 1."""
+    table = [0, 1]
+    for n in range(2, limit + 1):
+        p = 2 if n % 2 == 0 else next(
+            (q for q in range(3, math.isqrt(n) + 1, 2) if n % q == 0), n)
+        table.append(p)
+    return table
+
+
+@pytest.mark.parametrize("segment", [7, 999, 1000])
+def test_segment_sizes_match_trial_division(monkeypatch, segment):
+    # Odd segment sizes flip the parity of each segment's start, which
+    # moves the even store and every odd prime's first odd multiple.
+    want = _trial_spf_table(10 ** 5)
+    monkeypatch.setattr(nt, "SEGMENT_SIZE", segment)
+    for limit in range(2, 201):
+        assert nt.build_factor_sieve(limit).spf.tolist() == want[:limit + 1], limit
+    assert nt.build_factor_sieve(10 ** 5).spf.tolist() == want
+
+
+def test_factor_table_bytes_are_pinned():
+    # Digest of the table as built before the cache-sized kernel; any
+    # later kernel must reproduce every byte.
+    spf = nt.build_factor_sieve(10 ** 6 + 600).spf
+    digest = hashlib.blake2b(np.ascontiguousarray(spf, dtype="<u4").tobytes(),
+                             digest_size=16).hexdigest()
+    assert digest == "f89df997f1c5e974dba1e38bdf240d90"
 
 
 def test_prime_count_at_million(sieve_2m):
