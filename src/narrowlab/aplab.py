@@ -8,27 +8,34 @@ narrow progressions exist at a given scale.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cutoff import gauss_panels
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .numtheory import is_prime, pack_bits
 from .singular import DEFAULT_PMAX, as_shift, singular_series
 
 MEDIAN_TARGET = 512
+MAX_TERMS = 16          # progression terms lambda_D takes at most
+SWEEP_BLOCK = 128       # differences per einsum of the dense sweep
+CHUNK_WORDS = 1 << 16   # window words per gather of the support sweep
 
 
 def lambda_D(f_list, D):
     """Mean over n in Z/N'Z and d in [1, D] of prod_j f_j(n + j*d).
 
-    Indices reduce cyclically mod N'.  All arrays must share one length.
+    Indices reduce cyclically mod N'.  All arrays must share one length,
+    and there are at most MAX_TERMS of them (ResourceError otherwise).
     When every f_j takes at most one nonzero value c_j, and it is finite,
     f_j = c_j * 1_{S_j} and the mean is (prod_j c_j) * count / (N' D),
     with count the exact number of cyclic progressions through the S_j.
     Any other input takes the dense sweep.
     """
+    check_term_cap(len(f_list))
     fs = [np.asarray(f, dtype=np.float64) for f in f_list]
     if not fs:
         raise DomainError("need at least one array")
@@ -48,11 +55,23 @@ def lambda_D(f_list, D):
     return math.prod(c for c, _ in scaled) * count / (n * D)
 
 
+def check_term_cap(k):
+    """Raise ResourceError when k progression terms exceed MAX_TERMS."""
+    if k > MAX_TERMS:
+        raise ResourceError(
+            f"at most {MAX_TERMS} progression terms, got k={k}"
+        )
+
+
 def check_difference_cap(D, nprime):
-    """D as an int, raising DomainError unless 1 <= D < N'."""
-    if not 1 <= int(D) < nprime:
+    """D as an int, raising DomainError unless D is an integer, 1 <= D < N'."""
+    try:
+        D = operator.index(D)
+    except TypeError:
+        raise DomainError(f"D must be an integer, got {D!r}") from None
+    if not 1 <= D < nprime:
         raise DomainError(f"need 1 <= D < N', got D={D}, N'={nprime}")
-    return int(D)
+    return D
 
 
 def _scaled_indicator(f):
@@ -66,36 +85,81 @@ def _scaled_indicator(f):
 
 
 def lambda_sweep(fs, D):
-    """Mean over d in [1,D] and n of prod_j fs[j, n + j*d mod N]."""
+    """Mean over d in [1,D] and n of prod_j fs[j, n + j*d mod N].
+
+    fs[j] tiled to N + j*D entries has fs[j] shifted by j*d as row j*d of
+    its sliding windows of length N, so the rows for a block of
+    SWEEP_BLOCK differences are one strided view, and one einsum with
+    fs[0] sums the block's products.
+    """
     k, n = fs.shape
-    doubled = [np.concatenate([fs[j], fs[j]]) for j in range(k)]
+    if k == 1:
+        return float(fs[0].sum()) / n
+    shifted = [sliding_window_view(np.resize(fs[j], n + j * D), n)
+               for j in range(1, k)]
+    spec = "n," + ",".join(["bn"] * (k - 1)) + "->b"
     total = 0.0
-    for d in range(1, D + 1):
-        v = fs[0].copy()
-        for j in range(1, k):
-            off = (j * d) % n
-            v *= doubled[j][off:off + n]
-        total += float(v.sum())
+    for lo in range(1, D + 1, SWEEP_BLOCK):
+        hi = min(lo + SWEEP_BLOCK, D + 1)
+        rows = [v[j * lo:j * hi:j] for j, v in enumerate(shifted, 1)]
+        total += float(np.einsum(spec, fs[0], *rows).sum())
     return total / (n * D)
 
 
 def cyclic_ap_count(sets, D):
     """Number of (n, d), n in Z/NZ and 1 <= d <= D, with n + j*d mod N in sets[j].
 
-    sets are boolean arrays of one length N.  Each d costs one AND of k
-    packed windows and a popcount: sets[0] packed as is, whose zero bits
-    past N clear the tails (so whole words are counted), and sets[j]
-    packed twice over, read from bit j*d mod N.
+    sets are boolean arrays of one length N.  The count walks the support
+    of sets[0]: for a start s, the bits of sets[j] at s + j*d, d = 1..D,
+    are one window of whole words (_step_windows).  The windows of a chunk
+    of starts are gathered, ANDed over j >= 1 and popcounted, with the
+    bits past D masked off.
     """
-    n = sets[0].shape[0]
-    first = pack_bits(sets[0])
-    doubled = [pack_bits(np.concatenate([s, s])) for s in sets[1:]]
-    whole = (n + 63) // 64 * 64
-    return sum(
-        _and_count(first, [(w, j * d % n) for j, w in enumerate(doubled, 1)],
-                   whole)
-        for d in range(1, D + 1)
-    )
+    starts = np.flatnonzero(sets[0])
+    if len(sets) == 1 or starts.shape[0] == 0:
+        return starts.shape[0] * D
+    nwords = (D + 63) // 64
+    tail = np.uint64((1 << (D - 64 * (nwords - 1))) - 1)
+    (first, first_at), *rest = [_step_windows(s, j, D, starts)
+                                for j, s in enumerate(sets[1:], 1)]
+    chunk = max(1, CHUNK_WORDS // nwords)
+    total = 0
+    for lo in range(0, starts.shape[0], chunk):
+        part = slice(lo, lo + chunk)
+        v = first[first_at[part]]
+        for windows, at in rest:
+            v &= windows[at[part]]
+        v[:, -1] &= tail
+        total += int(np.bitwise_count(v).sum())
+    return total
+
+
+def _step_windows(flags, j, D, starts):
+    """(windows, at): windows[at[i]] holds flags[starts[i] + j*d mod N] at bit d-1, d = 1..D.
+
+    With g = gcd(j, N) and m = N/g, Z/NZ splits into g rows: entry z of
+    row r is flags[r + j*z mod N], so a step of j is one place along a
+    row, and s = r + g*y sits at the z with (j/g)*z = y mod m.  The rows,
+    each extended by D wrapped entries, make one table of N + g*D bits,
+    and a window starts one place after its start.  The table's 64 copies
+    shifted by 0..63 bits, 8*(N + g*D) bytes, let every window be read as
+    whole words.
+    """
+    n = flags.shape[0]
+    g = math.gcd(j, n)
+    m, step = n // g, j // g
+    # r + j*z for z < m stays below step * N, inside step copies of flags.
+    rows = np.tile(flags, step).reshape(m, j)[:, :g].T
+    words = pack_bits(np.pad(rows, ((0, 0), (0, D)), mode="wrap").ravel())
+    width = words.shape[0] - 1
+    copies = np.empty((64, width), dtype=np.uint64)
+    for shift in range(64):
+        copies[shift] = _window(words, shift, width)
+    y = starts // g
+    z = (y + (-y * pow(m, -1, step)) % step * m) // step
+    bit = starts % g * (m + D) + z + 1
+    at = bit % 64 * width + bit // 64
+    return sliding_window_view(copies.ravel(), (D + 63) // 64), at
 
 
 def _and_count(first, windows, nbits):

@@ -449,6 +449,8 @@ def _cmd_lambda_d(params):
     D = params["D"]
     if D is None:
         D = math.ceil(aplab.log_power(nprime, aplab.narrow_exponent(k)))
+    # After the default D: a default that overflows is bad input (exit 2).
+    aplab.check_term_cap(k)
     if not numtheory.is_prime(nprime):
         raise DomainError(f"modulus {nprime} must be prime")
     if params["D"] is None and D >= nprime:

@@ -5,7 +5,7 @@ import pytest
 
 from narrowlab import aplab as ap
 from narrowlab import numtheory as nt
-from narrowlab.errors import DomainError
+from narrowlab.errors import DomainError, ResourceError
 
 
 def test_lambda_d_constant_and_indicator():
@@ -46,6 +46,22 @@ def test_lambda_d_validation():
         ap.lambda_D([ones, ones], 0)
     with pytest.raises(DomainError):
         ap.lambda_D([ones, ones], 50)
+
+
+@pytest.mark.parametrize("D", [2.5, "3", math.nan, math.inf])
+def test_lambda_d_rejects_non_integer_difference_cap(D):
+    ones = np.ones(50)
+    with pytest.raises(DomainError, match="integer"):
+        ap.check_difference_cap(D, 50)
+    with pytest.raises(DomainError, match="integer"):
+        ap.lambda_D([ones, ones], D)
+
+
+def test_lambda_d_term_cap():
+    ones = np.ones(50)
+    assert ap.lambda_D([ones] * ap.MAX_TERMS, 5) == 1.0
+    with pytest.raises(ResourceError, match="at most 16"):
+        ap.lambda_D([ones] * (ap.MAX_TERMS + 1), 5)
 
 
 def test_count_small_cases(sieve_2m):

@@ -217,6 +217,16 @@ def test_lambda_d_smallest_modulus_is_zero(capsys, tmp_path):
     assert json.loads(out.read_text())["result"]["value"] == 0.0
 
 
+def test_lambda_d_term_cap_exits_1_before_the_sieve(capsys, no_sieve,
+                                                   tmp_path):
+    out = tmp_path / "lam.json"
+    code, _, err = run(capsys, "lambda-d", "--N", "1009", "--k", "2147483648",
+                       "--D", "5", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "at most 16" in err
+    assert not out.exists()
+
+
 def test_lambda_d_composite_modulus_builds_no_sieve(capsys, no_sieve):
     code, _, err = run(capsys, "lambda-d", "--N", "10", "--k", "3")
     assert code == 2

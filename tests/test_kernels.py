@@ -58,6 +58,55 @@ def test_cyclic_count_matches_brute_force():
                 assert got == _brute_cyclic_count(sets, D), (n, k, D)
 
 
+def test_cyclic_count_composite_moduli_matches_brute_force():
+    # gcd(j, n) > 1 splits the step table into several rows; D at and
+    # around a word boundary, and past n, wraps those rows.
+    rng = np.random.default_rng(9)
+    for n in (6, 12, 60, 64, 128):
+        for k in (1, 2, 3, 4, 5):
+            sets = [rng.random(n) < 0.75 for _ in range(k)]
+            for D in (1, 63, 64, 65, n - 1):
+                got = ap.cyclic_ap_count(sets, D)
+                assert got == _brute_cyclic_count(sets, D), (n, k, D)
+            sets[0] = np.zeros(n, dtype=bool)
+            assert ap.cyclic_ap_count(sets, 65) == 0, (n, k)
+
+
+def test_cyclic_count_matches_rolled_sets():
+    # Per-d reference: AND sets[j] rolled back by j*d, then count.
+    rng = np.random.default_rng(10)
+    n, D = 10007, 2000
+    for k in (3, 4):
+        sets = [rng.random(n) < 0.3 for _ in range(k)]
+        want = 0
+        for d in range(1, D + 1):
+            v = sets[0].copy()
+            for j in range(1, k):
+                v &= np.roll(sets[j], -j * d)
+            want += int(v.sum())
+        assert ap.cyclic_ap_count(sets, D) == want, k
+
+
+def test_lambda_sweep_over_many_blocks_matches_brute_force():
+    # D = n - 1 spans several SWEEP_BLOCK blocks, the last one partial.
+    rng = np.random.default_rng(11)
+    n = 301
+    D = n - 1
+    assert D > 2 * ap.SWEEP_BLOCK
+    for k in (1, 2, 3, 4):
+        fs = [rng.uniform(-1.0, 1.0, n) for _ in range(k)]
+        got = ap.lambda_sweep(np.vstack(fs), D)
+        assert got == pytest.approx(_brute_lambda(fs, D), rel=1e-12, abs=1e-15), k
+    # NaN and inf are not scaled indicators: lambda_D sweeps them densely.
+    base = rng.uniform(0.5, 1.0, n)
+    for bad, want in ((np.nan, math.isnan), (np.inf, math.isinf)):
+        f = base.copy()
+        f[7] = bad
+        fs = [f, base, base]
+        got = ap.lambda_D(fs, D)
+        assert want(got) and want(_brute_lambda(fs, D)), bad
+
+
 def test_lambda_d_scaled_indicators_bitset_dense_brute():
     # Distinct and negative scales, and an all-zero array, on the bitset
     # path; the dense sweep and the brute-force mean must agree with it.
