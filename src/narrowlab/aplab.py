@@ -9,6 +9,7 @@ narrow progressions exist at a given scale.
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,6 +370,17 @@ def log_power(N, L):
         raise DomainError(f"(log {N})^{L} overflows a float") from None
 
 
+def narrow_width(N, k):
+    """The reference width (log N)^L_k, L_k = narrow_exponent(k).
+
+    L_k has k - 2 + bitlength(k - 1) bits, so a k whose L_k is past the
+    float range is rejected with DomainError before L_k is built.
+    """
+    if k - 2 + (k - 1).bit_length() > sys.float_info.max_exp:
+        raise DomainError(f"L_k = (k-1) 2^(k-2) overflows a float at k={k}")
+    return log_power(N, narrow_exponent(k))
+
+
 def _narrowness_scales(ladder, k, delta, rule):
     """Reference widths (N, (log N)^L, cap) of the ladder, L = (k-1) 2^(k-2).
 
@@ -380,7 +392,7 @@ def _narrowness_scales(ladder, k, delta, rule):
     ladder = [int(N) for N in ladder]
     if not ladder:
         raise DomainError("ladder must be non-empty")
-    highs = [log_power(N, narrow_exponent(k)) for N in ladder]
+    highs = [narrow_width(N, k) for N in ladder]
     if rule is not None and rule.prime_density < float(delta):
         raise DomainError(
             f"rule density {rule.prime_density:.4f} below requested {delta}"

@@ -448,7 +448,7 @@ def _cmd_lambda_d(params):
         raise DomainError(f"k must be >= 2, got {k}")
     D = params["D"]
     if D is None:
-        D = math.ceil(aplab.log_power(nprime, aplab.narrow_exponent(k)))
+        D = math.ceil(aplab.narrow_width(nprime, k))
     # After the default D: a default that overflows is bad input (exit 2).
     aplab.check_term_cap(k)
     if not numtheory.is_prime(nprime):

@@ -111,6 +111,8 @@ class WeightModel:
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+        if seed < 0:
+            raise DomainError(f"seed must be >= 0, got {seed}")
         model = cls(kind="random", modulus=modulus, alpha=alpha)
         if model.modulus > MAX_RANDOM_MODULUS:
             raise ResourceError(
@@ -179,8 +181,16 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     if samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {samples}")
     workers = max(1, int(workers))
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     d = A.shape[1]
     modulus = model.modulus
+    # Every coordinate drawn and form value plus n < N' must fit int64.
+    reach = max((abs(v) for iv in box.intervals for v in iv), default=0)
+    top = modulus + max([reach] + [sum(map(abs, row)) * reach + abs(b)
+                                   for row, b in zip(A.tolist(), c.tolist())])
+    if top >= 1 << 63:
+        raise ResourceError(f"form values up to {top} on this box exceed int64")
     lo = np.array([iv[0] for iv in box.intervals], dtype=np.int64)
     hi = np.array([iv[1] for iv in box.intervals], dtype=np.int64)
     streams = np.random.SeedSequence(seed).spawn(workers)

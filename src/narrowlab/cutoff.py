@@ -7,7 +7,6 @@ the package relies on.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,22 +180,3 @@ def sieve_factor_report(spec, m, T=None):
 def sieve_factor(spec, m, T=None):
     """Sieve factor c_{chi,m} for m in {1, 2, 3}."""
     return sieve_factor_report(spec, m, T=T).value
-
-
-def sieve_factor_vector(spec, h, T=None):
-    """Product of c_{chi,m(v)} over the distinct values v of the shift vector h.
-
-    m(v) is the multiplicity of v among the entries.  Multiplicities above
-    3 are outside the numerical scope.
-    """
-    entries = tuple(getattr(h, "entries", h))
-    if not entries:
-        raise DomainError("shift vector must be non-empty")
-    out = 1.0
-    for v, m in sorted(Counter(entries).items()):
-        if m > 3:
-            raise UnsupportedError(
-                f"multiplicity {m} of shift {v} exceeds the supported maximum 3"
-            )
-        out *= sieve_factor(spec, m, T=T)
-    return out

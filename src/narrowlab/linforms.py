@@ -174,11 +174,6 @@ def _constraint_rows(sys, pi):
     return rows
 
 
-def subspace_of_partition(sys, pi):
-    """Canonical Subspace cut out by equality within each atom of pi."""
-    return _as_subspace(_echelon(_constraint_rows(sys, pi)))
-
-
 def codim_of_partition(sys, pi):
     """codim of the collision subvariety of pi; math.inf when empty."""
     if pi.t != sys.t:
@@ -219,20 +214,6 @@ def _induced_atoms(sys, ech):
     for idx, key in enumerate(zip(*keys)):
         groups.setdefault(key, []).append(idx)
     return tuple(tuple(g) for g in groups.values())
-
-
-def induced_partition(sys, subspace):
-    """Partition grouping forms that agree as functions on the subspace.
-
-    The subspace's rows are in reduced echelon form; each is scaled by the
-    lcm of its denominators to the primitive integer row of the echelon.
-    """
-    ech = []
-    for row in subspace.rows:
-        den = math.lcm(*(Fraction(v).denominator for v in row))
-        r = tuple(int(v * den) for v in row)
-        ech.append((next(i for i, v in enumerate(r) if v), r))
-    return FormPartition(atoms=_induced_atoms(sys, tuple(ech)))
 
 
 # ----------------------------------------------------------------- families
@@ -364,23 +345,27 @@ def _codim2_flats(hyperplanes, cap):
     """Nonempty codim-2 intersections of the rows of _collision_hyperplanes.
 
     Returns (flat, parents) pairs in the order the hyperplane pairs first
-    produce them: flat is the echelon, parents the ascending indices of
-    the hyperplanes that contain it.  Two distinct hyperplanes through a
-    codim-2 flat meet exactly in it, so the pairs that produce a flat name
-    all of its parents.  Raises ResourceError as soon as there are more
-    than cap flats.
+    produce them, so grouped by smallest parent and then by second parent:
+    flat is the echelon, parents the ascending list of the indices of the
+    hyperplanes that contain it.  Two distinct hyperplanes through a
+    codim-2 flat meet exactly in it, so the pairs (smallest parent, p),
+    which come first, name every parent p.  Raises ResourceError as soon
+    as the hyperplanes and flats together number more than cap.
     """
     lines = _hyperplane_echelons(hyperplanes)
+    room = cap - len(lines)
     flats = {}
     for (i, hi), (j, hj) in itertools.combinations(enumerate(lines), 2):
         ech = _echelon_add(hi, hj[0][1])
         if len(ech) == 2 and _feasible(ech):
-            flats.setdefault(ech, set()).update((i, j))
-            if len(flats) > cap:
+            parents = flats.setdefault(ech, [i])
+            if parents[0] == i:
+                parents.append(j)
+            if len(flats) > room:
                 raise ResourceError(
                     f"codim-2 lattice exceeded {cap} subspaces"
                 )
-    return [(ech, tuple(sorted(parents))) for ech, parents in flats.items()]
+    return list(flats.items())
 
 
 def lindex(sys, max_subspaces=500000):
@@ -390,22 +375,18 @@ def lindex(sys, max_subspaces=500000):
     pairwise form differences.  For each subspace the induced partition
     (forms equal as functions there) is scored as
     (t - |pi|) / codim of the partition's own subvariety, and subspaces
-    too deep to beat the best ratio are pruned.  Each subspace is an
-    integer echelon, grown by one generator row at a time.  Raises
-    ResourceError once more than max_subspaces subspaces, the
-    hyperplanes included, have been found.
+    too deep to beat the best ratio are pruned.  Codim 2 is read from
+    _codim2_flats; deeper subspaces are integer echelons grown by one
+    generator row at a time.  Raises ResourceError once more than
+    max_subspaces subspaces, the hyperplanes included, have been found.
     """
     t = sys.t
     if t < 2:
         raise DomainError(f"collision index needs t >= 2 forms, got t={t}")
     hyperplanes = _collision_hyperplanes(sys, max_subspaces)
-    generators = _hyperplane_echelons(hyperplanes)
     best = Fraction(0)
     best_witness = None
     best_codim = 0
-    seen = set(generators)
-    frontier = generators
-    explored = len(seen)
 
     def evaluate(ech):
         nonlocal best, best_witness, best_codim
@@ -421,8 +402,17 @@ def lindex(sys, max_subspaces=500000):
             best_witness = FormPartition(atoms=atoms)
             best_codim = c
 
-    for g in generators:
+    for g in _hyperplane_echelons(hyperplanes):
         evaluate(g)
+    # A flat scores its bound (t - 1) / 2 only if all forms agree on it.
+    # Then every hyperplane contains it and it is the only flat, so the
+    # bound never cuts the codim-2 stage short once it has begun.
+    frontier = ([flat for flat, _ in _codim2_flats(hyperplanes, max_subspaces)]
+                if Fraction(t - 1, 2) > best else [])
+    for flat in frontier:
+        evaluate(flat)
+    explored = len(hyperplanes) + len(frontier)
+    seen = set()
     while frontier:
         next_frontier = []
         for ech in frontier:
@@ -432,8 +422,8 @@ def lindex(sys, max_subspaces=500000):
                 continue
             for row in hyperplanes:
                 child = _echelon_add(ech, row)
-                # A row that adds nothing returns ech, which is in seen.
-                if not _feasible(child) or child in seen:
+                # A row that adds nothing returns ech itself.
+                if child is ech or not _feasible(child) or child in seen:
                     continue
                 seen.add(child)
                 explored += 1

@@ -236,16 +236,6 @@ def moebius(n, sieve):
     return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
-def euler_phi(n, sieve):
-    """Euler totient phi(n)."""
-    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n, sieve))
-
-
-def omega(q, sieve):
-    """Number of distinct prime factors of q; omega(1) = 0."""
-    return len(factorize(q, sieve))
-
-
 @dataclass(frozen=True)
 class WTrickContext:
     """Primorial modulus data: W = prod of primes <= w, residue b coprime to W,

@@ -10,14 +10,13 @@ so truncation affects precision only, never vanishing.
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conditions import BoxRegion
 from .errors import DomainError, ResourceError
-from .numtheory import _bootstrap_primes, factorize, is_prime
+from .numtheory import _bootstrap_primes, factorize
 
 DEFAULT_PMAX = 100000
 EXACT_CAP = 10 ** 7
@@ -41,10 +40,6 @@ class ShiftVector:
     @property
     def r(self):
         return len(set(self.entries))
-
-    @property
-    def multiplicities(self):
-        return dict(Counter(self.entries))
 
 
 def as_shift(h):
@@ -80,15 +75,6 @@ class GallagherReport:
     stderr: float
     n_points: int
     mode: str
-
-
-def occupied_residues(h, p):
-    """Number of residue classes mod p occupied by the entries of h."""
-    p = int(p)
-    if not is_prime(p):
-        raise DomainError(f"p={p} is not prime")
-    h = as_shift(h)
-    return len({v % p for v in h.entries})
 
 
 def delta(h):

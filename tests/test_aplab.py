@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +232,20 @@ def test_sieve_limits_validate_before_any_sieve():
                                        ([10 ** 4], 3, 0.3, rule)):
         with pytest.raises(DomainError):
             ap.narrowness_sieve_limit(ladder, k, delta, bad_rule)
+
+
+def test_huge_k_is_rejected_before_its_exponent_is_built():
+    for k in (20000, 2 ** 31):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"overflows a float at k={k}"):
+            ap.narrowness_sieve_limit([1000], k)
+        assert time.perf_counter() - start < 2.0
+    assert ap.narrow_exponent(20000) == 19999 << 19998
+    # L_1016 is the last exponent inside the float range: (log 2)^L_1016
+    # underflows to 0 without error, as it did before the k check.
+    assert ap.narrow_width(2, 1016) == 0.0
+    with pytest.raises(DomainError, match="at k=1017"):
+        ap.narrow_width(2, 1017)
 
 
 def test_narrowness_sieve_limit_is_what_the_report_needs():

@@ -150,6 +150,32 @@ def test_overflowing_reference_width_is_usage_error(capsys):
         assert "error:" in err and "overflows" in err
 
 
+@pytest.mark.parametrize("k", ["20000", "2147483648"])
+def test_huge_k_reference_width_is_usage_error(capsys, no_sieve, k):
+    for argv in (("lambda-d", "--N", "1009", "--k", k),
+                 ("apsearch", "--mode", "narrowness", "--ladder", "1000",
+                  "--k", k)):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert err.startswith("error:") and len(err) < 100
+
+
+def test_negative_seeds_are_usage_errors(capsys):
+    for argv in (("--seed", "-1"), ("--model", "random", "--model-seed", "-1")):
+        code, _, err = run(capsys, "lfc", "--family", "first", "--k", "2", *argv)
+        assert code == 2
+        assert "error:" in err and "seed must be >= 0" in err
+
+
+def test_lfc_width_past_int64_is_a_resource_error(capsys):
+    code, _, err = run(capsys, "lfc", "--family", "first", "--k", "2",
+                       "--S", str(2 ** 63))
+    assert code == 1
+    assert "error:" in err and "int64" in err
+
+
 def test_reference_width_below_two_is_usage_error(capsys):
     for argv in (("apsearch", "--mode", "narrowness", "--ladder", "0"),
                  ("apsearch", "--mode", "narrowness", "--ladder", "1e5,-3"),

@@ -122,6 +122,22 @@ def test_mc_input_validation():
     with pytest.raises(DomainError):
         cd.lfc_average_mc(one, sys2, cd.ExponentPattern(entries=(1,)), box4,
                           samples=2000)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        cd.lfc_average_mc(one, sys2, None, box4, samples=2000, seed=-1)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        cd.WeightModel.random(0.5, -1, 101)
+
+
+def test_mc_form_values_stay_inside_int64():
+    # 2x + 3 plus n < 7 peaks at 2 S + 9 on [-S, S]: S = 2^62 - 5 is the
+    # first width at which the bound 2 S + 3 + 7 < 2^63 fails.
+    forms = [lf.LinearForm(coeffs=(2,), constant=3)]
+    one = cd.WeightModel.constant_one(7)
+    inside = cd.symmetric_box(1, 2 ** 62 - 6)
+    assert cd.lfc_average_mc(one, forms, None, inside, samples=1000).estimate == 1.0
+    with pytest.raises(ResourceError, match="int64"):
+        cd.lfc_average_mc(one, forms, None, cd.symmetric_box(1, 2 ** 62 - 5),
+                          samples=1000)
 
 
 def test_exact_average_cap():

@@ -165,24 +165,14 @@ def test_third_factor_against_real_space_oracle():
         assert abs(osc - real) < 5e-3, (kind, osc, real)
 
 
-def test_factor_vector_multiplicities():
-    spec = co.make_cutoff("cosine")
-    distinct = co.sieve_factor_vector(spec, (0, 2))
-    assert abs(distinct) < 1e-4
-    paired = co.sieve_factor_vector(spec, (0, 0, 2, 2))
-    assert abs(paired - 1.0) < 2e-3
-    doubled = co.sieve_factor_vector(spec, (5, 5))
-    assert abs(doubled - co.sieve_factor(spec, 2)) < 1e-9
-    with pytest.raises(UnsupportedError):
-        co.sieve_factor_vector(spec, (0, 0, 0, 0))
-
-
 def test_report_fields():
     rep = co.sieve_factor_report(co.make_cutoff("cosine"), 2)
     assert rep.m == 2
     assert rep.T == co.DEFAULT_T["cosine"]
     assert rep.imag_residual < 1e-6
     assert rep.tail_estimate < 0.05
+    with pytest.raises(UnsupportedError):
+        co.sieve_factor_report(co.make_cutoff("cosine"), 4)
 
 
 def test_bad_truncation_rejected():

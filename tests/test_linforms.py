@@ -103,10 +103,9 @@ def test_codim_infeasible_partition():
 def test_subspace_and_induced_partition():
     sys2 = lf.first_family(2)
     pi = lf.FormPartition(atoms=((0, 1), (2,), (3,)))
-    sub = lf.subspace_of_partition(sys2, pi)
-    assert sub.feasible and sub.codim == 1
-    induced = lf.induced_partition(sys2, sub)
-    assert (0, 1) in induced.atoms
+    ech = lf._echelon(lf._constraint_rows(sys2, pi))
+    assert lf._feasible(ech) and len(ech) == 1
+    assert (0, 1) in lf._induced_atoms(sys2, ech)
 
 
 def test_induced_partition_of_empty_subspace_keeps_constants_apart():
@@ -116,9 +115,9 @@ def test_induced_partition_of_empty_subspace_keeps_constants_apart():
         d=1,
         forms=(lf.LinearForm(coeffs=(1,)), lf.LinearForm(coeffs=(1,), constant=1)),
     )
-    sub = lf.subspace_of_partition(shifted, lf.FormPartition(atoms=((0, 1),)))
-    assert not sub.feasible and sub.rows == ((0, 1),)
-    assert lf.induced_partition(shifted, sub).atoms == ((0,), (1,))
+    ech = lf._echelon(lf._constraint_rows(shifted, lf.FormPartition(atoms=((0, 1),))))
+    assert not lf._feasible(ech) and ech == ((1, (0, 1)),)
+    assert lf._induced_atoms(shifted, ech) == ((0,), (1,))
 
 
 def test_lindex_family_values():
@@ -243,7 +242,6 @@ def test_min_distinct_witness_realizes_count_with_constants():
         for c in (1, 2):
             res = lf.min_distinct_on_codim(sys, c)
             assert res.witness.codim == c
-            assert lf.induced_partition(sys, res.witness).size == res.count
             x = _generic_point(rng, res.witness, sys.d)
             assert _distinct_values(sys, x) == res.count, (trial, c, sys)
 
@@ -260,10 +258,10 @@ def test_codim2_flat_parents_are_the_containing_hyperplanes():
         assert len({flat for flat, parents in flats}) == len(flats) > 0
         for flat, parents in flats:
             assert len(flat) == 2 and len(parents) >= 2
-            containing = tuple(
+            containing = [
                 i for i, row in enumerate(hyperplanes)
                 if len(lf._echelon_add(flat, row)) == 2
-            )
+            ]
             assert parents == containing
 
 
@@ -271,6 +269,61 @@ def test_lindex_first4_anchor():
     res = lf.lindex(lf.first_family(4))
     assert res.value == 12 and res.codim == 1
     assert res.subspaces_explored == 36770
+
+
+def _pair_walk_lindex(sys):
+    """lindex as it walked codim 2 before reading _codim2_flats: every
+    hyperplane meets every row, against a set of the subspaces seen."""
+    t = sys.t
+    hyperplanes = lf._collision_hyperplanes(sys, math.inf)
+    generators = lf._hyperplane_echelons(hyperplanes)
+    best, witness, codim = Fraction(0), None, 0
+    seen = set(generators)
+
+    def evaluate(ech):
+        nonlocal best, witness, codim
+        atoms = lf._induced_atoms(sys, ech)
+        if len(atoms) < t and Fraction(t - len(atoms), len(ech)) > best:
+            best = Fraction(t - len(atoms), len(ech))
+            witness, codim = lf.FormPartition(atoms=atoms), len(ech)
+
+    for g in generators:
+        evaluate(g)
+    frontier = generators
+    while frontier:
+        next_frontier = []
+        for ech in frontier:
+            if Fraction(t - 1, len(ech) + 1) <= best:
+                continue
+            for row in hyperplanes:
+                child = lf._echelon_add(ech, row)
+                if lf._feasible(child) and child not in seen:
+                    seen.add(child)
+                    evaluate(child)
+                    next_frontier.append(child)
+        frontier = next_frontier
+    return best, witness, codim, len(seen)
+
+
+def test_lindex_matches_the_pair_walk_on_random_systems():
+    rng = np.random.default_rng(16)
+    deeper = 0
+    for trial in range(300):
+        sys = _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
+        res = lf.lindex(sys)
+        got = (res.value, res.witness, res.codim, res.subspaces_explored)
+        assert got == _pair_walk_lindex(sys), (trial, sys)
+        hyperplanes = lf._collision_hyperplanes(sys, math.inf)
+        flats = lf._codim2_flats(hyperplanes, math.inf)
+        deeper += res.subspaces_explored > len(hyperplanes) + len(flats)
+    assert deeper > 50   # the closure walk past codim 2 is exercised too
+
+
+def test_lindex_cap_counts_hyperplanes_and_flats():
+    # first(3) has 37 hyperplanes and 347 codim-2 flats, and lindex stops there.
+    assert lf.lindex(lf.first_family(3), max_subspaces=384).subspaces_explored == 384
+    with pytest.raises(ResourceError, match="codim-2 lattice exceeded 383 subspaces"):
+        lf.lindex(lf.first_family(3), max_subspaces=383)
 
 
 def test_hyperplane_cap_stops_the_pair_loop():

@@ -74,17 +74,13 @@ def test_is_prime_large_values():
     assert not nt.is_prime(10 ** 6 + 1)
 
 
-def test_factorize_moebius_phi(sieve_2m):
+def test_factorize_moebius(sieve_2m):
     assert nt.factorize(1, sieve_2m) == []
     assert nt.factorize(360, sieve_2m) == [(2, 3), (3, 2), (5, 1)]
     assert nt.moebius(1, sieve_2m) == 1
     assert nt.moebius(6, sieve_2m) == 1
     assert nt.moebius(30, sieve_2m) == -1
     assert nt.moebius(12, sieve_2m) == 0
-    assert nt.euler_phi(1, sieve_2m) == 1
-    assert nt.euler_phi(10, sieve_2m) == 4
-    assert nt.euler_phi(360, sieve_2m) == 96
-    assert nt.omega(30, sieve_2m) == 3
 
 
 def test_factorize_trial_division_matches_sieve(sieve_2m):

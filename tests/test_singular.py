@@ -33,18 +33,9 @@ def sieve():
 def test_shift_vector_structure():
     h = sg.as_shift((0, 2, 2, 5))
     assert h.k == 4 and h.r == 3
-    assert h.multiplicities == {0: 1, 2: 2, 5: 1}
     assert sg.as_shift(h) is h
     with pytest.raises(DomainError):
         sg.ShiftVector(entries=())
-
-
-def test_occupied_residues():
-    assert sg.occupied_residues((0, 2), 2) == 1
-    assert sg.occupied_residues((0, 2), 3) == 2
-    assert sg.occupied_residues((0, 2, 4), 3) == 3
-    with pytest.raises(DomainError):
-        sg.occupied_residues((0, 2), 4)
 
 
 def test_delta():
