@@ -367,7 +367,8 @@ def log_power(N, L):
     try:
         return math.log(N) ** L
     except OverflowError:
-        raise DomainError(f"(log {N})^{L} overflows a float") from None
+        raise DomainError(f"(log {N})^L overflows a float at L of about "
+                          f"10^{int(math.log10(abs(L)))}") from None
 
 
 def narrow_width(N, k):

@@ -95,6 +95,9 @@ class WeightModel:
         self.modulus = int(modulus)
         if self.modulus < 1:
             raise DomainError(f"modulus must be >= 1, got {self.modulus}")
+        if values is not None and len(values) != self.modulus:
+            raise DomainError(f"{len(values)} weights for modulus {self.modulus}; "
+                              "need one per residue")
         self.values = values
         self.alpha = alpha
 
@@ -123,11 +126,6 @@ class WeightModel:
         model.values = np.where(draws < alpha, 1.0 / alpha, 0.0)
         return model
 
-    def lookup(self, idx):
-        if self.kind == "one":
-            return np.ones(np.shape(idx), dtype=np.float64)
-        return self.values[idx]
-
 
 @dataclass(frozen=True)
 class LfcEstimate:
@@ -145,7 +143,8 @@ def _form_arrays(sys, e, box):
     The system is a LinearSystem or a plain form sequence; plain sequences
     may repeat a form (useful for degenerate averages that LinearSystem's
     distinctness invariant rules out).  e selects the active forms (all
-    when None), and the box must have the forms' dimension.
+    when None), and the box must have the forms' dimension.  Raises
+    ResourceError for an active coefficient or constant outside int64.
     """
     forms = list(getattr(sys, "forms", sys))
     if not forms:
@@ -163,6 +162,9 @@ def _form_arrays(sys, e, box):
             f"exponent pattern has {len(e.entries)} entries, system has {t}"
         )
     active = [i for i, bit in enumerate(e.entries) if bit]
+    if any(abs(v) >= 1 << 63 for i in active for v in forms[i].functional()):
+        raise ResourceError("form coefficients and constants must lie "
+                            "strictly between -2^63 and 2^63")
     A = np.array([forms[i].coeffs for i in active], dtype=np.int64)
     c = np.array([forms[i].constant for i in active], dtype=np.int64)
     return active, A.reshape(len(active), d), c
@@ -187,12 +189,16 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     modulus = model.modulus
     # Every coordinate drawn and form value plus n < N' must fit int64.
     reach = max((abs(v) for iv in box.intervals for v in iv), default=0)
-    top = modulus + max([reach] + [sum(map(abs, row)) * reach + abs(b)
-                                   for row, b in zip(A.tolist(), c.tolist())])
+    span = max([reach] + [sum(map(abs, row)) * reach + abs(b)
+                          for row, b in zip(A.tolist(), c.tolist())])
+    top = modulus + span
     if top >= 1 << 63:
         raise ResourceError(f"form values up to {top} on this box exceed int64")
     lo = np.array([iv[0] for iv in box.intervals], dtype=np.int64)
     hi = np.array([iv[1] for iv in box.intervals], dtype=np.int64)
+    if len(set(box.intervals)) == 1:   # scalar bounds draw the same stream, faster
+        lo, hi = box.intervals[0]
+    At = np.ascontiguousarray(A.T)
     streams = np.random.SeedSequence(seed).spawn(workers)
     total = 0.0
     total_sq = 0.0
@@ -205,8 +211,20 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
             left -= m
             x = rng.integers(lo, hi + 1, size=(m, d))
             n = rng.integers(0, modulus, size=m)
-            phi = (x @ A.T + c + n[:, None]) % modulus
-            vals = model.lookup(phi).prod(axis=1)
+            if active and model.kind != "one":
+                phi = x @ At
+                phi += c
+                phi += n[:, None]
+                # np.take's wrap mode steps one modulus at a time, so
+                # values more than a modulus away are reduced first.
+                if span >= modulus:
+                    phi %= modulus
+                looked = np.take(model.values, phi, mode="wrap")
+                vals = looked[:, 0].copy()
+                for col in range(1, len(active)):   # prod's order, column by column
+                    vals *= looked[:, col]
+            else:
+                vals = np.ones(m)
             total += float(vals.sum())
             total_sq += float((vals * vals).sum())
     mean = total / samples

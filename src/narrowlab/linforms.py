@@ -106,6 +106,31 @@ class Subspace:
     feasible: bool
 
 
+def _reduce(ech, row):
+    """Row (a_1, ..., a_d, rhs) with the echelon's pivot columns cleared.
+
+    It is zero when the row's hyperplane contains the echelon's subspace,
+    and zero but for the rhs when the two miss each other.
+    """
+    for p, r in ech:
+        c = row[p]
+        if c:
+            a = r[p]
+            row = [a * x - c * y for x, y in zip(row, r)]
+    return row
+
+
+def _primitive(v):
+    """Integer vector divided by its gcd, signed so its first nonzero is > 0."""
+    g = math.gcd(*v)
+    for x in v:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return tuple([x // g for x in v])
+
+
 def _echelon_add(ech, row):
     """Echelon ech with one more integer row (a_1, ..., a_d, rhs) added.
 
@@ -116,18 +141,11 @@ def _echelon_add(ech, row):
     returns ech itself; a pivot in the last column means 0 = nonzero,
     i.e. an empty affine subspace.
     """
-    for p, r in ech:
-        c = row[p]
-        if c:
-            a = r[p]
-            row = [a * x - c * y for x, y in zip(row, r)]
+    row = _reduce(ech, row)
     p = next((i for i, v in enumerate(row) if v), None)
     if p is None:
         return ech
-    g = math.gcd(*row)
-    if row[p] < 0:
-        g = -g
-    row = tuple(v // g for v in row)
+    row = _primitive(row)
     a = row[p]
     out = []
     for q, r in ech:
@@ -192,7 +210,9 @@ def _induced_atoms(sys, ech):
     den / pivot entry times the functional, where den is the lcm of the
     pivot entries.  Each row has zeros in the other pivot columns, so the
     residue vanishes in every pivot column but the rhs one.  Columns are
-    computed over all forms at once.
+    computed over all forms at once.  The deviation engine reads it: its
+    flats' parent lists leave out the hyperplanes without integer points,
+    so they cannot give its partitions the way _joined does for lindex.
     """
     den = math.lcm(*(r[p] for p, r in ech))
     cols = list(zip(*(f.functional() for f in sys.forms)))
@@ -310,29 +330,66 @@ class LindexResult:
 
 
 def _collision_hyperplanes(sys, cap):
-    """Distinct hyperplanes on which two forms agree, as integer rows.
+    """Distinct hyperplanes on which two forms agree, with their form pairs.
 
-    Each row (a_1, ..., a_d, rhs) means a . x = rhs, is primitive and has
-    a positive first nonzero entry.  Rows keep the order in which the
-    pairs (i, j), i < j, first produce them.  Raises ResourceError as
-    soon as there are more than cap rows.
+    Returns a dict from each row (a_1, ..., a_d, rhs), meaning a . x = rhs,
+    to the list of form index pairs (i, j), i < j, that agree exactly on
+    it.  Each row is primitive with a positive first nonzero entry, and
+    rows keep the order in which the pairs first produce them.  Raises
+    ResourceError as soon as there are more than cap rows.
     """
     rows = {}
-    for fi, fj in itertools.combinations(sys.forms, 2):
+    for (i, fi), (j, fj) in itertools.combinations(enumerate(sys.forms), 2):
         a = tuple(ci - cj for ci, cj in zip(fi.coeffs, fj.coeffs))
         if not any(a):
             continue
-        row = a + (fj.constant - fi.constant,)
-        g = math.gcd(*row)
-        if next(v for v in row if v) < 0:
-            g = -g
-        rows.setdefault(tuple(v // g for v in row), None)
+        row = _primitive(a + (fj.constant - fi.constant,))
+        rows.setdefault(row, []).append((i, j))
         if len(rows) > cap:
             raise ResourceError(
                 f"collision hyperplanes exceeded {cap} subspaces; "
                 "raise max_subspaces or cap the system size"
             )
-    return list(rows)
+    return rows
+
+
+def _joined(t, pair_lists):
+    """Partition size when the forms of every listed pair are joined, and
+    the atoms of two or more forms, as sets.
+
+    Two forms agree on a nonempty subspace exactly when their collision
+    hyperplane contains it, so the pair lists of the hyperplanes that
+    contain a subspace give its induced partition.
+    """
+    atom = {}
+    for pairs in pair_lists:
+        for i, j in pairs:
+            ai = atom.get(i)
+            aj = atom.get(j)
+            if ai is None:
+                if aj is None:
+                    aj = atom[j] = {j}
+                aj.add(i)
+                atom[i] = aj
+            elif aj is None:
+                ai.add(j)
+                atom[j] = ai
+            elif ai is not aj:
+                if len(ai) < len(aj):
+                    ai, aj = aj, ai
+                ai |= aj
+                for k in aj:
+                    atom[k] = ai
+    groups = list({id(a): a for a in atom.values()}.values())
+    return t - len(atom) + len(groups), groups
+
+
+def _bits(mask):
+    """Indices of the set bits of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _hyperplane_echelons(hyperplanes):
@@ -376,64 +433,85 @@ def lindex(sys, max_subspaces=500000):
     (forms equal as functions there) is scored as
     (t - |pi|) / codim of the partition's own subvariety, and subspaces
     too deep to beat the best ratio are pruned.  Codim 2 is read from
-    _codim2_flats; deeper subspaces are integer echelons grown by one
-    generator row at a time.  Raises ResourceError once more than
-    max_subspaces subspaces, the hyperplanes included, have been found.
+    _codim2_flats.  Each subspace carries the bitmask of the hyperplanes
+    that contain it, and its partition joins those hyperplanes' form
+    pairs.  Past codim 2 the closure walk reduces every other hyperplane
+    by a subspace's echelon once; parallel reductions cut out the same
+    child, so it builds one echelon per distinct child.  Raises
+    ResourceError once more than max_subspaces subspaces, the hyperplanes
+    included, have been found.
     """
     t = sys.t
     if t < 2:
         raise DomainError(f"collision index needs t >= 2 forms, got t={t}")
-    hyperplanes = _collision_hyperplanes(sys, max_subspaces)
+    arrangement = _collision_hyperplanes(sys, max_subspaces)
+    rows = list(arrangement)
+    pairs = list(arrangement.values())
     best = Fraction(0)
     best_witness = None
     best_codim = 0
 
-    def evaluate(ech):
+    def evaluate(codim, inside):
+        # The subspace is cut out by collision hyperplanes whose form pairs
+        # share atoms, so the partition's own subvariety is the subspace.
         nonlocal best, best_witness, best_codim
-        atoms = _induced_atoms(sys, ech)
-        if len(atoms) >= t:
-            return
-        # ech is cut out by collision hyperplanes whose form pairs share
-        # atoms, so the partition's own subvariety is ech's subspace.
-        c = len(ech)
-        ratio = Fraction(t - len(atoms), c)
+        size, groups = _joined(t, (pairs[i] for i in inside))
+        ratio = Fraction(t - size, codim)
         if ratio > best:
             best = ratio
-            best_witness = FormPartition(atoms=atoms)
-            best_codim = c
+            joined = set().union(*groups)
+            best_witness = FormPartition(
+                atoms=[tuple(g) for g in groups]
+                + [(i,) for i in range(t) if i not in joined])
+            best_codim = codim
 
-    for g in _hyperplane_echelons(hyperplanes):
-        evaluate(g)
+    for i in range(len(rows)):
+        evaluate(1, (i,))
     # A flat scores its bound (t - 1) / 2 only if all forms agree on it.
     # Then every hyperplane contains it and it is the only flat, so the
     # bound never cuts the codim-2 stage short once it has begun.
-    frontier = ([flat for flat, _ in _codim2_flats(hyperplanes, max_subspaces)]
-                if Fraction(t - 1, 2) > best else [])
-    for flat in frontier:
-        evaluate(flat)
-    explored = len(hyperplanes) + len(frontier)
+    flats = (_codim2_flats(rows, max_subspaces)
+             if Fraction(t - 1, 2) > best else [])
+    for _, parents in flats:
+        evaluate(2, parents)
+    explored = len(rows) + len(flats)
+    # Frontier entries are (echelon, inside): inside is the bitmask of the
+    # rows whose hyperplanes contain the subspace, a flat's parents at
+    # first.  A subspace of the arrangement is the intersection of the
+    # hyperplanes that contain it, so its inside mask names it.
+    everything = (1 << len(rows)) - 1
+    frontier = [(flat, sum(1 << p for p in parents)) for flat, parents in flats]
     seen = set()
     while frontier:
         next_frontier = []
-        for ech in frontier:
+        for ech, inside in frontier:
             # A child has codim c + 1 and ratio at most (t - 1) / (c + 1);
             # this also drops, a round later, each child too deep to beat best.
             if Fraction(t - 1, len(ech) + 1) <= best:
                 continue
-            for row in hyperplanes:
-                child = _echelon_add(ech, row)
-                # A row that adds nothing returns ech itself.
-                if child is ech or not _feasible(child) or child in seen:
+            # Reduced by ech, each other row either misses the subspace
+            # (0 = nonzero) or cuts out a child, and rows whose reductions
+            # are parallel cut out the same child.
+            children = {}
+            for j in _bits(everything & ~inside):
+                r = _reduce(ech, rows[j])
+                if any(r[:-1]):
+                    key = _primitive(r)
+                    children[key] = children.get(key, 0) | 1 << j
+            for key, mask in children.items():
+                child_inside = inside | mask
+                if child_inside in seen:
                     continue
-                seen.add(child)
+                seen.add(child_inside)
                 explored += 1
                 if explored > max_subspaces:
                     raise ResourceError(
                         f"closure lattice exceeded {max_subspaces} subspaces; "
                         "raise max_subspaces or cap the system size"
                     )
-                evaluate(child)
-                next_frontier.append(child)
+                child = _echelon_add(ech, key)
+                evaluate(len(child), _bits(child_inside))
+                next_frontier.append((child, child_inside))
         frontier = next_frontier
     return LindexResult(value=best, witness=best_witness,
                         codim=best_codim, subspaces_explored=explored)
@@ -494,23 +572,28 @@ def min_distinct_on_codim(sys, c):
     pairwise intersections of codimension exactly 2 (c = 2): any collision
     on a subspace forces it inside some difference kernel, so these
     candidate sets realize the minima.  The forms that stay distinct on a
-    candidate are the atoms of its induced partition.
+    candidate are the atoms of its induced partition, which joins the form
+    pairs of the hyperplanes containing it (a flat's parents).
     """
     if c not in (1, 2):
         raise DomainError(f"codimension must be 1 or 2, got {c}")
-    hyperplanes = _collision_hyperplanes(sys, math.inf)
+    arrangement = _collision_hyperplanes(sys, math.inf)
+    rows = list(arrangement)
+    pairs = list(arrangement.values())
     if c == 1:
-        candidates = _hyperplane_echelons(hyperplanes)
+        candidates = [(ech, (i,)) for i, ech
+                      in enumerate(_hyperplane_echelons(rows))]
     else:
-        candidates = [flat for flat, _ in _codim2_flats(hyperplanes, math.inf)]
+        candidates = _codim2_flats(rows, math.inf)
     if not candidates:
         raise DomainError(
             f"system has no feasible codim-{c} collision subspaces"
         )
-    counts = [len(_induced_atoms(sys, ech)) for ech in candidates]
+    counts = [_joined(sys.t, (pairs[i] for i in parents))[0]
+              for _, parents in candidates]
     best = counts.index(min(counts))
     return MinDistinctResult(count=counts[best],
-                             witness=_as_subspace(candidates[best]))
+                             witness=_as_subspace(candidates[best][0]))
 
 
 # ----------------------------------------------------------- integer lattice

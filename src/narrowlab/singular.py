@@ -170,6 +170,8 @@ def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
     """
     if weight not in ("GW", "E"):
         raise DomainError(f"weight must be 'GW' or 'E', got {weight!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     box = BoxRegion(intervals=box)
     dims, count = box.intervals, box.point_count
 

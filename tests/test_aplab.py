@@ -246,6 +246,10 @@ def test_huge_k_is_rejected_before_its_exponent_is_built():
     assert ap.narrow_width(2, 1016) == 0.0
     with pytest.raises(DomainError, match="at k=1017"):
         ap.narrow_width(2, 1017)
+    # Its 309 digits stay out of the overflow message.
+    with pytest.raises(DomainError, match="about 10\\^308$") as err:
+        ap.narrow_width(1009, 1016)
+    assert len(str(err.value)) < 80
 
 
 def test_narrowness_sieve_limit_is_what_the_report_needs():

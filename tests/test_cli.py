@@ -169,6 +169,27 @@ def test_negative_seeds_are_usage_errors(capsys):
         assert "error:" in err and "seed must be >= 0" in err
 
 
+def test_gallagher_negative_seed_is_usage_error(capsys):
+    for argv in (("--samples", "100", "--seed", "-1"), ("--seed", "-1")):
+        code, _, err = run(capsys, "gallagher", *argv)
+        assert code == 2
+        assert "error:" in err and "seed must be >= 0" in err
+
+
+def test_lambda_d_overflow_message_is_short(capsys, no_sieve):
+    code, _, err = run(capsys, "lambda-d", "--N", "1009", "--k", "1016")
+    assert code == 2
+    assert err.startswith("error:") and len(err) < 80
+
+
+def test_lfc_coefficient_past_int64_is_a_resource_error(capsys, tmp_path):
+    forms = tmp_path / "forms.txt"
+    forms.write_text(f"0; {2 ** 63} 1\n1; 1 2\n")
+    code, _, err = run(capsys, "lfc", "--file", str(forms))
+    assert code == 1
+    assert err.startswith("error:") and "2^63" in err
+
+
 def test_lfc_width_past_int64_is_a_resource_error(capsys):
     code, _, err = run(capsys, "lfc", "--family", "first", "--k", "2",
                        "--S", str(2 ** 63))

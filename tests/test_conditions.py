@@ -41,10 +41,9 @@ def test_weight_models():
     one = cd.WeightModel.constant_one(101)
     assert one.kind == "one"
     rnd = cd.WeightModel.random(0.25, 3, 101)
-    vals = rnd.lookup(np.arange(101))
-    assert set(np.unique(vals)) <= {0.0, 4.0}
+    assert set(np.unique(rnd.values)) <= {0.0, 4.0}
     again = cd.WeightModel.random(0.25, 3, 101)
-    assert np.array_equal(vals, again.lookup(np.arange(101)))
+    assert np.array_equal(rnd.values, again.values)
     with pytest.raises(DomainError):
         cd.WeightModel.random(0.0, 0, 101)
     with pytest.raises(DomainError):
@@ -59,6 +58,13 @@ def test_weight_model_modulus_below_one(modulus):
         cd.WeightModel.constant_one(modulus)
     with pytest.raises(DomainError, match="modulus must be >= 1"):
         cd.WeightModel.random(0.3, 1, modulus)
+
+
+def test_weight_table_needs_one_weight_per_residue():
+    # lfc_average_mc reads the weight of n mod N' by wrapping over the table.
+    for size in (400, 402):
+        with pytest.raises(DomainError, match="one per residue"):
+            cd.WeightModel(kind="table", modulus=401, values=np.ones(size))
 
 
 def test_constant_one_average_is_exactly_one():
@@ -138,6 +144,81 @@ def test_mc_form_values_stay_inside_int64():
     with pytest.raises(ResourceError, match="int64"):
         cd.lfc_average_mc(one, forms, None, cd.symmetric_box(1, 2 ** 62 - 5),
                           samples=1000)
+
+
+def _mc_reference(model, sys, e, box, samples, seed, workers=1):
+    """lfc_average_mc's batch loop as it was: one draw with per-coordinate
+    bounds, % modulus, lookup by fancy indexing, prod over each row."""
+    active, A, c = cd._form_arrays(sys, e, box)
+    lo = np.array([iv[0] for iv in box.intervals], dtype=np.int64)
+    hi = np.array([iv[1] for iv in box.intervals], dtype=np.int64)
+    total = total_sq = 0.0
+    quota, rem = divmod(samples, workers)
+    for w, stream in enumerate(np.random.SeedSequence(seed).spawn(workers)):
+        rng = np.random.default_rng(stream)
+        left = quota + (1 if w < rem else 0)
+        while left > 0:
+            m = min(cd.MC_BATCH, left)
+            left -= m
+            x = rng.integers(lo, hi + 1, size=(m, A.shape[1]))
+            n = rng.integers(0, model.modulus, size=m)
+            phi = (x @ A.T + c + n[:, None]) % model.modulus
+            looked = np.ones(phi.shape) if model.kind == "one" else model.values[phi]
+            vals = looked.prod(axis=1)
+            total += float(vals.sum())
+            total_sq += float((vals * vals).sum())
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / max(samples - 1, 1))
+
+
+def test_mc_batch_matches_the_modulo_reference_bit_for_bit():
+    first2 = lf.first_family(2)
+    table = cd.WeightModel(kind="table", modulus=401,
+                           values=np.random.default_rng(3).random(401) * 2)
+    seven = cd.WeightModel.random(0.5, 4, 7)
+    cases = [
+        # the benchmark's call shape, over two batches
+        (cd.WeightModel.random(0.3, 2, 10007), first2, None,
+         cd.symmetric_box(4, 2), 300000, 2, 1),
+        (cd.WeightModel.random(0.3, 3, 10007), first2, None,
+         cd.symmetric_box(4, 2), 300000, 3, 2),
+        # per-coordinate bounds, an exponent pattern and several streams
+        (table, first2, cd.ExponentPattern((1, 0, 1, 1)),
+         cd.BoxRegion(((-5, 1), (0, 3), (-2, 2), (-7, -1))), 70001, 5, 3),
+        # form values far past the modulus, both signs: the % route
+        (seven, first2, None, cd.symmetric_box(4, 10 ** 6), 20000, 6, 1),
+        (seven, [lf.LinearForm((3, -5), 11)] * 2, None,
+         cd.symmetric_box(2, 40), 20000, 7, 1),
+        # no active form, and the constant model
+        (seven, first2, cd.ExponentPattern((0, 0, 0, 0)),
+         cd.symmetric_box(4, 2), 5000, 8, 1),
+        (cd.WeightModel.constant_one(101), first2, None,
+         cd.symmetric_box(4, 2), 5000, 9, 1),
+    ]
+    for model, sys, e, box, samples, seed, workers in cases:
+        got = cd.lfc_average_mc(model, sys, e, box, samples, seed=seed,
+                                workers=workers)
+        want = _mc_reference(model, sys, e, box, samples, seed, workers)
+        assert (got.estimate, got.stderr) == want, (seed, workers)
+
+
+@pytest.mark.parametrize("form", [
+    lf.LinearForm(coeffs=(2 ** 63, 1)),
+    lf.LinearForm(coeffs=(-2 ** 63, 1)),
+    lf.LinearForm(coeffs=(1, 1), constant=2 ** 63),
+])
+def test_coefficients_past_int64_are_a_resource_error(form):
+    forms = [form, lf.LinearForm(coeffs=(1, 2), constant=1)]
+    one = cd.WeightModel.constant_one(7)
+    box = cd.symmetric_box(2, 1)
+    with pytest.raises(ResourceError, match="2\\^63"):
+        cd.lfc_average_mc(one, forms, None, box, samples=1000)
+    with pytest.raises(ResourceError, match="2\\^63"):
+        cd.lfc_average_exact(one, forms, None, box)
+    # An inactive form is never converted.
+    skip = cd.ExponentPattern((0, 1))
+    assert cd.lfc_average_mc(one, forms, skip, box, samples=1000).estimate == 1.0
 
 
 def test_exact_average_cap():

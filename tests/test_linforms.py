@@ -319,6 +319,88 @@ def test_lindex_matches_the_pair_walk_on_random_systems():
     assert deeper > 50   # the closure walk past codim 2 is exercised too
 
 
+def _closure_walk_lindex(sys):
+    """lindex as it was before subspaces carried their containing
+    hyperplanes: partitions from _induced_atoms, and a closure walk that
+    adds every hyperplane row to every subspace it expands.  Returns the
+    result and the echelons it scored, in order."""
+    t = sys.t
+    hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
+    best, witness, codim = Fraction(0), None, 0
+    scored = []
+
+    def evaluate(ech):
+        nonlocal best, witness, codim
+        scored.append(ech)
+        atoms = lf._induced_atoms(sys, ech)
+        if len(atoms) < t and Fraction(t - len(atoms), len(ech)) > best:
+            best = Fraction(t - len(atoms), len(ech))
+            witness, codim = lf.FormPartition(atoms=atoms), len(ech)
+
+    for g in lf._hyperplane_echelons(hyperplanes):
+        evaluate(g)
+    frontier = ([flat for flat, _ in lf._codim2_flats(hyperplanes, math.inf)]
+                if Fraction(t - 1, 2) > best else [])
+    for flat in frontier:
+        evaluate(flat)
+    seen = set()
+    while frontier:
+        next_frontier = []
+        for ech in frontier:
+            if Fraction(t - 1, len(ech) + 1) <= best:
+                continue
+            for row in hyperplanes:
+                child = lf._echelon_add(ech, row)
+                if child is ech or not lf._feasible(child) or child in seen:
+                    continue
+                seen.add(child)
+                evaluate(child)
+                next_frontier.append(child)
+        frontier = next_frontier
+    return (best, witness, codim, len(scored)), scored
+
+
+def test_lindex_matches_the_closure_walk_and_its_partitions():
+    rng = np.random.default_rng(17)
+    systems = _benchmark_systems() + [
+        _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
+        for _ in range(300)]
+    deeper = 0
+    for i, sys in enumerate(systems):
+        res = lf.lindex(sys)
+        got = (res.value, res.witness, res.codim, res.subspaces_explored)
+        want, scored = _closure_walk_lindex(sys)
+        assert got == want, (i, sys)
+        deeper += any(len(ech) > 2 for ech in scored)
+        # The pairs of the hyperplanes containing a subspace give its
+        # induced atoms on every subspace lindex scores.
+        arrangement = lf._collision_hyperplanes(sys, math.inf)
+        for ech in scored:
+            inside = [pairs for row, pairs in arrangement.items()
+                      if lf._echelon_add(ech, row) is ech]
+            size, groups = lf._joined(sys.t, inside)
+            atoms = [tuple(g) for g in groups]
+            atoms += [(j,) for j in range(sys.t) if all(j not in g for g in groups)]
+            want_atoms = lf._induced_atoms(sys, ech)
+            assert size == len(want_atoms), (i, ech)
+            assert lf.FormPartition(atoms=atoms) == lf.FormPartition(atoms=want_atoms)
+    assert deeper > 100   # the closure walk past codim 2 is exercised too
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_min_distinct_matches_the_induced_atoms_on_first_family(k):
+    sys = lf.first_family(k)
+    hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
+    for c, candidates in (
+            (1, lf._hyperplane_echelons(hyperplanes)),
+            (2, [flat for flat, _ in lf._codim2_flats(hyperplanes, math.inf)])):
+        counts = [len(lf._induced_atoms(sys, ech)) for ech in candidates]
+        best = counts.index(min(counts))
+        res = lf.min_distinct_on_codim(sys, c)
+        assert res.count == counts[best]
+        assert res.witness == lf._as_subspace(candidates[best])
+
+
 def test_lindex_cap_counts_hyperplanes_and_flats():
     # first(3) has 37 hyperplanes and 347 codim-2 flats, and lindex stops there.
     assert lf.lindex(lf.first_family(3), max_subspaces=384).subspaces_explored == 384
@@ -335,15 +417,21 @@ def test_hyperplane_cap_stops_the_pair_loop():
     assert time.perf_counter() - start < 2.0
 
 
-def test_hyperplane_cap_leaves_explored_counts_alone():
-    # The families and the 105 seeded random systems of the benchmark's
-    # collision-threshold workload, whose total it reports.
+def _benchmark_systems():
+    """The families and the 105 seeded random systems of the benchmark's
+    collision-threshold workload."""
     systems = [lf.first_family(k) for k in (2, 3)]
     systems += [lf.second_family(k) for k in (2, 3, 4)]
     systems += [lf.third_family(k, j) for k in (3, 4) for j in range(1, k + 1)]
     rng = np.random.default_rng(1509)
     systems += [_random_system(rng, d, t) for d in (2, 3, 4) for t in (2, 3, 4, 5, 6)
                 for _ in range(7)]
+    return systems
+
+
+def test_hyperplane_cap_leaves_explored_counts_alone():
+    # The workload reports this total.
+    systems = _benchmark_systems()
     assert sum(lf.lindex(s).subspaces_explored for s in systems) == 4751
     assert lf.lindex(lf.first_family(3)).subspaces_explored == 384
 
@@ -363,7 +451,7 @@ def _minors_gcd(a, b):
 
 
 def _flat_row_pairs(sys):
-    rows = lf._collision_hyperplanes(sys, math.inf)
+    rows = list(lf._collision_hyperplanes(sys, math.inf))
     return [(rows[p][:-1], rows[q][:-1])
             for _, (p, q, *_) in lf._codim2_flats(rows, math.inf)]
 

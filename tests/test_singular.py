@@ -189,3 +189,6 @@ def test_gallagher_resource_and_domain_errors():
         sg.gallagher_average("E", ((3, 2),))
     with pytest.raises(DomainError, match="box needs at least one coordinate"):
         sg.gallagher_average("GW", ())
+    for sample in (100, None):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            sg.gallagher_average("E", ((1, 5), (1, 5)), sample=sample, seed=-1)
