@@ -170,6 +170,21 @@ def _form_arrays(sys, e, box):
     return active, A.reshape(len(active), d), c
 
 
+def _int64_span(A, c, box, modulus):
+    """Largest |coordinate| or |form value| on the box, checked against int64.
+
+    Every coordinate of the box and every form value plus a residue below
+    the modulus must fit int64, or ResourceError is raised.
+    """
+    reach = max((abs(v) for iv in box.intervals for v in iv), default=0)
+    span = max([reach] + [sum(map(abs, row)) * reach + abs(b)
+                          for row, b in zip(A.tolist(), c.tolist())])
+    top = modulus + span
+    if top >= 1 << 63:
+        raise ResourceError(f"form values up to {top} on this box exceed int64")
+    return span
+
+
 def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     """Monte Carlo average of prod nu(n + psi_i(x))^{e_i} over the box.
 
@@ -187,13 +202,7 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
         raise DomainError(f"seed must be >= 0, got {seed}")
     d = A.shape[1]
     modulus = model.modulus
-    # Every coordinate drawn and form value plus n < N' must fit int64.
-    reach = max((abs(v) for iv in box.intervals for v in iv), default=0)
-    span = max([reach] + [sum(map(abs, row)) * reach + abs(b)
-                          for row, b in zip(A.tolist(), c.tolist())])
-    top = modulus + span
-    if top >= 1 << 63:
-        raise ResourceError(f"form values up to {top} on this box exceed int64")
+    span = _int64_span(A, c, box, modulus)
     lo = np.array([iv[0] for iv in box.intervals], dtype=np.int64)
     hi = np.array([iv[1] for iv in box.intervals], dtype=np.int64)
     if len(set(box.intervals)) == 1:   # scalar bounds draw the same stream, faster
@@ -241,12 +250,14 @@ def lfc_average_exact(model, sys, e, box):
     times the modulus must stay under EXACT_CAP.  For the random model the
     average over the randomness is analytic: each point contributes
     alpha^(distinct - active) through its collision pattern.  The constant
-    model is identically 1.
+    model is identically 1.  Otherwise every form value must fit int64,
+    checked before any evaluation (ResourceError).
     """
     active, A, c = _form_arrays(sys, e, box)
     npoints = box.point_count
     if len(active) == 0 or model.kind == "one":
         return 1.0
+    _int64_span(A, c, box, model.modulus)
     if model.kind == "table":
         budget = npoints * model.modulus
     else:

@@ -14,6 +14,8 @@ import numpy as np
 from .cutoff import chi_value
 from .errors import DomainError, FormatError
 from .numtheory import (
+    SEGMENT_SIZE,
+    W_FIELD_PRIME,
     WTrickContext,
     _bootstrap_primes,
     factorize,
@@ -25,6 +27,7 @@ from .numtheory import (
 from .singular import DEFAULT_PMAX, singular_series
 
 MAJORANT_MAGIC = b"NAPMV1"
+SEGMENT_VALUES = SEGMENT_SIZE // 2   # float64 entries in the sieve's 2 MB segment
 
 
 @dataclass
@@ -80,10 +83,15 @@ def lambda_chi_R(m, R, cutoff, sieve):
 
 
 def build_majorant(context, R, cutoff, sieve):
-    """Tabulate the majorant over Z/N'Z by a divisor sieve.
+    """Tabulate the majorant over Z/N'Z by a segmented divisor sieve.
 
     Each squarefree d <= R coprime to W contributes its weight to the
     residues n with d | W n + b, located by one modular inverse per d.
+    The weights are collected first; then each segment of SEGMENT_VALUES
+    entries, sized to stay in L2 cache, gets every weight in increasing
+    d order and is scaled and squared into values before the next one,
+    so every entry sees the same float operations as one whole-array
+    pass per d.
     """
     nprime = context.modulus
     W = context.W
@@ -99,7 +107,7 @@ def build_majorant(context, R, cutoff, sieve):
             f"sieve limit {sieve.limit} does not cover W N' + b = {top}"
         )
     log_r = math.log(R)
-    lam = np.zeros(nprime, dtype=np.float64)
+    terms = []
     for d in range(1, int(R) + 1):
         if math.gcd(d, W) != 1:
             continue
@@ -110,9 +118,19 @@ def build_majorant(context, R, cutoff, sieve):
         if weight == 0.0:
             continue
         n0 = (-b * pow(W, -1, d)) % d if d > 1 else 0
-        lam[n0::d] += weight
-    lam *= log_r
-    values = (context.phi_W / (W * log_r)) * lam * lam
+        terms.append((d, n0, weight))
+    scale = context.phi_W / (W * log_r)
+    lam = np.zeros(nprime, dtype=np.float64)
+    values = np.empty(nprime, dtype=np.float64)
+    for lo in range(0, nprime, SEGMENT_VALUES):
+        part = lam[lo:lo + SEGMENT_VALUES]
+        for d, n0, weight in terms:
+            hits = part[(n0 - lo) % d::d]
+            hits += weight   # in place: no write-back through __setitem__
+        part *= log_r
+        out = values[lo:lo + SEGMENT_VALUES]
+        np.multiply(part, scale, out=out)
+        out *= part
     return MajorantTable(context=context, R=R, cutoff=cutoff,
                          values=values, lambda_values=lam)
 
@@ -124,7 +142,11 @@ def minorization_floor(table):
 
 
 def check_minorization(table, sieve):
-    """Count majorant values below the floor at primes W n + b > R; 0 expected."""
+    """Count majorant values below the floor at primes W n + b > R; 0 expected.
+
+    Primality is read from the factor table through the progression
+    W n + b alone, so no mask of the whole sieve range is built.
+    """
     ctx = table.context
     nprime = ctx.modulus
     top = ctx.W * nprime + ctx.b
@@ -132,11 +154,12 @@ def check_minorization(table, sieve):
         raise DomainError(
             f"sieve limit {sieve.limit} does not cover W N' + b = {top}"
         )
-    primes = sieve.prime_mask(top)[ctx.b::ctx.W][:nprime]
+    primes = sieve.prime_mask(top - ctx.W, start=ctx.b, step=ctx.W)
     # W n + b > R exactly when W n + b > floor(R)
     first = max(0, (math.floor(table.R) - ctx.b) // ctx.W + 1)
     dips = table.values[first:] < minorization_floor(table)
-    return int(np.count_nonzero(primes[first:] & dips))
+    dips &= primes[first:]
+    return int(np.count_nonzero(dips))
 
 
 def majorant_pair_correlation(table, h, P_max=DEFAULT_PMAX):
@@ -153,7 +176,9 @@ def majorant_pair_correlation(table, h, P_max=DEFAULT_PMAX):
     h = int(h)
     if h % nprime == 0:
         raise DomainError(f"shift h={h} is 0 mod N'={nprime}")
-    empirical = float(values @ np.roll(values, -h) / nprime)
+    s = h % nprime   # sum_n v[n] v[n + s], the wrapped tail as its own dot
+    empirical = float((values[:nprime - s] @ values[s:]
+                       + values[nprime - s:] @ values[:s]) / nprime)
     if plain:
         predicted = 1.0
     else:
@@ -205,7 +230,7 @@ def load_majorant(path, cutoff=None):
     if not is_prime(nprime):
         raise FormatError(f"majorant modulus {nprime} is not prime")
     w, primorial_w = 1, 1
-    for p in _bootstrap_primes(53):   # the primorial of 53 exceeds 2^64
+    for p in _bootstrap_primes(W_FIELD_PRIME):
         if primorial_w >= W:
             break
         w, primorial_w = int(p), primorial_w * int(p)

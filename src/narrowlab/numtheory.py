@@ -11,6 +11,7 @@ from .errors import DomainError, FormatError, ResourceError
 
 SIEVE_MAGIC = b"NAPSV1"
 SEGMENT_SIZE = 1 << 19   # entries per sieve segment: 2 MB of uint32, sized for L2
+W_FIELD_PRIME = 53       # the least prime whose primorial exceeds 2^64
 
 # Witness set proving primality for every n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -70,18 +71,29 @@ class FactorSieve:
             raise DomainError(f"upto={upto} outside sieve range [2, {self.limit}]")
         return upto
 
-    def prime_mask(self, upto=None):
-        """Boolean array m with m[n] true exactly when n is prime, n <= upto.
+    def prime_mask(self, upto=None, start=0, step=1):
+        """Boolean array m with m[i] true exactly when start + i step is prime.
 
-        A composite n <= upto has a prime factor <= r = isqrt(upto), so
-        past r the primes are the entries with spf > r; on [0, r] the
-        entries are compared with their indices.
+        The entries cover the progression start, start + step, ... up to
+        upto, read through a strided view of the table, so the default
+        m[n] says whether n <= upto is prime.  A composite n <= upto has a
+        prime factor <= r = isqrt(upto), so past r the primes are the
+        entries with spf > r; at or below r the entries are compared with
+        their indices, and entries below 2 are false.
         """
         upto = self._check_upto(self.limit if upto is None else upto)
+        start = int(start)
+        step = int(step)
+        if start < 0 or step < 1:
+            raise DomainError(
+                f"progression start={start}, step={step} needs start >= 0, step >= 1"
+            )
         r = math.isqrt(upto)
-        mask = self.spf[:upto + 1] > r
-        mask[:r + 1] = self.spf[:r + 1] == np.arange(r + 1)
-        mask[:2] = False
+        view = self.spf[start:upto + 1:step]
+        mask = view > r
+        small = max(0, (r - start) // step + 1)
+        mask[:small] = view[:small] == start + step * np.arange(small)
+        mask[:max(0, (1 - start) // step + 1)] = False
         return mask
 
     def primes(self, upto=None):
@@ -257,18 +269,28 @@ def primorial(w):
 
 
 def primorial_context(w, b, modulus):
-    """Validated WTrickContext with b reduced mod W and modulus checked prime."""
+    """Validated WTrickContext with b reduced mod W and modulus checked prime.
+
+    W must fit the 64-bit W field of a NAPMV1 table, so w >= W_FIELD_PRIME
+    raises ResourceError after walking only the primes up to it.
+    """
     w = int(w)
     b = int(b)
     modulus = int(modulus)
     if w < 1:
         raise DomainError(f"w must be >= 1, got {w}")
-    W = primorial(w)
+    primes = _bootstrap_primes(min(w, W_FIELD_PRIME)).tolist()
+    W = math.prod(primes)
+    if W >= 1 << 64:
+        raise ResourceError(
+            f"W = primorial({w}) does not fit the 64-bit W field of a "
+            f"majorant table; the largest is primorial({primes[-2]})"
+        )
     b %= W
-    for p in _bootstrap_primes(w):
-        if b % int(p) == 0:
+    for p in primes:
+        if b % p == 0:
             raise DomainError(
-                f"residue b={b} shares the prime factor {int(p)} with W={W}"
+                f"residue b={b} shares the prime factor {p} with W={W}"
             )
     if not is_prime(modulus):
         raise DomainError(f"modulus {modulus} is not prime")

@@ -295,6 +295,19 @@ def test_resource_error_exit_code(capsys):
     assert "sample" in err
 
 
+@pytest.mark.parametrize("w", ["53", "2147483648"])
+def test_majorant_w_past_the_table_field_exits_1_before_the_sieve(
+        capsys, no_sieve, tmp_path, w):
+    out = tmp_path / "w.bin"
+    start = time.perf_counter()
+    code, _, err = run(capsys, "majorant", "--N", "10007", "--w", w,
+                       "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error:") and "primorial(47)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["lindex", "forms-dump", "lfc",
                                      "threshold"])
 def test_huge_family_is_rejected_before_building(capsys, tmp_path, command):

@@ -146,6 +146,21 @@ def test_mc_form_values_stay_inside_int64():
                           samples=1000)
 
 
+def test_exact_form_values_stay_inside_int64():
+    # 2^62 x at x = 2 is 2^63, which wraps to -2^63 = 1 mod 3 in int64 and
+    # so misses the constant 2 it equals mod 3; the true average is 1/alpha.
+    model = cd.WeightModel.random(0.5, 1, 3)
+    point = cd.BoxRegion(((2, 2),))
+    past = [lf.LinearForm(coeffs=(2 ** 62,)), lf.LinearForm((0,), 2)]
+    with pytest.raises(ResourceError, match="int64"):
+        cd.lfc_average_exact(model, past, None, point)
+    # (2^62 - 2) x at x = 2 is 2^63 - 4 = 1 mod 3; plus the modulus 3 it
+    # is 2^63 - 1, the largest value the bound admits.
+    inside = [lf.LinearForm(coeffs=(2 ** 62 - 2,)), lf.LinearForm((0,), 1)]
+    assert (2 ** 63 - 4) % 3 == 1
+    assert cd.lfc_average_exact(model, inside, None, point) == 2.0
+
+
 def _mc_reference(model, sys, e, box, samples, seed, workers=1):
     """lfc_average_mc's batch loop as it was: one draw with per-coordinate
     bounds, % modulus, lookup by fancy indexing, prod over each row."""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -96,6 +97,34 @@ def test_table_matches_pointwise_weights(table, ctx, chi, sieve_2m):
         assert table.lambda_values[int(n)] == pytest.approx(lam, rel=1e-9, abs=1e-12)
 
 
+# blake2b digests (16 bytes) of values and lambda_values for w = 3, b = 1,
+# the cosine cutoff and R = (W N')^0.45, from the whole-array divisor sieve
+# that added each weight to every d-th entry of the table in turn.
+PINNED_DIGESTS = {
+    10007: ("16f25cbf24b6ef3988250e8ba657fa11",
+            "3dc57e8d7e12e186773d3d8dca22d64d"),
+    10 ** 5 + 3: ("56997280a3297881c481f172465046a9",
+                  "e55667a38ec36c271eb670d4dbad1187"),
+}
+
+
+def _table_digests(nprime, chi, sieve):
+    ctx = nt.primorial_context(3, 1, nprime)
+    table = mj.build_majorant(ctx, (ctx.W * nprime) ** 0.45, chi, sieve)
+    return tuple(hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest()
+                 for a in (table.values, table.lambda_values))
+
+
+@pytest.mark.parametrize("nprime", sorted(PINNED_DIGESTS))
+def test_segmented_table_is_bit_identical_at_every_segment_size(
+        monkeypatch, chi, sieve_2m, nprime):
+    assert _table_digests(nprime, chi, sieve_2m) == PINNED_DIGESTS[nprime]
+    for segment in (7, 1000, nprime - 1, nprime, nprime + 1):
+        monkeypatch.setattr(mj, "SEGMENT_VALUES", segment)
+        assert (_table_digests(nprime, chi, sieve_2m)
+                == PINNED_DIGESTS[nprime]), segment
+
+
 def test_prime_arguments_get_full_weight(table, ctx):
     chi0 = co.chi_value(table.cutoff, 0.0)
     log_r = math.log(table.R)
@@ -192,6 +221,16 @@ def test_pair_correlation_plain_array():
         mj.majorant_pair_correlation(ones, 0)
     with pytest.raises(DomainError):
         mj.majorant_pair_correlation(ones, 202)
+
+
+def test_pair_correlation_matches_the_rolled_copy(table):
+    v = table.values
+    for h in (1, 6, NPRIME - 1, NPRIME + 6, -6, 2 ** 40):
+        want = float(v @ np.roll(v, -h) / NPRIME)
+        got = mj.majorant_pair_correlation(table, h).empirical
+        assert abs(got - want) <= 1e-14 * abs(want), h
+        plain = mj.majorant_pair_correlation(v, h).empirical
+        assert plain == got
 
 
 def test_pair_correlation_prediction_is_singular_series(table):

@@ -122,6 +122,32 @@ def test_prime_mask_matches_index_compare(sieve_2m):
     assert [nt.is_prime(n) for n in range(1, small.limit + 1)] == mask[1:].tolist()
 
 
+def test_progression_prime_mask_is_a_slice_of_the_full_mask(sieve_2m):
+    small = nt.build_factor_sieve(101 ** 2)
+    for sieve in (small, sieve_2m):
+        r = math.isqrt(sieve.limit)
+        cases = [(0, 1, None), (1, 6, None), (5, 6, None), (0, 2, None),
+                 (1, 2, 50), (2, 1, 10), (r, 7, 100), (r + 1, 30, 1000),
+                 (r - 1, r, None), (sieve.limit, 3, None)]
+        for start, step, count in cases:
+            for upto in (sieve.limit, r * r - 1, 2, 3, start):
+                if upto < 2:
+                    continue
+                want = sieve.prime_mask(upto)[start::step][:count]
+                got = sieve.prime_mask(upto, start=start, step=step)[:count]
+                assert np.array_equal(got, want), (start, step, count, upto)
+    for start, step in ((-1, 1), (0, 0), (3, -6)):
+        with pytest.raises(DomainError):
+            small.prime_mask(100, start=start, step=step)
+
+
+def test_primorial_context_stops_past_the_table_field():
+    assert nt.primorial_context(47, 1, 10007).W == nt.primorial(47) < 2 ** 64
+    for w in (53, 2 ** 31, 2 ** 63):
+        with pytest.raises(ResourceError, match="primorial\\(47\\)"):
+            nt.primorial_context(w, 1, 10007)
+
+
 def test_sieve_range_checks(sieve_2m):
     with pytest.raises(DomainError):
         sieve_2m.check_range(2 * 10 ** 6 + 1)
