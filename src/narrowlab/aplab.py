@@ -22,7 +22,7 @@ from .singular import DEFAULT_PMAX, as_shift, singular_series
 
 MEDIAN_TARGET = 512
 MAX_TERMS = 16          # progression terms lambda_D takes at most
-SWEEP_BLOCK = 128       # differences per einsum of the dense sweep
+SWEEP_BLOCK = 2048      # positions per einsum of the dense sweep
 CHUNK_WORDS = 1 << 16   # window words per gather of the support sweep
 
 
@@ -88,22 +88,34 @@ def _scaled_indicator(f):
 def lambda_sweep(fs, D):
     """Mean over d in [1,D] and n of prod_j fs[j, n + j*d mod N].
 
-    fs[j] tiled to N + j*D entries has fs[j] shifted by j*d as row j*d of
-    its sliding windows of length N, so the rows for a block of
-    SWEEP_BLOCK differences are one strided view, and one einsum with
-    fs[0] sums the block's products.
+    Term 1 is the pivot: with m = n + d the sum is
+    sum_m fs[1, m] * h(m), h(m) = sum_d fs[0, m-d] prod_{j>=2} fs[j, m+(j-1)d].
+    fs[0] reversed and tiled to N + D entries has fs[0, m-d], d = 1..D,
+    as one forward window, and fs[j] tiled to N + (j-1)*D entries has
+    fs[j, m+(j-1)d] as one window read with step j-1.  For a block of
+    SWEEP_BLOCK positions m the windows are rows of strided views, one
+    einsum along d gives h, and a dot with fs[1] sums the block.  An
+    infinite fs[1, m] stays inside the sum over d, where inf * 0 is nan.
     """
     k, n = fs.shape
     if k == 1:
         return float(fs[0].sum()) / n
-    shifted = [sliding_window_view(np.resize(fs[j], n + j * D), n)
-               for j in range(1, k)]
-    spec = "n," + ",".join(["bn"] * (k - 1)) + "->b"
+    # Row s holds fs[0, n - s - d] at place d - 1, so position m is row n - m.
+    back = sliding_window_view(np.resize(fs[0][::-1], n + D), D)
+    # Row m, from place j - 1 on with step j - 1, holds fs[j, m + (j-1)d].
+    ahead = [sliding_window_view(np.resize(fs[j], n + (j - 1) * D),
+                                 (j - 1) * D + 1)[:, j - 1::j - 1]
+             for j in range(2, k)]
+    spec = ",".join(["md"] * (k - 1)) + "->m"
     total = 0.0
-    for lo in range(1, D + 1, SWEEP_BLOCK):
-        hi = min(lo + SWEEP_BLOCK, D + 1)
-        rows = [v[j * lo:j * hi:j] for j, v in enumerate(shifted, 1)]
-        total += float(np.einsum(spec, fs[0], *rows).sum())
+    for lo in range(0, n, SWEEP_BLOCK):
+        hi = min(lo + SWEEP_BLOCK, n)
+        rows = [back[n - lo:n - hi:-1]] + [v[lo:hi] for v in ahead]
+        pivot, h = fs[1, lo:hi], np.einsum(spec, *rows)
+        inf = np.isinf(pivot)
+        for i in np.flatnonzero(inf):
+            total += float(np.sum(pivot[i] * np.prod([r[i] for r in rows], axis=0)))
+        total += float(pivot[~inf] @ h[~inf])
     return total / (n * D)
 
 
@@ -265,11 +277,13 @@ def _log_integral(N, k):
 
 def hl_prediction(N, k, d, P_max=DEFAULT_PMAX):
     """Singular-series prediction for count_aps_with_difference(N, k, d)."""
-    N, k, d = int(N), int(k), int(d)
+    N, k, d, P_max = int(N), int(k), int(d), int(P_max)
     if N < 3:   # where predictions start
         raise DomainError(f"N must be >= 3, got {N}")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
+    if P_max < k:   # before the k shifts are built
+        raise DomainError(f"P_max={P_max} must be at least k={k}")
     shifts = as_shift(tuple(i * d for i in range(k)))
     sing = singular_series(shifts, P_max=P_max)
     g = sing.value

@@ -6,6 +6,7 @@ the order-2 sieve factor equal to 1, which is the calibration the rest of
 the package relies on.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,9 +41,18 @@ class SieveFactorResult:
     m: int
 
 
+@functools.cache
+def _legendre_rule(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], solved once per node count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(a, b, npanels, nodes=10):
     """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre_rule(nodes)
     edges = np.linspace(a, b, npanels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0

@@ -234,6 +234,18 @@ def test_sieve_limits_validate_before_any_sieve():
             ap.narrowness_sieve_limit(ladder, k, delta, bad_rule)
 
 
+def test_hl_prediction_rejects_k_past_p_max_before_its_shifts(monkeypatch):
+    def forbidden(h):
+        raise AssertionError("the k shifts were built")
+    monkeypatch.setattr(ap, "as_shift", forbidden)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="P_max=100000 must be at least k=2147483648"):
+        ap.hl_prediction(10 ** 6, 2 ** 31, 1)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(DomainError, match="P_max=2 must be at least k=3"):
+        ap.hl_prediction(10 ** 6, 3, 2, P_max=2)
+
+
 def test_huge_k_is_rejected_before_its_exponent_is_built():
     for k in (20000, 2 ** 31):
         start = time.perf_counter()

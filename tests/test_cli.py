@@ -308,6 +308,18 @@ def test_majorant_w_past_the_table_field_exits_1_before_the_sieve(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_count_k_past_p_max_exits_2_before_the_sieve(capsys, no_sieve, tmp_path):
+    out = tmp_path / "count.csv"
+    start = time.perf_counter()
+    code, _, err = run(capsys, "apsearch", "--mode", "count",
+                       "--k", "2147483648", "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error:") and "must be at least k=2147483648" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["lindex", "forms-dump", "lfc",
                                      "threshold"])
 def test_huge_family_is_rejected_before_building(capsys, tmp_path, command):

@@ -181,3 +181,12 @@ def test_bad_truncation_rejected():
     for T in (math.inf, math.nan):
         with pytest.raises(DomainError, match="finite"):
             co.sieve_factor_report(co.make_cutoff("cosine"), 1, T=T)
+
+
+def test_legendre_rule_is_solved_once_and_read_only():
+    x, w = co._legendre_rule(10)
+    assert co._legendre_rule(10)[0] is x
+    want_x, want_w = np.polynomial.legendre.leggauss(10)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0

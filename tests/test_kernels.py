@@ -87,12 +87,13 @@ def test_cyclic_count_matches_rolled_sets():
         assert ap.cyclic_ap_count(sets, D) == want, k
 
 
-def test_lambda_sweep_over_many_blocks_matches_brute_force():
-    # D = n - 1 spans several SWEEP_BLOCK blocks, the last one partial.
+def test_lambda_sweep_over_many_blocks_matches_brute_force(monkeypatch):
+    # n = 301 positions span several SWEEP_BLOCK blocks, the last one partial.
+    monkeypatch.setattr(ap, "SWEEP_BLOCK", 64)
     rng = np.random.default_rng(11)
     n = 301
     D = n - 1
-    assert D > 2 * ap.SWEEP_BLOCK
+    assert n > 2 * ap.SWEEP_BLOCK and n % ap.SWEEP_BLOCK
     for k in (1, 2, 3, 4):
         fs = [rng.uniform(-1.0, 1.0, n) for _ in range(k)]
         got = ap.lambda_sweep(np.vstack(fs), D)
@@ -105,6 +106,44 @@ def test_lambda_sweep_over_many_blocks_matches_brute_force():
         fs = [f, base, base]
         got = ap.lambda_D(fs, D)
         assert want(got) and want(_brute_lambda(fs, D)), bad
+
+
+def test_lambda_sweep_infinite_pivot_entry_matches_brute_force():
+    # Term 1 leaves the sum over d only where it is finite: an infinite
+    # entry times zero or mixed-sign products is nan, as in the brute-force
+    # sum, and times same-signed nonzero products is an infinity.
+    rng = np.random.default_rng(13)
+    n, D = 97, 40
+    positive = rng.uniform(0.5, 1.0, n)
+    pivot = positive.copy()
+    pivot[5] = -np.inf
+    firsts = ((positive, math.isinf),
+              (np.where(rng.random(n) < 0.5, positive, 0.0), math.isnan),
+              (rng.uniform(-1.0, 1.0, n), math.isnan))
+    with np.errstate(invalid="ignore"):
+        for k in (2, 3, 4):
+            for first, want in firsts:
+                fs = [first, pivot] + [positive] * (k - 2)
+                got = ap.lambda_sweep(np.vstack(fs), D)
+                brute = _brute_lambda(fs, D)
+                assert want(got) and want(brute), k
+                assert math.isnan(got) or got == brute, k
+
+
+def test_lambda_sweep_matches_brute_force_at_every_block_size(monkeypatch):
+    # Signed values, so no product's sign hides a misread entry; blocks of
+    # one position, of 7 (a partial last block at every n but 64) and
+    # past every n.
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 12, 64, 301):
+        for k in range(1, 7):
+            fs = [rng.uniform(-1.0, 1.0, n) for _ in range(k)]
+            for D in _differences(n):
+                want = _brute_lambda(fs, D)
+                for block in (1, 7, 302):
+                    monkeypatch.setattr(ap, "SWEEP_BLOCK", block)
+                    got = ap.lambda_sweep(np.vstack(fs), D)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (n, k, D, block)
 
 
 def test_lambda_d_scaled_indicators_bitset_dense_brute():
