@@ -236,11 +236,6 @@ def count_aps_with_difference(N, k, d, sieve):
     return packed_ap_count(sieve.packed_primes(top), N + 1, k, d)
 
 
-def ap_count(flags, k, d):
-    """Count n with flags[n + j*d] set for all j in [0, k), no wraparound."""
-    return packed_ap_count(pack_bits(flags), flags.shape[0] - (k - 1) * d, k, d)
-
-
 def packed_ap_count(words, starts, k, d):
     """Count n < starts with bits n + j*d set in words for all j in [0, k).
 

@@ -17,13 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError
-from .linforms import (
-    _codim2_flats,
-    _collision_hyperplanes,
-    _flat_gram_det,
-    _hyperplane_echelons,
-    _induced_atoms,
-)
+from .linforms import _codim2_flats, _collision_hyperplanes, _flat_gram_det, _joined
 
 MAX_RANDOM_MODULUS = 1 << 27
 MC_BATCH = 1 << 18   # Monte Carlo samples drawn per batch
@@ -430,30 +424,37 @@ class _DeviationEngine:
     Holds, in term order (hyperplanes, then codim-2 flats), each collision
     subspace's (codim, partition size, ratio), each hyperplane's row for
     the exact box counts, and each flat's parents and lattice covolume for
-    inclusion-exclusion and the density approximation.
+    inclusion-exclusion and the density approximation.  Subspaces with no
+    integer point are left out, and a partition joins the form pairs of
+    the hyperplanes containing the subspace, as lindex scores it.
     """
 
     def __init__(self, sys, max_subspaces=200000):
         self.t = sys.t
         self.d = sys.d
         # Only hyperplanes with integer points (gcd(a) | rhs) meet the box.
-        self.rows = [row for row in _collision_hyperplanes(sys, max_subspaces)
+        arrangement = _collision_hyperplanes(sys, max_subspaces)
+        self.rows = [row for row in arrangement
                      if row[-1] % math.gcd(*row[:-1]) == 0]
         if not self.rows:
             raise DomainError(
                 "no collision hyperplane of the system holds integer points, "
                 "so the random model has no deviation to measure"
             )
-        echelons = _hyperplane_echelons(self.rows)
+        pairs = [arrangement[row] for row in self.rows]
+        # Only flats with integer points meet the box either.  Every
+        # hyperplane through such a flat holds its points, so it is a row
+        # here and the flat's parents name all the hyperplanes containing it.
         self.flats = []
-        for flat, parents in _codim2_flats(self.rows, max_subspaces):
-            a, b = (self.rows[p][:-1] for p in parents[:2])
-            self.flats.append((parents, math.sqrt(float(_flat_gram_det(a, b)))))
-            echelons.append(flat)
+        for _, parents in _codim2_flats(self.rows, max_subspaces):
+            gram = _flat_gram_det(*(self.rows[p] for p in parents[:2]))
+            if gram is not None:
+                self.flats.append((parents, math.sqrt(float(gram))))
         self.entries = []
-        for ech in echelons:   # an echelon's length is its codimension
-            size = len(_induced_atoms(sys, ech))
-            self.entries.append((len(ech), size, Fraction(self.t - size, len(ech))))
+        for codim, inside in ([(1, (i,)) for i in range(len(self.rows))]
+                              + [(2, parents) for parents, _ in self.flats]):
+            size = _joined(self.t, (pairs[i] for i in inside))[0]
+            self.entries.append((codim, size, Fraction(self.t - size, codim)))
         self.sizes = {size for _, size, _ in self.entries}
 
     def evaluate(self, alpha, S):
@@ -496,11 +497,12 @@ class _DeviationEngine:
 def random_model_deviation(sys, alpha, S, max_subspaces=200000):
     """Deviation of the Bernoulli random model from 1 at box width S.
 
-    Sums, over the collision subspaces of the system up to codimension 2,
-    the exclusive fraction of the box [-S, S]^d they occupy times the
-    excess alpha^(|pi| - t) - 1 of the collision pattern.  Codimension-1
-    fractions use exact point counts; codimension-2 fractions use the
-    lattice density approximation (terms flagged approximate).
+    Sums, over the collision subspaces of the system up to codimension 2
+    that hold integer points, the exclusive fraction of the box [-S, S]^d
+    they occupy times the excess alpha^(|pi| - t) - 1 of the collision
+    pattern.  Codimension-1 fractions use exact point counts; codimension-2
+    fractions use the lattice density approximation (terms flagged
+    approximate).
     """
     if sys.t < 2:
         raise DomainError("deviation needs a system with t >= 2 forms")

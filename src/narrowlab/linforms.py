@@ -202,40 +202,6 @@ def codim_of_partition(sys, pi):
     return len(ech) if _feasible(ech) else INFINITE_CODIM
 
 
-def _induced_atoms(sys, ech):
-    """Canonical atoms of the forms that agree as functions on the echelon.
-
-    Forms are grouped by their residue modulo the functionals (a, -rhs)
-    of the rows: den * v minus, per row, v at the row's pivot times
-    den / pivot entry times the functional, where den is the lcm of the
-    pivot entries.  Each row has zeros in the other pivot columns, so the
-    residue vanishes in every pivot column but the rhs one.  Columns are
-    computed over all forms at once.  The deviation engine reads it: its
-    flats' parent lists leave out the hyperplanes without integer points,
-    so they cannot give its partitions the way _joined does for lindex.
-    """
-    den = math.lcm(*(r[p] for p, r in ech))
-    cols = list(zip(*(f.functional() for f in sys.forms)))
-    last = len(cols) - 1
-    zero = {p for p, r in ech} - {last}
-    keys = []
-    for c, col in enumerate(cols):
-        if c in zero:
-            continue
-        res = [den * v for v in col]
-        for p, r in ech:
-            w = r[c] * (den // r[p])
-            if w:
-                if c == last:
-                    w = -w
-                res = [x - w * y for x, y in zip(res, cols[p])]
-        keys.append(res)
-    groups = {}
-    for idx, key in enumerate(zip(*keys)):
-        groups.setdefault(key, []).append(idx)
-    return tuple(tuple(g) for g in groups.values())
-
-
 # ----------------------------------------------------------------- families
 
 def _check_family_size(name, k, count):
@@ -655,16 +621,25 @@ def _int_det(mat):
 
 
 def _flat_gram_det(a, b):
-    """Gram determinant of {x in Z^d : a . x = b . x = 0}, a and b independent.
+    """Gram determinant of the flat a . x = alpha, b . x = beta in Z^d, or
+    None when the flat holds no integer point.
 
-    With m_ij = a_i b_j - a_j b_i, Cauchy-Binet gives the row lattice of
-    (a, b) squared covolume sum m_ij^2; its index in its saturation is
-    gcd(m); and a primitive lattice and its orthogonal complement in Z^d
-    have equal covolumes.  So the determinant is sum m_ij^2 / gcd(m)^2.
+    a and b are rows (a_1, ..., a_d, alpha) with independent coefficient
+    parts.  With m_ij = a_i b_j - a_j b_i, Cauchy-Binet gives the row
+    lattice of the coefficient parts squared covolume sum m_ij^2; its index
+    in its saturation is g = gcd(m); and a primitive lattice and its
+    orthogonal complement in Z^d have equal covolumes.  So the determinant
+    of the flat's lattice {a . x = b . x = 0} is sum m_ij^2 / g^2.  By the
+    Smith normal form the flat holds an integer point exactly when g also
+    divides every minor a_i beta - alpha b_i of the rhs column.
     """
+    *a, alpha = a
+    *b, beta = b
     minors = [a[i] * b[j] - a[j] * b[i]
               for i, j in itertools.combinations(range(len(a)), 2)]
     g = math.gcd(*minors)
+    if any((x * beta - alpha * y) % g for x, y in zip(a, b)):
+        return None
     return sum(m * m for m in minors) // (g * g)
 
 

@@ -7,6 +7,7 @@ import pytest
 from narrowlab import aplab as ap
 from narrowlab import numtheory as nt
 from narrowlab.errors import DomainError, ResourceError
+from test_kernels import _packed_ap_count
 
 
 def test_lambda_d_constant_and_indicator():
@@ -209,7 +210,7 @@ def test_count_reuses_packed_primes():
     words = None
     for d in (30, 12, 6, 2):
         got = ap.count_aps_with_difference(50000, 3, d, sieve)
-        assert got == ap.ap_count(mask[:50001 + 2 * d], 3, d), d
+        assert got == _packed_ap_count(mask[:50001 + 2 * d], 3, d), d
         words = sieve.packed_primes(50060) if words is None else words
         assert sieve.packed_primes(50060) is words
 

@@ -12,6 +12,7 @@ import pytest
 from narrowlab import conditions as cd
 from narrowlab import linforms as lf
 from narrowlab.errors import DomainError, ResourceError
+from test_linforms import _random_system
 
 
 def test_box_region_basics():
@@ -470,6 +471,37 @@ def test_deviation_without_integer_hyperplanes_is_a_domain_error():
         cd.random_model_deviation(sys, 0.3, 10)
     with pytest.raises(DomainError):
         cd.width_threshold_fit(sys, [0.3, 0.2, 0.1])
+
+
+def test_deviation_is_exact_at_d2_once_the_box_holds_the_point_flats():
+    # At d = 2 a codim-2 flat is a single point, so the exact hyperplane
+    # counts and one point per flat leave nothing to approximate.  Flats
+    # with no integer point, such as x = 0 with x + 2y = 1, must add nothing.
+    rng = np.random.default_rng(2020)
+    S, alpha = 30, 0.3
+    # A modulus this large keeps every collision of the exact average real.
+    model = cd.WeightModel(kind="random", modulus=(1 << 61) - 1, alpha=alpha)
+    box = cd.symmetric_box(2, S)
+    checked = affected = 0
+    while checked < 40:
+        sys = _random_system(rng, 2, int(rng.integers(3, 6)))
+        try:
+            engine = cd._DeviationEngine(sys)
+        except DomainError:   # no collision hyperplane holds integer points
+            continue
+        rows = engine.rows
+        for parents, _ in engine.flats:   # Cramer's rule: the point is in the box
+            (a1, a2, r1), (b1, b2, r2) = (rows[p] for p in parents[:2])
+            det = a1 * b2 - a2 * b1
+            x, y = r1 * b2 - a2 * r2, a1 * r2 - r1 * b1
+            assert x % det == 0 and y % det == 0
+            assert abs(x // det) <= S and abs(y // det) <= S
+        affected += len(lf._codim2_flats(rows, math.inf)) > len(engine.flats)
+        got = engine.deviation(alpha, S).total
+        want = cd.lfc_average_exact(model, sys, None, box) - 1.0
+        assert got == pytest.approx(want, rel=1e-12, abs=0), (checked, sys)
+        checked += 1
+    assert affected > 30
 
 
 def test_threshold_fit_slopes_and_dominant_ratios():

