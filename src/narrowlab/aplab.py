@@ -7,6 +7,7 @@ restricted-difference counting average Lambda_D used to certify that
 narrow progressions exist at a given scale.
 """
 
+import itertools
 import math
 import operator
 import sys
@@ -18,11 +19,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cutoff import gauss_panels
 from .errors import DomainError, ResourceError
 from .numtheory import is_prime, pack_bits
-from .singular import DEFAULT_PMAX, as_shift, singular_series
+from .singular import DEFAULT_PMAX, as_shift, discriminant_primes, singular_series
 
 MEDIAN_TARGET = 512
 MAX_TERMS = 16          # progression terms lambda_D takes at most
-SWEEP_BLOCK = 2048      # positions per einsum of the dense sweep
+SWEEP_ENTRIES = 1 << 18  # window entries per block of the dense sweep
 CHUNK_WORDS = 1 << 16   # window words per gather of the support sweep
 
 
@@ -92,10 +93,14 @@ def lambda_sweep(fs, D):
     sum_m fs[1, m] * h(m), h(m) = sum_d fs[0, m-d] prod_{j>=2} fs[j, m+(j-1)d].
     fs[0] reversed and tiled to N + D entries has fs[0, m-d], d = 1..D,
     as one forward window, and fs[j] tiled to N + (j-1)*D entries has
-    fs[j, m+(j-1)d] as one window read with step j-1.  For a block of
-    SWEEP_BLOCK positions m the windows are rows of strided views, one
-    einsum along d gives h, and a dot with fs[1] sums the block.  An
-    infinite fs[1, m] stays inside the sum over d, where inf * 0 is nan.
+    fs[j, m+(j-1)d] as one window read with step j-1.  A block of
+    max(1, SWEEP_ENTRIES // D) positions m takes its windows as rows of
+    strided views.  Past three windows (k >= 5) the first two are
+    multiplied into one array of at most 8 * SWEEP_ENTRIES bytes, about
+    the size of L2, until three remain.  Along d, vecdot (a BLAS ddot
+    per row) reduces two windows to h and einsum reduces one or three;
+    a dot with fs[1] sums the block.  An infinite fs[1, m] stays inside
+    the sum over d, where inf * 0 is nan.
     """
     k, n = fs.shape
     if k == 1:
@@ -106,12 +111,20 @@ def lambda_sweep(fs, D):
     ahead = [sliding_window_view(np.resize(fs[j], n + (j - 1) * D),
                                  (j - 1) * D + 1)[:, j - 1::j - 1]
              for j in range(2, k)]
-    spec = ",".join(["md"] * (k - 1)) + "->m"
+    spec = ",".join(["md"] * min(k - 1, 3)) + "->m"
+    block = max(1, SWEEP_ENTRIES // D)
     total = 0.0
-    for lo in range(0, n, SWEEP_BLOCK):
-        hi = min(lo + SWEEP_BLOCK, n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
         rows = [back[n - lo:n - hi:-1]] + [v[lo:hi] for v in ahead]
-        pivot, h = fs[1, lo:hi], np.einsum(spec, *rows)
+        ops = rows
+        if k > 4:   # fold windows 0..k-4 into one, leaving three operands
+            folded = rows[0] * rows[1]
+            for r in rows[2:-2]:
+                folded *= r
+            ops = [folded] + rows[-2:]
+        h = np.vecdot(*ops) if k == 3 else np.einsum(spec, *ops)
+        pivot = fs[1, lo:hi]
         inf = np.isinf(pivot)
         for i in np.flatnonzero(inf):
             total += float(np.sum(pivot[i] * np.prod([r[i] for r in rows], axis=0)))
@@ -270,8 +283,25 @@ def _log_integral(N, k):
     return float(np.sum(weights * np.exp(u) / u ** k))
 
 
+def _fills_a_prime(k, d):
+    """True when a prime p <= k does not divide d.
+
+    The shifts (0, d, ..., (k-1)d) then fill every residue mod p, so
+    their singular series is exactly 0.  Each prime passed divides d,
+    so at most log2(d) + 1 primes are tried.
+    """
+    p = 2
+    while p <= k and d % p == 0:
+        p = next(q for q in itertools.count(p + 1) if is_prime(q))
+    return p <= k
+
+
 def hl_prediction(N, k, d, P_max=DEFAULT_PMAX):
-    """Singular-series prediction for count_aps_with_difference(N, k, d)."""
+    """Singular-series prediction for count_aps_with_difference(N, k, d).
+
+    It is exactly 0, and no shift is built, when a prime p <= k does not
+    divide d.
+    """
     N, k, d, P_max = int(N), int(k), int(d), int(P_max)
     if N < 3:   # where predictions start
         raise DomainError(f"N must be >= 3, got {N}")
@@ -279,6 +309,12 @@ def hl_prediction(N, k, d, P_max=DEFAULT_PMAX):
         raise DomainError(f"d must be >= 1, got {d}")
     if P_max < k:   # before the k shifts are built
         raise DomainError(f"P_max={P_max} must be at least k={k}")
+    if _fills_a_prime(k, d):
+        # The discriminant's primes are d's and those below k <= P_max,
+        # so this raises where singular_series would.
+        discriminant_primes(d, P_max)
+        return HLPrediction(value=0.0, crude=0.0, singular_value=0.0,
+                            N=N, k=k, d=d)
     shifts = as_shift(tuple(i * d for i in range(k)))
     sing = singular_series(shifts, P_max=P_max)
     g = sing.value

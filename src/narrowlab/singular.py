@@ -104,6 +104,17 @@ def _local_factor(p, nu, r):
     return (1.0 - 1.0 / p) ** (-r) * (1.0 - nu / p)
 
 
+def discriminant_primes(disc, P_max):
+    """Prime factors of disc, DomainError when the largest exceeds P_max."""
+    primes = [p for p, _ in factorize(disc)]
+    if primes and primes[-1] > P_max:
+        raise DomainError(
+            f"P_max={P_max} is below the largest prime factor "
+            f"{primes[-1]} of the discriminant"
+        )
+    return primes
+
+
 def singular_series(h, P_max=DEFAULT_PMAX, W=1):
     """Truncated singular series of h, skipping primes dividing W.
 
@@ -126,13 +137,7 @@ def singular_series(h, P_max=DEFAULT_PMAX, W=1):
     k = h.k
     if P_max < k:
         raise DomainError(f"P_max={P_max} must be at least k={k}")
-    d = delta(h)
-    delta_primes = [p for p, _ in factorize(d)]
-    if delta_primes and delta_primes[-1] > P_max:
-        raise DomainError(
-            f"P_max={P_max} is below the largest prime factor "
-            f"{delta_primes[-1]} of the discriminant"
-        )
+    delta_primes = discriminant_primes(delta(h), P_max)
     tail = math.exp(r * r / P_max) - 1.0
     small = sorted(set(delta_primes) | set(_bootstrap_primes(k).tolist()))
     value = _generic_product(r, k, tuple(W_primes), P_max)

@@ -245,6 +245,36 @@ def test_hl_prediction_rejects_k_past_p_max_before_its_shifts(monkeypatch):
     assert time.perf_counter() - start < 1.0
     with pytest.raises(DomainError, match="P_max=2 must be at least k=3"):
         ap.hl_prediction(10 ** 6, 3, 2, P_max=2)
+    # 5 does not divide 6, so the series is exactly 0 with no shift built.
+    start = time.perf_counter()
+    pred = ap.hl_prediction(10 ** 6, 2 ** 31, 6, P_max=2 ** 32)
+    assert time.perf_counter() - start < 1.0
+    assert (pred.value, pred.crude, pred.singular_value) == (0.0, 0.0, 0.0)
+
+
+def _prediction_or_error(N, k, d, P_max):
+    try:
+        return ap.hl_prediction(N, k, d, P_max=P_max)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_hl_prediction_early_zero_matches_the_full_path(monkeypatch):
+    # A prime p <= k not dividing d makes the singular series exactly 0;
+    # the early return must give the full path's fields, or its error.
+    N = 10 ** 6
+    early = {(k, d, P_max): _prediction_or_error(N, k, d, P_max)
+             for k in range(2, 9) for d in range(1, 301)
+             for P_max in (k, 7, 100, 10 ** 5)}
+    monkeypatch.setattr(ap, "_fills_a_prime", lambda k, d: False)
+    for (k, d, P_max), got in early.items():
+        assert got == _prediction_or_error(N, k, d, P_max), (k, d, P_max)
+    zeros = sum(isinstance(r, ap.HLPrediction) and r.singular_value == 0.0
+                for r in early.values())
+    errors = sum(isinstance(r, tuple) for r in early.values())
+    assert zeros > 3000 and errors > 3000 and len(early) - zeros - errors > 500
+    with pytest.raises(DomainError, match="largest prime factor 7"):
+        ap.hl_prediction(N, 3, 7, P_max=5)
 
 
 def test_huge_k_is_rejected_before_its_exponent_is_built():

@@ -94,24 +94,28 @@ def test_cyclic_count_matches_rolled_sets():
 
 
 def test_lambda_sweep_over_many_blocks_matches_brute_force(monkeypatch):
-    # n = 301 positions span several SWEEP_BLOCK blocks, the last one partial.
-    monkeypatch.setattr(ap, "SWEEP_BLOCK", 64)
+    # n = 301 positions span several blocks of 64, the last one partial.
     rng = np.random.default_rng(11)
     n = 301
     D = n - 1
-    assert n > 2 * ap.SWEEP_BLOCK and n % ap.SWEEP_BLOCK
+    monkeypatch.setattr(ap, "SWEEP_ENTRIES", 64 * D)
+    block = ap.SWEEP_ENTRIES // D
+    assert n > 2 * block and n % block
     for k in (1, 2, 3, 4):
         fs = [rng.uniform(-1.0, 1.0, n) for _ in range(k)]
         got = ap.lambda_sweep(np.vstack(fs), D)
         assert got == pytest.approx(_brute_lambda(fs, D), rel=1e-12, abs=1e-15), k
     # NaN and inf are not scaled indicators: lambda_D sweeps them densely.
+    # At k >= 5 f_0 and f_2 are folded into one operand before the sum.
     base = rng.uniform(0.5, 1.0, n)
     for bad, want in ((np.nan, math.isnan), (np.inf, math.isinf)):
         f = base.copy()
         f[7] = bad
-        fs = [f, base, base]
-        got = ap.lambda_D(fs, D)
-        assert want(got) and want(_brute_lambda(fs, D)), bad
+        for k, at in ((3, 0), (5, 0), (5, 2), (6, 0), (6, 2)):
+            fs = [base] * k
+            fs[at] = f
+            got = ap.lambda_D(fs, D)
+            assert want(got) and want(_brute_lambda(fs, D)), (bad, k, at)
 
 
 def test_lambda_sweep_infinite_pivot_entry_matches_brute_force():
@@ -127,7 +131,7 @@ def test_lambda_sweep_infinite_pivot_entry_matches_brute_force():
               (np.where(rng.random(n) < 0.5, positive, 0.0), math.isnan),
               (rng.uniform(-1.0, 1.0, n), math.isnan))
     with np.errstate(invalid="ignore"):
-        for k in (2, 3, 4):
+        for k in range(2, 7):
             for first, want in firsts:
                 fs = [first, pivot] + [positive] * (k - 2)
                 got = ap.lambda_sweep(np.vstack(fs), D)
@@ -138,18 +142,18 @@ def test_lambda_sweep_infinite_pivot_entry_matches_brute_force():
 
 def test_lambda_sweep_matches_brute_force_at_every_block_size(monkeypatch):
     # Signed values, so no product's sign hides a misread entry; blocks of
-    # one position, of 7 (a partial last block at every n but 64) and
-    # past every n.
+    # one position (also with D past SWEEP_ENTRIES), of 7 (a partial last
+    # block at every n but 64) and past every n.
     rng = np.random.default_rng(12)
     for n in (2, 3, 12, 64, 301):
         for k in range(1, 7):
             fs = [rng.uniform(-1.0, 1.0, n) for _ in range(k)]
             for D in _differences(n):
                 want = _brute_lambda(fs, D)
-                for block in (1, 7, 302):
-                    monkeypatch.setattr(ap, "SWEEP_BLOCK", block)
+                for entries in (D // 2, D, 7 * D, 302 * D):
+                    monkeypatch.setattr(ap, "SWEEP_ENTRIES", entries)
                     got = ap.lambda_sweep(np.vstack(fs), D)
-                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (n, k, D, block)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (n, k, D, entries)
 
 
 def test_lambda_d_scaled_indicators_bitset_dense_brute():
