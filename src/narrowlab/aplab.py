@@ -18,13 +18,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cutoff import gauss_panels
 from .errors import DomainError, ResourceError
-from .numtheory import is_prime, pack_bits
+from .numtheory import factorize, is_prime, pack_bits
 from .singular import DEFAULT_PMAX, as_shift, discriminant_primes, singular_series
 
 MEDIAN_TARGET = 512
 MAX_TERMS = 16          # progression terms lambda_D takes at most
 SWEEP_ENTRIES = 1 << 18  # window entries per block of the dense sweep
 CHUNK_WORDS = 1 << 16   # window words per gather of the support sweep
+MAX_RULE_MODULUS = 1 << 32  # a factor sieve's range; past it a class keeps <= 1 integer
 
 
 def lambda_D(f_list, D):
@@ -356,6 +357,11 @@ class SubsetRule:
         m = int(self.modulus)
         if m < 1:
             raise DomainError(f"modulus must be >= 1, got {m}")
+        if m >= MAX_RULE_MODULUS:
+            raise ResourceError(
+                f"rule modulus {m} must be below {MAX_RULE_MODULUS}, the factor "
+                f"sieve's range; a larger one keeps one integer per class"
+            )
         cls = tuple(sorted({int(c) % m for c in self.classes}))
         if not cls:
             raise DomainError("subset rule needs at least one class")
@@ -367,15 +373,18 @@ class SubsetRule:
         """Asymptotic density of the kept primes among all primes."""
         m = self.modulus
         units = sum(1 for c in self.classes if math.gcd(c, m) == 1)
-        phi = sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)
+        phi = math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m))
         return units / phi
 
     def mask(self, upto):
-        """Boolean array m, n <= upto, with m[n] true when n mod modulus is kept."""
-        keep = np.zeros(self.modulus, dtype=bool)
-        keep[list(self.classes)] = True
+        """Boolean array m, n <= upto, with m[n] true when n mod modulus is kept.
+
+        The keep pattern is at most as long as the range and is tiled.
+        """
         size = int(upto) + 1
-        return np.tile(keep, -(-size // self.modulus))[:size]
+        keep = np.zeros(min(self.modulus, max(size, 1)), dtype=bool)
+        keep[[c for c in self.classes if c < size]] = True
+        return np.tile(keep, -(-size // keep.shape[0]))[:size]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, UnsupportedError
+from .errors import DomainError, NumericError, ResourceError, UnsupportedError
 
 KINDS = ("cosine", "bump")
 
@@ -20,6 +20,7 @@ DEFAULT_T = {"cosine": 200.0, "bump": 50.0}
 DEFAULT_T_TRIPLE = 80.0
 DEFAULT_NODES_PER_UNIT = 3.2
 IMAG_TOL = 1e-5
+MAX_QUADRATURE_ENTRIES = 1 << 22   # entries of a factor integral's largest array
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,25 @@ def fourier_psi(spec, t):
     return complex(psi) if psi.ndim == 0 else psi
 
 
+def _panel_count(spec, m, T):
+    """Gauss-Legendre panels of 10 nodes on [-T, T], capped before any allocation.
+
+    The largest array has n entries for the cosine kind at m = 1, where
+    psi is elementwise, and is counted as n^2 otherwise: the pair kernel
+    at m >= 2 is n x n, and the bump kind's Fourier matrix about n x n/2.
+    Past MAX_QUADRATURE_ENTRIES this raises ResourceError.
+    """
+    npanels = max(4, int(math.ceil(2.0 * T * DEFAULT_NODES_PER_UNIT / 10.0)))
+    n = 10 * npanels
+    entries = n if m == 1 and spec.kind == "cosine" else n * n
+    if entries > MAX_QUADRATURE_ENTRIES:
+        raise ResourceError(
+            f"T={T} needs {n} quadrature nodes at m={m}: {entries} array "
+            f"entries, past the cap of {MAX_QUADRATURE_ENTRIES}"
+        )
+    return npanels
+
+
 def _factor_integral(spec, m, T):
     """The m-fold oscillatory integral on [-T, T]^m, by Gauss-Legendre panels.
 
@@ -140,7 +160,7 @@ def _factor_integral(spec, m, T):
     sum a_i a_j a_l P_ij P_il (3 + i (t_i + t_j + t_l)) P_jl into the row
     sums of V and of (V P) * V, where V_ij = a_j P_ij.
     """
-    npanels = max(4, int(math.ceil(2.0 * T * DEFAULT_NODES_PER_UNIT / 10.0)))
+    npanels = _panel_count(spec, m, T)
     t, w = gauss_panels(-T, T, npanels, nodes=10)
     a = w * fourier_psi(spec, t) * (1.0 + 1j * t)
     if m == 1:

@@ -17,16 +17,16 @@ from .numtheory import (
     SEGMENT_SIZE,
     W_FIELD_PRIME,
     WTrickContext,
-    _bootstrap_primes,
     factorize,
-    is_prime,
     moebius,
-    payload_bytes,
-    replace_on_success,
+    primorial_walk,
+    read_table,
+    write_table,
 )
 from .singular import DEFAULT_PMAX, singular_series
 
 MAJORANT_MAGIC = b"NAPMV1"
+MAJORANT_HEAD = "<3Qd"   # N', W, b, R
 SEGMENT_VALUES = SEGMENT_SIZE // 2   # float64 entries in the sieve's 2 MB segment
 
 
@@ -82,6 +82,17 @@ def lambda_chi_R(m, R, cutoff, sieve):
     return log_r * total
 
 
+def _checked_R(context, R):
+    """R as a float, DomainError unless 1 < R <= sqrt(W N' + b)."""
+    top = context.W * context.modulus + context.b
+    R = float(R)
+    if not 1.0 < R <= math.sqrt(top):
+        raise DomainError(
+            f"R={R} outside (1, sqrt(W N' + b)] = (1, {math.sqrt(top):.1f}]"
+        )
+    return R
+
+
 def build_majorant(context, R, cutoff, sieve):
     """Tabulate the majorant over Z/N'Z by a segmented divisor sieve.
 
@@ -97,11 +108,7 @@ def build_majorant(context, R, cutoff, sieve):
     W = context.W
     b = context.b
     top = W * nprime + b
-    R = float(R)
-    if not 1.0 < R <= math.sqrt(top):
-        raise DomainError(
-            f"R={R} outside (1, sqrt(W N' + b)] = (1, {math.sqrt(top):.1f}]"
-        )
+    R = _checked_R(context, R)
     if sieve.limit < top:
         raise DomainError(
             f"sieve limit {sieve.limit} does not cover W N' + b = {top}"
@@ -191,51 +198,32 @@ def majorant_pair_correlation(table, h, P_max=DEFAULT_PMAX):
 
 def save_majorant(table, path):
     """Write the NAPMV1 binary format: magic, N', W, b, R, then both arrays."""
-    with replace_on_success(path) as fh:
-        fh.write(MAJORANT_MAGIC)
-        fh.write(int(table.nprime).to_bytes(8, "little"))
-        fh.write(int(table.context.W).to_bytes(8, "little"))
-        fh.write(int(table.context.b).to_bytes(8, "little"))
-        fh.write(np.float64(table.R).tobytes())
-        np.ascontiguousarray(table.values, dtype="<f8").tofile(fh)
-        np.ascontiguousarray(table.lambda_values, dtype="<f8").tofile(fh)
+    head = (table.nprime, table.context.W, table.context.b, table.R)
+    write_table(path, MAJORANT_MAGIC, MAJORANT_HEAD, head,
+                (table.values, table.lambda_values), "<f8")
 
 
 def load_majorant(path, cutoff=None):
     """Load a NAPMV1 majorant file, validating magic, lengths, and header.
 
-    The format does not record the cutoff kind; pass the cutoff used at
-    build time if later computations need it.
+    The header must be one build_majorant could have written: N' prime,
+    W a primorial, gcd(b, W) = 1 and 1 < R <= sqrt(W N' + b); anything
+    else raises FormatError.  The format does not record the cutoff kind;
+    pass the cutoff used at build time if later computations need it.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != MAJORANT_MAGIC:
-            raise FormatError(
-                f"bad majorant magic {magic!r}, expected {MAJORANT_MAGIC.decode()}"
-            )
-        head = fh.read(32)
-        if len(head) != 32:
-            raise FormatError("truncated majorant header")
-        nprime = int.from_bytes(head[0:8], "little")
-        W = int.from_bytes(head[8:16], "little")
-        b = int.from_bytes(head[16:24], "little")
-        R = float(np.frombuffer(head[24:32], dtype="<f8")[0])
-        size = payload_bytes(fh)
-        expected = 16 * nprime
-        if size != expected:
-            raise FormatError(
-                f"majorant payload has {size} bytes, expected {expected}"
-            )
-        payload = np.fromfile(fh, dtype="<f8", count=2 * nprime)
-    if not is_prime(nprime):
-        raise FormatError(f"majorant modulus {nprime} is not prime")
-    w, primorial_w = 1, 1
-    for p in _bootstrap_primes(W_FIELD_PRIME):
-        if primorial_w >= W:
+    (nprime, W, b, R), payload = read_table(
+        path, MAJORANT_MAGIC, MAJORANT_HEAD, "<f8", lambda n, *_: 2 * n)
+    w, walked = 1, 1
+    for p, primorial_p in primorial_walk(W_FIELD_PRIME - 1):   # all below 2^64
+        if walked >= W:
             break
-        w, primorial_w = int(p), primorial_w * int(p)
-    if primorial_w != W:
+        w, walked = p, primorial_p
+    if walked != W:
         raise FormatError(f"majorant W={W} is not a primorial")
-    ctx = WTrickContext(w=w, W=W, b=b, modulus=nprime)
+    try:
+        ctx = WTrickContext(w=w, W=W, b=b, modulus=nprime)
+        R = _checked_R(ctx, R)
+    except DomainError as exc:
+        raise FormatError(f"majorant header: {exc}") from None
     return MajorantTable(context=ctx, R=R, cutoff=cutoff,
                          values=payload[:nprime], lambda_values=payload[nprime:])

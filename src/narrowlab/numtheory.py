@@ -3,6 +3,7 @@
 import contextlib
 import math
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,7 @@ import numpy as np
 from .errors import DomainError, FormatError, ResourceError
 
 SIEVE_MAGIC = b"NAPSV1"
+SIEVE_HEAD = "<Q"        # limit
 SEGMENT_SIZE = 1 << 19   # entries per sieve segment: 2 MB of uint32, sized for L2
 W_FIELD_PRIME = 53       # the least prime whose primorial exceeds 2^64
 
@@ -258,43 +260,46 @@ class WTrickContext:
     b: int
     modulus: int
 
+    def __post_init__(self):
+        shared = math.gcd(self.b, self.W)
+        if shared != 1:
+            raise DomainError(
+                f"residue b={self.b} shares the factor {shared} with W={self.W}"
+            )
+        if not is_prime(self.modulus):
+            raise DomainError(f"modulus {self.modulus} is not prime")
+
     @property
     def phi_W(self):
-        return math.prod(p - 1 for p in _bootstrap_primes(self.w).tolist())
+        return math.prod(p - 1 for p, _ in primorial_walk(self.w))
+
+
+def primorial_walk(w):
+    """Pairs (p, primorial(p)) for the primes p <= min(w, W_FIELD_PRIME);
+    ResourceError at a primorial past 2^64, the NAPMV1 W field."""
+    W, last = 1, 1
+    for p in _bootstrap_primes(min(int(w), W_FIELD_PRIME)).tolist():
+        if W * p >= 1 << 64:
+            raise ResourceError(
+                f"W = primorial({w}) does not fit the 64-bit W field of a "
+                f"majorant table; the largest is primorial({last})"
+            )
+        W, last = W * p, p
+        yield p, W
 
 
 def primorial(w):
-    """Product of the primes up to w."""
-    return math.prod(_bootstrap_primes(int(w)).tolist())
+    """Product of the primes up to w; ResourceError past 2^64."""
+    return math.prod(p for p, _ in primorial_walk(w))
 
 
 def primorial_context(w, b, modulus):
-    """Validated WTrickContext with b reduced mod W and modulus checked prime.
-
-    W must fit the 64-bit W field of a NAPMV1 table, so w >= W_FIELD_PRIME
-    raises ResourceError after walking only the primes up to it.
-    """
+    """Validated WTrickContext with b reduced mod W and modulus checked prime."""
     w = int(w)
-    b = int(b)
-    modulus = int(modulus)
     if w < 1:
         raise DomainError(f"w must be >= 1, got {w}")
-    primes = _bootstrap_primes(min(w, W_FIELD_PRIME)).tolist()
-    W = math.prod(primes)
-    if W >= 1 << 64:
-        raise ResourceError(
-            f"W = primorial({w}) does not fit the 64-bit W field of a "
-            f"majorant table; the largest is primorial({primes[-2]})"
-        )
-    b %= W
-    for p in primes:
-        if b % p == 0:
-            raise DomainError(
-                f"residue b={b} shares the prime factor {p} with W={W}"
-            )
-    if not is_prime(modulus):
-        raise DomainError(f"modulus {modulus} is not prime")
-    return WTrickContext(w=w, W=W, b=b, modulus=modulus)
+    W = primorial(w)
+    return WTrickContext(w=w, W=W, b=int(b) % W, modulus=int(modulus))
 
 
 # ------------------------------------------------------------------ file IO
@@ -318,36 +323,40 @@ def replace_on_success(path):
         raise
 
 
-def payload_bytes(fh):
-    """Bytes left in an open file after its current position."""
-    return os.fstat(fh.fileno()).st_size - fh.tell()
+def write_table(path, magic, head_format, head, arrays, dtype):
+    """Write magic, head packed by the struct head_format, then arrays as dtype."""
+    with replace_on_success(path) as fh:
+        fh.write(magic + struct.pack(head_format, *head))
+        for array in arrays:
+            np.ascontiguousarray(array, dtype=dtype).tofile(fh)
+
+
+def read_table(path, magic, head_format, dtype, entries):
+    """Header and payload of a write_table file, whose payload holds entries(*head)
+    items; a wrong magic, a short header or another length raises FormatError."""
+    name, head_bytes = magic.decode(), struct.calcsize(head_format)
+    with open(path, "rb") as fh:
+        found = fh.read(len(magic))
+        if found != magic:
+            raise FormatError(f"bad magic {found!r}, expected {name}")
+        raw = fh.read(head_bytes)
+        if len(raw) != head_bytes:
+            raise FormatError(f"truncated {name} header")
+        head = struct.unpack(head_format, raw)
+        count = entries(*head)
+        want = count * np.dtype(dtype).itemsize
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if have != want:
+            raise FormatError(f"{name} payload has {have} bytes, expected {want}")
+        return head, np.fromfile(fh, dtype=dtype, count=count)
 
 
 def save_sieve(sieve, path):
     """Write the NAPSV1 binary sieve format: magic, u64 LE limit, u32 spf."""
-    with replace_on_success(path) as fh:
-        fh.write(SIEVE_MAGIC)
-        fh.write(int(sieve.limit).to_bytes(8, "little"))
-        np.ascontiguousarray(sieve.spf, dtype="<u4").tofile(fh)
+    write_table(path, SIEVE_MAGIC, SIEVE_HEAD, (sieve.limit,), (sieve.spf,), "<u4")
 
 
 def load_sieve(path):
     """Load a NAPSV1 sieve file, validating magic and length."""
-    with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != SIEVE_MAGIC:
-            raise FormatError(
-                f"bad sieve magic {magic!r}, expected {SIEVE_MAGIC.decode()}"
-            )
-        raw_limit = fh.read(8)
-        if len(raw_limit) != 8:
-            raise FormatError("truncated sieve header")
-        limit = int.from_bytes(raw_limit, "little")
-        size = payload_bytes(fh)
-        expected = 4 * (limit + 1)
-        if size != expected:
-            raise FormatError(
-                f"sieve payload has {size} bytes, expected {expected}"
-            )
-        spf = np.fromfile(fh, dtype="<u4", count=limit + 1)
+    (limit,), spf = read_table(path, SIEVE_MAGIC, SIEVE_HEAD, "<u4", lambda n: n + 1)
     return FactorSieve(limit, spf)

@@ -166,6 +166,35 @@ def test_subset_rule_mask_is_the_residue_definition():
         assert got.dtype == bool and np.array_equal(got, want)
 
 
+def test_subset_rule_matches_the_full_period_loops():
+    # The density and mask before the modulus was capped: phi(m) counted
+    # over 1..m, and an m-entry keep pattern tiled over the range.
+    rng = np.random.default_rng(2023)
+    for m in range(1, 501):
+        classes = rng.integers(-m, 2 * m, size=rng.integers(1, 6)).tolist()
+        rule = ap.SubsetRule(modulus=m, classes=classes)
+        kept = sorted({c % m for c in classes})
+        units = sum(1 for c in kept if math.gcd(c, m) == 1)
+        phi = sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)
+        assert rule.prime_density == units / phi, m
+        keep = np.zeros(m, dtype=bool)
+        keep[kept] = True
+        for upto in (int(rng.integers(0, m)), int(rng.integers(m, 3 * m))):
+            size = upto + 1
+            want = np.tile(keep, -(-size // m))[:size]
+            assert np.array_equal(rule.mask(upto), want), (m, upto)
+
+
+def test_subset_rule_modulus_cap():
+    start = time.perf_counter()
+    top = ap.SubsetRule(modulus=ap.MAX_RULE_MODULUS - 1, classes=(1,))
+    assert top.prime_density == 1 / 2 ** 31   # phi(2^32 - 1) = 2^31
+    assert top.mask(10).tolist() == [False, True] + [False] * 9
+    with pytest.raises(ResourceError, match="below 4294967296"):
+        ap.SubsetRule(modulus=ap.MAX_RULE_MODULUS, classes=(1,))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_narrowness_validation(sieve_2m):
     with pytest.raises(DomainError):
         ap.narrowness_report([], 3, 0.0, None, sieve_2m)

@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from narrowlab import __version__, cli
 from narrowlab import linforms as lf
 from narrowlab import numtheory as nt
 from narrowlab import singular as sg
+from test_majorant import _hostile_headers
 
 
 def run(capsys, *argv):
@@ -306,6 +308,51 @@ def test_majorant_w_past_the_table_field_exits_1_before_the_sieve(
     assert code == 1
     assert err.startswith("error:") and "primorial(47)" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "singular --h 0,2 --w 2147483648",
+    "gallagher --w 2147483648",
+    "cutoff-check --T 2147483648 --m 1",
+    "apsearch --mode narrowness --rule-mod 4294967296 --rule-classes 1",
+])
+def test_size_caps_exit_1_before_any_work(capsys, no_sieve, tmp_path, argv):
+    out = tmp_path / "report.out"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv.split(), "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rule_modulus_2_31_returns_within_a_second(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "apsearch", "--mode", "narrowness",
+                       "--rule-mod", "2147483648", "--rule-classes", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error:") and "prime subset empty" in err
+
+
+def test_correlate_rejects_headers_no_build_writes(capsys, tmp_path):
+    good = tmp_path / "good.bin"
+    assert run(capsys, "majorant", "--N", "10007", "--out", str(good))[0] == 0
+    bad = tmp_path / "bad.bin"
+    for name, blob in _hostile_headers(good.read_bytes()).items():
+        bad.write_bytes(blob)
+        code, _, err = run(capsys, "correlate", "--table", str(bad),
+                           "--h", "6", "--out", str(tmp_path / "c.csv"))
+        assert code == 2, name
+        assert err.startswith("error:") and "majorant header" in err, name
+        assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.bin", "good.bin"]
 
 
 def test_count_k_past_p_max_exits_2_before_the_sieve(capsys, no_sieve, tmp_path):

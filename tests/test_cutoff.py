@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from narrowlab import cutoff as co
-from narrowlab.errors import DomainError, UnsupportedError
+from narrowlab.errors import DomainError, ResourceError, UnsupportedError
 
 
 def test_cosine_norm_constant_closed_form():
@@ -181,6 +182,22 @@ def test_bad_truncation_rejected():
     for T in (math.inf, math.nan):
         with pytest.raises(DomainError, match="finite"):
             co.sieve_factor_report(co.make_cutoff("cosine"), 1, T=T)
+
+
+def test_quadrature_cap_admits_the_defaults_and_stops_wide_T():
+    for kind in co.KINDS:
+        spec = co.make_cutoff(kind)
+        for m in (1, 2, 3):
+            T = co.DEFAULT_T[kind] if m <= 2 else co.DEFAULT_T_TRIPLE
+            assert 10 * co._panel_count(spec, m, T) <= 1280
+    cosine = co.make_cutoff("cosine")
+    assert 10 * co._panel_count(cosine, 1, 2000.0) == 12800
+    for kind, m, T in (("cosine", 2, 2000.0), ("cosine", 3, 400.0),
+                       ("bump", 1, 2000.0), ("cosine", 1, 2.0 ** 31)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="quadrature nodes"):
+            co.sieve_factor_report(co.make_cutoff(kind), m, T=T)
+        assert time.perf_counter() - start < 0.5, (kind, m, T)
 
 
 def test_legendre_rule_is_solved_once_and_read_only():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -254,6 +255,50 @@ def test_save_load_roundtrip(table, chi, tmp_path):
     assert back.cutoff is chi
     bare = mj.load_majorant(str(path))
     assert bare.cutoff is None
+
+
+def test_majorant_file_bytes_are_pinned(table, tmp_path):
+    # Digest of the NAPMV1 file for N' = 10,007, w = 3, b = 1, the cosine
+    # cutoff and R = (W N')^0.45, as written before the shared table frame.
+    path = tmp_path / "m.bin"
+    mj.save_majorant(table, str(path))
+    digest = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+    assert digest == "e51f4a059e2116349f045edd8f4cc681"
+
+
+def _with_header(blob, **fields):
+    """The bytes of a NAPMV1 file with header fields N, W, b or R replaced."""
+    head = dict(zip("NWbR", struct.unpack_from("<3Qd", blob, 6)))
+    head.update(fields)
+    return blob[:6] + struct.pack("<3Qd", *head.values()) + blob[38:]
+
+
+def _hostile_headers(blob):
+    """Variants of a NAPMV1 file (W = 6) whose header no build writes."""
+    N, W, b, _ = struct.unpack_from("<3Qd", blob, 6)
+    past_top = math.nextafter(math.sqrt(W * N + b), math.inf)
+    return {
+        **{f"b={v}": _with_header(blob, b=v) for v in (0, 3, 9)},
+        **{f"R={v}": _with_header(blob, R=v)
+           for v in (1.0, -2.0, past_top, math.nan, math.inf, -math.inf)},
+    }
+
+
+def test_load_rejects_headers_no_build_writes(table, tmp_path):
+    path = tmp_path / "m.bin"
+    mj.save_majorant(table, str(path))
+    blob = path.read_bytes()
+    for bad in _hostile_headers(blob).values():
+        path.write_bytes(bad)
+        with pytest.raises(FormatError, match="majorant header"):
+            mj.load_majorant(str(path))
+    # Coprimality is the rule, not a reduced b: b = 7 with W = 6 loads.
+    top = table.context.W * NPRIME + 7
+    for b, R in ((7, table.R), (1, math.sqrt(top - 6)),
+                 (5, math.nextafter(1.0, 2.0))):
+        path.write_bytes(_with_header(blob, b=b, R=R))
+        back = mj.load_majorant(str(path))
+        assert (back.context.b, back.R) == (b, R)
 
 
 def test_failed_majorant_write_leaves_nothing_behind(table, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -167,6 +168,20 @@ def test_primorial_values():
     assert nt.primorial(7) == 210
 
 
+def test_primorial_walk_is_the_one_capped_walk():
+    walk = list(nt.primorial_walk(13))
+    assert walk == [(2, 2), (3, 6), (5, 30), (7, 210), (11, 2310), (13, 30030)]
+    assert list(nt.primorial_walk(1)) == list(nt.primorial_walk(-5)) == []
+    assert nt.primorial(47) < 2 ** 64 <= nt.primorial(47) * 53
+    for w in (53, 2 ** 31, 2 ** 63):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="primorial\\(47\\)"):
+            nt.primorial(w)
+        assert time.perf_counter() - start < 0.1
+    ctx = nt.primorial_context(47, 1, 10007)
+    assert ctx.phi_W == math.prod(p - 1 for p, _ in nt.primorial_walk(47))
+
+
 def test_primorial_context():
     ctx = nt.primorial_context(3, 1, 10 ** 5 + 3)
     assert (ctx.w, ctx.W, ctx.b, ctx.modulus) == (3, 6, 1, 10 ** 5 + 3)
@@ -206,6 +221,30 @@ def test_failed_sieve_write_leaves_nothing_behind(tmp_path):
         nt.save_sieve(broken, str(path))
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == before
+
+
+def test_sieve_file_bytes_are_pinned(tmp_path):
+    # Digest of the NAPSV1 file as written before the shared table frame.
+    path = tmp_path / "sieve.bin"
+    nt.save_sieve(nt.build_factor_sieve(60050), str(path))
+    digest = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+    assert digest == "d22e28ce14764738a8073a72df218b5b"
+
+
+def test_table_frame_roundtrip_and_checks(tmp_path):
+    path = tmp_path / "t.bin"
+    arrays = (np.arange(3, dtype=np.uint32), np.array([7], dtype=np.uint32))
+    nt.write_table(str(path), b"TESTV1", "<Qd", (4, 0.5), arrays, "<u4")
+    assert path.stat().st_size == 6 + 16 + 16
+    head, payload = nt.read_table(str(path), b"TESTV1", "<Qd", "<u4",
+                                  lambda n, _: n)
+    assert head == (4, 0.5) and payload.tolist() == [0, 1, 2, 7]
+    with pytest.raises(FormatError, match="payload has 16 bytes, expected 20"):
+        nt.read_table(str(path), b"TESTV1", "<Qd", "<u4", lambda n, _: n + 1)
+    with pytest.raises(FormatError, match="OTHER"):
+        nt.read_table(str(path), b"OTHERV", "<Qd", "<u4", lambda n, _: n)
+    with pytest.raises(FormatError, match="truncated"):
+        nt.read_table(str(path), b"TESTV1", "<Q64s", "<u4", lambda n, _: n)
 
 
 def test_load_rejects_bad_magic(tmp_path):
