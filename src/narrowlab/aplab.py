@@ -382,6 +382,8 @@ class SubsetRule:
         The keep pattern is at most as long as the range and is tiled.
         """
         size = int(upto) + 1
+        if size < 1:
+            raise DomainError(f"mask bound must be >= 0, got {upto}")
         keep = np.zeros(min(self.modulus, max(size, 1)), dtype=bool)
         keep[[c for c in self.classes if c < size]] = True
         return np.tile(keep, -(-size // keep.shape[0]))[:size]

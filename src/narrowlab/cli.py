@@ -346,6 +346,7 @@ def _cmd_singular(params):
 
 def _cmd_gallagher(params):
     W = numtheory.primorial(params["w"])
+    singular.check_box_size(params["t"], params["samples"])
     box = [(params["lo"], params["hi"])] * params["t"]
     report = singular.gallagher_average(
         params["weight"], box, W=W, P_max=params["P-max"], C=params["C"],
@@ -358,6 +359,8 @@ def _cmd_gallagher(params):
 
 def _cmd_cutoff_check(params):
     spec = cutoff.make_cutoff(params["chi"])
+    for m in params["m"]:   # every order's caps before the first factor
+        cutoff.factor_truncation(spec, m, params["T"])
     residual = cutoff.norm_residual(spec)
     factors = {}
     for m in params["m"]:

@@ -173,6 +173,25 @@ def _factor_integral(spec, m, T):
     return complex(np.sum(a * (V.sum(1) ** 2 + (1.0 + 1j * t) * ((V @ P) * V).sum(1))))
 
 
+def factor_truncation(spec, m, T=None):
+    """The truncation T of sieve_factor_report(spec, m, T), checked before any work.
+
+    Raises UnsupportedError for m outside {1, 2, 3}, DomainError for a T
+    that is not positive and finite, and ResourceError when the
+    quadrature at T, which needs more entries than at T/2, would pass
+    MAX_QUADRATURE_ENTRIES.
+    """
+    if m not in (1, 2, 3):
+        raise UnsupportedError(f"sieve factor implemented for m in {{1,2,3}}, got {m}")
+    if T is None:
+        T = DEFAULT_T[spec.kind] if m <= 2 else DEFAULT_T_TRIPLE
+    T = float(T)
+    if not (math.isfinite(T) and T > 0):
+        raise DomainError(f"truncation T must be positive and finite, got {T}")
+    _panel_count(spec, m, T)
+    return T
+
+
 def sieve_factor_report(spec, m, T=None):
     """Sieve factor c_{chi,m} with truncation diagnostics.
 
@@ -186,13 +205,7 @@ def sieve_factor_report(spec, m, T=None):
     as an empirical tail estimate either way.  An imaginary part above
     IMAG_TOL relative to the value raises NumericError.
     """
-    if m not in (1, 2, 3):
-        raise UnsupportedError(f"sieve factor implemented for m in {{1,2,3}}, got {m}")
-    if T is None:
-        T = DEFAULT_T[spec.kind] if m <= 2 else DEFAULT_T_TRIPLE
-    T = float(T)
-    if not (math.isfinite(T) and T > 0):
-        raise DomainError(f"truncation T must be positive and finite, got {T}")
+    T = factor_truncation(spec, m, T)
     extrapolate = spec.kind == "cosine" and m <= 2
     full = _factor_integral(spec, m, T)
     half = _factor_integral(spec, m, T / 2.0)

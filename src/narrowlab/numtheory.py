@@ -196,11 +196,14 @@ def _bootstrap_primes(upto):
     return np.nonzero(flags)[0].astype(np.int64)
 
 
-def factorize(n, sieve=None):
+def factorize(n, sieve=None, bound=None):
     """Sorted list of (prime, exponent) pairs with product |n|; empty for |n| = 1.
 
     With a sieve, n must lie in its range and the smallest-prime-factor
-    table is walked.  Without one, |n| is factored by trial division.
+    table is walked.  Without one, |n| is factored by trial division,
+    which stops past bound when one is given: the part of |n| free of
+    primes up to bound is then left as one last (cofactor, 1) pair above
+    bound, and every other pair is exact.
     """
     out = []
     if sieve is not None:
@@ -213,8 +216,9 @@ def factorize(n, sieve=None):
     n = abs(int(n))
     if n == 0:
         raise DomainError("cannot factorize 0")
+    bound = n if bound is None else bound
     for p in _trial_divisors():
-        if p * p > n:
+        if p * p > n or p > bound:
             break
         if n % p == 0:
             n, e = _divide_out(n, p)

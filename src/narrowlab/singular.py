@@ -20,6 +20,8 @@ from .numtheory import _bootstrap_primes, factorize
 
 DEFAULT_PMAX = 100000
 EXACT_CAP = 10 ** 7
+MAX_BOX_DIM = 64                  # coordinates of a Gallagher box
+MAX_SAMPLE_ENTRIES = 10 ** 7      # sampled coordinates: samples times box dimension
 
 
 @dataclass(frozen=True)
@@ -99,18 +101,47 @@ def _generic_product(r, k, W_primes, P_max):
     return float(np.exp(np.sum(logs)))
 
 
+@functools.lru_cache(maxsize=64)
+def _primes_upto(k):
+    """The primes up to k, whose local factors are always taken exactly."""
+    return frozenset(_bootstrap_primes(k).tolist())
+
+
 def _local_factor(p, nu, r):
     """(1 - 1/p)^(-r) (1 - nu/p); the generic factor has nu = r, and nu = p gives 0."""
     return (1.0 - 1.0 / p) ** (-r) * (1.0 - nu / p)
 
 
+def _least_root(n, floor):
+    """The least m > floor with m^e = n for an integer e >= 1, given n > floor."""
+    e, base = 2, max(floor + 1, 2)
+    while base ** e <= n:
+        m = 1 << -(-n.bit_length() // e)          # at least the e-th root
+        while m ** e > n:
+            m = ((e - 1) * m + n // m ** (e - 1)) // e
+        if m ** e == n:
+            n = m
+        else:
+            e += 1
+    return n
+
+
 def discriminant_primes(disc, P_max):
-    """Prime factors of disc, DomainError when the largest exceeds P_max."""
-    primes = [p for p, _ in factorize(disc)]
+    """Prime factors of disc, DomainError when one exceeds P_max.
+
+    Trial division stops past P_max, which no truncated product reads, so
+    a huge prime factor costs no more than a small one.  The error names
+    the least root of the unfactored part, so a power of disc names the
+    same number.
+    """
+    primes = [p for p, _ in factorize(disc, bound=P_max)]
     if primes and primes[-1] > P_max:
+        root = _least_root(primes[-1], P_max)
+        # Free of primes up to P_max, a root below (P_max + 1)^2 is prime.
+        largest = root if root <= P_max * (P_max + 2) else f"(a factor of {root})"
         raise DomainError(
             f"P_max={P_max} is below the largest prime factor "
-            f"{primes[-1]} of the discriminant"
+            f"{largest} of the discriminant"
         )
     return primes
 
@@ -122,24 +153,25 @@ def singular_series(h, P_max=DEFAULT_PMAX, W=1):
     discriminant) are exact; the remaining primes up to P_max use the
     generic occupancy nu_p = r.  The recorded tail bound is the
     multiplicative error exp(r^2 / P_max) - 1 of dropping primes beyond
-    P_max.
+    P_max.  Primes of W above P_max touch no factor, so W is factored,
+    and checked squarefree, only up to P_max.
     """
     h = as_shift(h)
     W = int(W)
     if W < 1:
         raise DomainError(f"W must be >= 1, got {W}")
-    W_factors = factorize(W)
+    P_max = int(P_max)
+    W_factors = [(p, e) for p, e in factorize(W, bound=P_max) if p <= P_max]
     if any(e > 1 for _, e in W_factors):
         raise DomainError(f"W={W} must be squarefree")
     W_primes = [p for p, _ in W_factors]
-    P_max = int(P_max)
     r = h.r
     k = h.k
     if P_max < k:
         raise DomainError(f"P_max={P_max} must be at least k={k}")
     delta_primes = discriminant_primes(delta(h), P_max)
     tail = math.exp(r * r / P_max) - 1.0
-    small = sorted(set(delta_primes) | set(_bootstrap_primes(k).tolist()))
+    small = sorted(_primes_upto(k).union(delta_primes))
     value = _generic_product(r, k, tuple(W_primes), P_max)
     for p in small:
         if p in W_primes:
@@ -163,15 +195,36 @@ def error_factor(h, C):
     return ErrorFactor(value=math.exp(C * s), prime_inverse_sum=s)
 
 
+def check_box_size(t, sample=None):
+    """ResourceError for a box of more than MAX_BOX_DIM coordinates, or
+    for more than MAX_SAMPLE_ENTRIES drawn coordinates, before either is built."""
+    if t > MAX_BOX_DIM:
+        raise ResourceError(f"box has {t} coordinates, past the cap of {MAX_BOX_DIM}")
+    if sample is not None and sample * t > MAX_SAMPLE_ENTRIES:
+        raise ResourceError(
+            f"{sample} samples of {t} coordinates draw {sample * t} entries, "
+            f"past the cap of {MAX_SAMPLE_ENTRIES}"
+        )
+
+
+def _refine(classes, interval):
+    """Split classes (s, bottom, top), x_1 in [bottom, top], by d = x_1 - x_i
+    over x_i in interval, drawing only the d that leave x_1 a point."""
+    lo, hi = interval
+    for s, bottom, top in classes:
+        for d in range(bottom - hi, top - lo + 1):
+            yield (*s, d), max(bottom, lo + d), min(top, hi + d)
+
+
 def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
                       sample=None, seed=0):
     """Average of a weight over the integer points of a box.
 
     weight "GW" averages the W-tricked singular series, weight "E" the
     discriminant error factor with constant C.  Boxes with at most
-    EXACT_CAP points are enumerated exactly (pair boxes are aggregated
-    over the difference of the two coordinates, which the weights depend
-    on); larger boxes require a sample count and report a standard error.
+    EXACT_CAP points are summed exactly, one weight per class of equal
+    x_1 - x_i, as translation, permutation and sign keep both weights;
+    larger boxes require a sample count and report a standard error.
     """
     if weight not in ("GW", "E"):
         raise DomainError(f"weight must be 'GW' or 'E', got {weight!r}")
@@ -179,6 +232,7 @@ def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
         raise DomainError(f"seed must be >= 0, got {seed}")
     box = BoxRegion(intervals=box)
     dims, count = box.intervals, box.point_count
+    check_box_size(len(dims), sample)
 
     def g(point):
         if weight == "GW":
@@ -186,24 +240,13 @@ def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
         return error_factor(point, C).value
 
     if count <= EXACT_CAP and sample is None:
-        if len(dims) == 2:
-            (lo1, hi1), (lo2, hi2) = dims
-            total = 0.0
-            cache = {}
-            for d1 in range(lo1 - hi2, hi1 - lo2 + 1):
-                overlap = min(hi1, hi2 + d1) - max(lo1, lo2 + d1) + 1
-                if overlap <= 0:
-                    continue
-                a = abs(d1)
-                if a not in cache:
-                    cache[a] = g((0, a))
-                total += overlap * cache[a]
-            mean = total / count
-        else:
-            total = 0.0
-            for point in itertools.product(*(range(lo, hi + 1) for lo, hi in dims)):
-                total += g(point)
-            mean = total / count
+        classes = functools.reduce(_refine, dims[1:], [((), *dims[0])])
+        total = 0.0
+        weigh = functools.cache(g)
+        for s, bottom, top in classes:
+            h = sorted((0, *s))
+            total += (top - bottom + 1) * weigh(tuple([v - h[0] for v in h]))
+        mean = total / count
         return GallagherReport(mean=mean, abs_dev=abs(mean - 1.0),
                                stderr=0.0, n_points=count, mode="exact")
     if sample is None:

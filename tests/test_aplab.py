@@ -185,6 +185,14 @@ def test_subset_rule_matches_the_full_period_loops():
             assert np.array_equal(rule.mask(upto), want), (m, upto)
 
 
+def test_subset_rule_mask_rejects_a_negative_bound():
+    rule = ap.SubsetRule(modulus=8, classes=(1, 3))
+    for upto in (-1, -2, -3, -(2 ** 40)):
+        with pytest.raises(DomainError, match=f"got {upto}"):
+            rule.mask(upto)
+    assert rule.mask(0).tolist() == [False]
+
+
 def test_subset_rule_modulus_cap():
     start = time.perf_counter()
     top = ap.SubsetRule(modulus=ap.MAX_RULE_MODULUS - 1, classes=(1,))

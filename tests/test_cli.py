@@ -315,6 +315,8 @@ def test_majorant_w_past_the_table_field_exits_1_before_the_sieve(
     "gallagher --w 2147483648",
     "cutoff-check --T 2147483648 --m 1",
     "apsearch --mode narrowness --rule-mod 4294967296 --rule-classes 1",
+    "gallagher --t 2147483648",
+    "gallagher --samples 2147483648",
 ])
 def test_size_caps_exit_1_before_any_work(capsys, no_sieve, tmp_path, argv):
     out = tmp_path / "report.out"
@@ -330,6 +332,31 @@ def test_size_caps_exit_1_before_any_work(capsys, no_sieve, tmp_path, argv):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cutoff_check_caps_every_order_before_the_first_factor(capsys, tmp_path):
+    out = tmp_path / "cut.json"
+    start = time.perf_counter()
+    code, text, err = run(capsys, "cutoff-check", "--m", "1,2", "--T", "2000",
+                          "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error:") and "at m=2" in err
+    assert "c_{chi," not in text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "singular --h 0,1000000007,2000000014",
+    "apsearch --mode count --N 10 --k 3 --d 1000000014000000049",
+])
+def test_huge_discriminant_prime_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == ("error: P_max=100000 is below the largest prime factor "
+                   "1000000007 of the discriminant\n")
 
 
 def test_rule_modulus_2_31_returns_within_a_second(capsys):

@@ -103,6 +103,21 @@ def test_factorize_without_sieve_signs_and_zero():
         nt.factorize(0)
 
 
+def test_factorize_bound_leaves_one_cofactor_above_it():
+    q = 10 ** 9 + 7
+    rng = np.random.default_rng(24)
+    cases = [(int(n), nt.factorize(int(n))) for n in rng.integers(1, 10 ** 8, size=300)]
+    cases += [(2 * q ** 3, [(2, 1), (q, 3)]), (q ** 2, [(q, 2)]),
+              (2 ** 61 - 1, [(2 ** 61 - 1, 1)]), (101 ** 2, [(101, 2)]),
+              (-97 * 101, [(97, 1), (101, 1)])]
+    for n, full in cases:
+        for bound in (1, 2, 5, 97, 100, int(rng.integers(1, 10 ** 4)), 10 ** 5):
+            got = nt.factorize(n, bound=bound)
+            small = [(p, e) for p, e in full if p <= bound]
+            rest = math.prod(p ** e for p, e in full if p > bound)
+            assert got == small + ([(rest, 1)] if rest > 1 else []), (n, bound)
+
+
 def _index_compare_mask(sieve, upto):
     mask = sieve.spf[:upto + 1] == np.arange(upto + 1)
     mask[:2] = False

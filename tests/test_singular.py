@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -192,3 +195,146 @@ def test_gallagher_resource_and_domain_errors():
     for sample in (100, None):
         with pytest.raises(DomainError, match="seed must be >= 0"):
             sg.gallagher_average("E", ((1, 5), (1, 5)), sample=sample, seed=-1)
+
+
+def _weight(weight, W, P_max, C):
+    if weight == "GW":
+        return lambda point: sg.singular_series(point, P_max=P_max, W=W).value
+    return lambda point: sg.error_factor(point, C).value
+
+
+def _pointwise_average(weight, box, W=1, P_max=sg.DEFAULT_PMAX, C=1.0):
+    """The weight summed point by point over the box, no grouping."""
+    g = _weight(weight, W, P_max, C)
+    total = 0.0
+    count = 0
+    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        total += g(point)
+        count += 1
+    return total / count
+
+
+def _pair_average(weight, box, W=1, P_max=sg.DEFAULT_PMAX, C=1.0):
+    """The pair-only exact path that the difference classes replaced."""
+    g = _weight(weight, W, P_max, C)
+    (lo1, hi1), (lo2, hi2) = box
+    total = 0.0
+    cache = {}
+    for d1 in range(lo1 - hi2, hi1 - lo2 + 1):
+        overlap = min(hi1, hi2 + d1) - max(lo1, lo2 + d1) + 1
+        if overlap <= 0:
+            continue
+        a = abs(d1)
+        if a not in cache:
+            cache[a] = g((0, a))
+        total += overlap * cache[a]
+    return total / ((hi1 - lo1 + 1) * (hi2 - lo2 + 1))
+
+
+@pytest.mark.parametrize("box", [
+    ((-3, 7),),
+    ((4, 4),),
+    ((-5, 9), (2, 13)),
+    ((0, 0), (-6, 11)),
+    ((-4, 3), (2, 2), (-1, 6)),
+    ((1, 9), (-3, 4), (0, 12)),
+    ((-2, 3), (0, 4), (5, 5), (-3, 1)),
+    ((0, 5), (-2, 2), (1, 4), (0, 3)),
+])
+def test_gallagher_difference_classes_match_the_point_loop(box):
+    for weight in ("GW", "E"):
+        for W in (1, 6):
+            rep = sg.gallagher_average(weight, box, W=W, P_max=1000, C=0.7)
+            want = _pointwise_average(weight, box, W=W, P_max=1000, C=0.7)
+            assert rep.mode == "exact" and rep.stderr == 0.0
+            assert rep.n_points == math.prod(hi - lo + 1 for lo, hi in box)
+            assert rep.mean == pytest.approx(want, rel=1e-12, abs=0.0), (weight, W)
+            assert rep.abs_dev == abs(rep.mean - 1.0)
+
+
+def test_gallagher_pairs_are_bit_identical_to_the_pair_loop():
+    boxes = [((1, 500), (1, 500)), ((1, 20), (1, 20)), ((-7, 30), (3, 11)),
+             ((5, 5), (-9, 40)), ((0, 9), (0, 9))]
+    for box in boxes:
+        for W in (1, 2, 6, 30, 210):
+            assert (sg.gallagher_average("GW", box, W=W).mean
+                    == _pair_average("GW", box, W=W)), (box, W)
+        assert (sg.gallagher_average("E", box, C=0.5).mean
+                == _pair_average("E", box, C=0.5)), box
+
+
+def _canonical_rows(box):
+    """Each point's differences x_1 - x_i, sorted and translated to start
+    at 0, as distinct rows with their counts."""
+    axes = np.meshgrid(*(np.arange(lo, hi + 1) for lo, hi in box), indexing="ij")
+    points = np.stack([a.ravel() for a in axes], axis=1)
+    diffs = np.sort(points[:, :1] - points, axis=1)
+    return np.unique(diffs - diffs[:, :1], axis=0, return_counts=True)
+
+
+@pytest.mark.parametrize("box", [((1, 60),) * 3, ((1, 60), (-4, 50), (3, 70))])
+def test_gallagher_triples_weigh_each_class_once(monkeypatch, box):
+    rows, counts = _canonical_rows(box)
+    want = math.fsum(int(c) * sg.singular_series(tuple(int(v) for v in row),
+                                                 W=6).value
+                     for row, c in zip(rows, counts)) / counts.sum()
+    seen = []
+    series = sg.singular_series
+
+    def counted(h, **kwargs):
+        seen.append(tuple(h))
+        return series(h, **kwargs)
+
+    monkeypatch.setattr(sg, "singular_series", counted)
+    rep = sg.gallagher_average("GW", box, W=6)
+    assert rep.mode == "exact" and rep.n_points == counts.sum()
+    assert rep.mean == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert sorted(seen) == [tuple(int(v) for v in row) for row in rows]
+
+
+def test_gallagher_walks_only_nonempty_classes():
+    # (0..1)^14 has 3^13 = 1,594,323 difference vectors but 16,384 points,
+    # and only the vectors some point realises are walked.
+    dims = ((0, 1),) * 14
+    classes = functools.reduce(sg._refine, dims[1:], [((), *dims[0])])
+    sizes = {s: top - bottom + 1 for s, bottom, top in classes}
+    points = np.array(list(itertools.product((0, 1), repeat=14)))
+    diffs, counts = np.unique(points[:, :1] - points[:, 1:], axis=0,
+                              return_counts=True)
+    assert sizes == {tuple(int(v) for v in s): int(c)
+                     for s, c in zip(diffs, counts)}
+    rep = sg.gallagher_average("E", dims, C=1.0)
+    assert rep.n_points == 2 ** 14
+
+
+def test_gallagher_size_caps():
+    wide = ((1, 1),) * (sg.MAX_BOX_DIM + 1)
+    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_BOX_DIM}"):
+        sg.gallagher_average("GW", wide)
+    sg.gallagher_average("GW", wide[1:])
+    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_SAMPLE_ENTRIES}"):
+        sg.gallagher_average("E", ((1, 5), (1, 5)),
+                             sample=sg.MAX_SAMPLE_ENTRIES // 2 + 1)
+
+
+def test_bounded_prime_search_returns_at_once():
+    q = 10 ** 9 + 7
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"largest prime factor {q} of"):
+        sg.singular_series((0, q, 2 * q))
+    with pytest.raises(DomainError, match=r"prime factor \(a factor of 1000000007\)"):
+        sg.singular_series((0, q, 2 * q), P_max=100)
+    # Primes of W above P_max touch no factor, squared or not.
+    plain = sg.singular_series((0, 2), P_max=100).value
+    assert sg.singular_series((0, 2), P_max=100, W=2 ** 61 - 1).value == plain
+    assert sg.singular_series((0, 2), P_max=100, W=101 ** 2).value == plain
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(DomainError, match="squarefree"):
+        sg.singular_series((0, 2), P_max=100, W=97 ** 2)
+
+
+def test_least_root_is_shared_by_powers():
+    for m in (7, 12, 10 ** 9 + 7, 3 * 10 ** 6 + 1):
+        for e in (1, 2, 3, 6):
+            assert sg._least_root(m ** e, 5) == m
+    assert sg._least_root(2 ** 64, 1) == 2
