@@ -208,11 +208,20 @@ def load_majorant(path, cutoff=None):
 
     The header must be one build_majorant could have written: N' prime,
     W a primorial, gcd(b, W) = 1 and 1 < R <= sqrt(W N' + b); anything
-    else raises FormatError.  The format does not record the cutoff kind;
-    pass the cutoff used at build time if later computations need it.
+    else raises FormatError before the payload is mapped.  Both arrays
+    map the file copy-on-write, as read_table says.  The format does not
+    record the cutoff kind; pass the cutoff used at build time if later
+    computations need it.
     """
-    (nprime, W, b, R), payload = read_table(
-        path, MAJORANT_MAGIC, MAJORANT_HEAD, "<f8", lambda n, *_: 2 * n)
+    (ctx, R), payload = read_table(
+        path, MAJORANT_MAGIC, MAJORANT_HEAD, "<f8", _parse_head)
+    return MajorantTable(context=ctx, R=R, cutoff=cutoff,
+                         values=payload[:ctx.modulus],
+                         lambda_values=payload[ctx.modulus:])
+
+
+def _parse_head(nprime, W, b, R):
+    """The context and R of a NAPMV1 header, and its payload's item count."""
     w, walked = 1, 1
     for p, primorial_p in primorial_walk(W_FIELD_PRIME - 1):   # all below 2^64
         if walked >= W:
@@ -225,5 +234,4 @@ def load_majorant(path, cutoff=None):
         R = _checked_R(ctx, R)
     except DomainError as exc:
         raise FormatError(f"majorant header: {exc}") from None
-    return MajorantTable(context=ctx, R=R, cutoff=cutoff,
-                         values=payload[:nprime], lambda_values=payload[nprime:])
+    return (ctx, R), 2 * nprime

@@ -1,7 +1,9 @@
 """Integer arithmetic foundations: sieves, multiplicative functions, W-trick contexts."""
 
 import contextlib
+import functools
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -14,6 +16,8 @@ SIEVE_MAGIC = b"NAPSV1"
 SIEVE_HEAD = "<Q"        # limit
 SEGMENT_SIZE = 1 << 19   # entries per sieve segment: 2 MB of uint32, sized for L2
 W_FIELD_PRIME = 53       # the least prime whose primorial exceeds 2^64
+WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+WHEEL = 30030            # the product of WHEEL_PRIMES, the wheel pattern's period
 
 # Witness set proving primality for every n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -138,8 +142,10 @@ def build_factor_sieve(limit):
     """Build a FactorSieve via segmented smallest-prime-factor marking.
 
     Segments of SEGMENT_SIZE entries, sized to stay in L2 cache, are
-    filled in turn by spf_segment; the entries it leaves at 0 (the
-    primes, and 0 and 1) get their own index before the next segment.
+    filled in turn by spf_segment, which writes every entry's final value;
+    no entry is read back or fixed up afterwards.  Its ramp is sized to
+    min(SEGMENT_SIZE, limit + 1) entries and its wheel pattern to at most
+    one period more, so a small sieve builds only what it uses.
     """
     limit = int(limit)
     if limit < 2:
@@ -149,39 +155,62 @@ def build_factor_sieve(limit):
             f"sieve limit {limit} exceeds the uint32 factor table range"
         )
     try:
-        spf = np.zeros(limit + 1, dtype=np.uint32)
+        spf = np.empty(limit + 1, dtype=np.uint32)
     except MemoryError:
         raise ResourceError(
             f"cannot allocate sieve of {limit + 1} entries "
             f"(~{4 * (limit + 1)} bytes required)"
         ) from None
+    ramp = np.arange(min(SEGMENT_SIZE, limit + 1), dtype=np.uint32)
+    # A segment at lo reads wheel[lo % WHEEL:lo % WHEEL + len], which ends at or
+    # before both limit + 1 and SEGMENT_SIZE + WHEEL - 1.
+    wheel = wheel_pattern(min(limit + 1, SEGMENT_SIZE + WHEEL - 1))
     base_primes = _bootstrap_primes(math.isqrt(limit))
     for lo in range(0, limit + 1, SEGMENT_SIZE):
-        seg = spf[lo:lo + SEGMENT_SIZE]
-        spf_segment(seg, lo, base_primes)
-        unmarked = np.flatnonzero(seg == 0)
-        seg[unmarked] = unmarked + lo
+        spf_segment(spf[lo:lo + SEGMENT_SIZE], lo, base_primes, ramp, wheel)
     return FactorSieve(limit, spf)
 
 
-def spf_segment(spf_seg, lo, base_primes):
-    """Mark smallest prime factors of [lo, lo+len) into a zeroed segment.
+@functools.cache
+def _wheel_period():
+    """One period of the wheel pattern, read-only."""
+    period = np.full(WHEEL, np.iinfo(np.uint32).max, dtype=np.uint32)
+    for p in reversed(WHEEL_PRIMES):
+        period[::p] = p
+    period.flags.writeable = False
+    return period
 
-    Entries that remain 0 afterwards are primes (or below 2) relative to
-    the base prime list, which must contain every prime up to
-    sqrt(lo + len - 1).  The even entries get 2 in one store; each odd
-    base prime p then stores p at its odd multiples from max(p^2, lo) on,
-    largest p first, so a smaller prime overwrites a larger one and every
-    entry ends at its smallest factor without being read.
+
+def wheel_pattern(length):
+    """Least prime among WHEEL_PRIMES dividing each n in [0, length), or
+    2^32 - 1 for n with none; the pattern has period WHEEL."""
+    return np.resize(_wheel_period(), length)
+
+
+def spf_segment(spf_seg, lo, base_primes, ramp, wheel):
+    """Write the smallest prime factor of each n in [lo, lo + len) into spf_seg.
+
+    ramp holds 0, 1, ..., at least len - 1, and wheel is wheel_pattern(m)
+    for some m >= lo % WHEEL + len; base_primes must contain every prime
+    up to sqrt(lo + len - 1).  The segment starts as the identity, so primes
+    (and 0 and 1) already hold their final value.  Each odd base prime p
+    above the wheel's primes then stores p at its odd multiples from
+    max(p^2, lo) on, largest p first, so a smaller prime overwrites a
+    larger one.  Last, one minimum against the wheel applies the primes
+    2 to 13: where one divides n, the least such is n's smallest prime
+    factor and below both n and every prime stored.
     """
-    hi = lo + spf_seg.shape[0]
-    spf_seg[max(lo + (lo & 1), 4) - lo::2] = 2
+    n = spf_seg.shape[0]
+    hi = lo + n
+    np.add(ramp[:n], lo, out=spf_seg)
     p = np.asarray(base_primes, dtype=np.int64)
-    p = p[(p > 2) & (p * p < hi)]
+    p = p[(p > WHEEL_PRIMES[-1]) & (p * p < hi)]
     start = np.maximum(p * p, -(-lo // p) * p)
     start += p * (start % 2 == 0)
     for q, s in zip(p[::-1].tolist(), start[::-1].tolist()):
         spf_seg[s - lo::2 * q] = q
+    offset = lo % WHEEL
+    np.minimum(spf_seg, wheel[offset:offset + n], out=spf_seg)
 
 
 def _bootstrap_primes(upto):
@@ -335,9 +364,18 @@ def write_table(path, magic, head_format, head, arrays, dtype):
             np.ascontiguousarray(array, dtype=dtype).tofile(fh)
 
 
-def read_table(path, magic, head_format, dtype, entries):
-    """Header and payload of a write_table file, whose payload holds entries(*head)
-    items; a wrong magic, a short header or another length raises FormatError."""
+def read_table(path, magic, head_format, dtype, parse):
+    """What parse(*head) makes of a write_table file's header, and its payload.
+
+    parse returns that meaning and the payload's item count, or raises
+    FormatError for a header it rejects.  It, a wrong magic, a short
+    header or another payload length raise before anything is mapped.
+    The payload is a view of the file mapped copy-on-write: nothing is
+    copied at load, pages are read in as they are first touched, and a
+    write to the array stays private to it.  Writers replace a file and
+    never overwrite it in place, so a later save leaves a loaded array as
+    it was.
+    """
     name, head_bytes = magic.decode(), struct.calcsize(head_format)
     with open(path, "rb") as fh:
         found = fh.read(len(magic))
@@ -346,13 +384,13 @@ def read_table(path, magic, head_format, dtype, entries):
         raw = fh.read(head_bytes)
         if len(raw) != head_bytes:
             raise FormatError(f"truncated {name} header")
-        head = struct.unpack(head_format, raw)
-        count = entries(*head)
+        meaning, count = parse(*struct.unpack(head_format, raw))
         want = count * np.dtype(dtype).itemsize
         have = os.fstat(fh.fileno()).st_size - fh.tell()
         if have != want:
             raise FormatError(f"{name} payload has {have} bytes, expected {want}")
-        return head, np.fromfile(fh, dtype=dtype, count=count)
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        return meaning, np.frombuffer(mapped, dtype=dtype, count=count, offset=fh.tell())
 
 
 def save_sieve(sieve, path):
@@ -361,6 +399,7 @@ def save_sieve(sieve, path):
 
 
 def load_sieve(path):
-    """Load a NAPSV1 sieve file, validating magic and length."""
-    (limit,), spf = read_table(path, SIEVE_MAGIC, SIEVE_HEAD, "<u4", lambda n: n + 1)
+    """Load a NAPSV1 sieve file, validating magic and length; the table maps
+    the file copy-on-write, as read_table says."""
+    limit, spf = read_table(path, SIEVE_MAGIC, SIEVE_HEAD, "<u4", lambda n: (n, n + 1))
     return FactorSieve(limit, spf)

@@ -19,7 +19,9 @@ from .errors import DomainError, ResourceError
 from .numtheory import _bootstrap_primes, factorize
 
 DEFAULT_PMAX = 100000
+MAX_PMAX = 10 ** 8                # truncation bound: a boolean sieve of 100 MB
 EXACT_CAP = 10 ** 7
+MAX_DELTA = 10 ** 12              # |Delta(h)| of the E weight, factored by trial division
 MAX_BOX_DIM = 64                  # coordinates of a Gallagher box
 MAX_SAMPLE_ENTRIES = 10 ** 7      # sampled coordinates: samples times box dimension
 
@@ -160,7 +162,7 @@ def singular_series(h, P_max=DEFAULT_PMAX, W=1):
     W = int(W)
     if W < 1:
         raise DomainError(f"W must be >= 1, got {W}")
-    P_max = int(P_max)
+    P_max = check_p_max(P_max)
     W_factors = [(p, e) for p, e in factorize(W, bound=P_max) if p <= P_max]
     if any(e > 1 for _, e in W_factors):
         raise DomainError(f"W={W} must be squarefree")
@@ -185,14 +187,44 @@ def singular_series(h, P_max=DEFAULT_PMAX, W=1):
     return SingularValue(value=value, P_max=P_max, tail_bound=tail)
 
 
+def check_p_max(P_max):
+    """P_max as an int; ResourceError past MAX_PMAX, before its primes are sieved."""
+    P_max = int(P_max)
+    if P_max > MAX_PMAX:
+        raise ResourceError(f"P_max={P_max} is past the cap of {MAX_PMAX}")
+    return P_max
+
+
 def error_factor(h, C):
-    """exp(C * sum of 1/p over p | Delta(h)), plus the raw inverse sum."""
+    """exp(C * sum of 1/p over p | Delta(h)), plus the raw inverse sum.
+
+    Delta(h) is factored in full by trial division, which can take about
+    sqrt(|Delta(h)|) / 3 steps, so |Delta(h)| past MAX_DELTA raises
+    ResourceError before any division.
+    """
     h = as_shift(h)
     C = float(C)
     if C <= 0:
         raise DomainError(f"C must be positive, got {C}")
-    s = sum(1.0 / p for p, _ in factorize(delta(h)))
+    disc = delta(h)
+    if abs(disc) > MAX_DELTA:
+        raise ResourceError(f"|Delta(h)| = {abs(disc)} is past the cap of {MAX_DELTA}")
+    s = sum(1.0 / p for p, _ in factorize(disc))
     return ErrorFactor(value=math.exp(C * s), prime_inverse_sum=s)
+
+
+def check_delta_bound(dims):
+    """ResourceError when a point of the box of intervals dims could have
+    |Delta| past MAX_DELTA: the product over coordinate pairs of their
+    largest difference bounds |Delta| at every point."""
+    bound = 1
+    for (lo_i, hi_i), (lo_j, hi_j) in itertools.combinations(dims, 2):
+        bound *= max(hi_i - lo_j, hi_j - lo_i, 1)
+        if bound > MAX_DELTA:
+            raise ResourceError(
+                f"points of the box may have |Delta| past the E weight's "
+                f"cap of {MAX_DELTA}"
+            )
 
 
 def check_box_size(t, sample=None):
@@ -233,6 +265,10 @@ def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
     box = BoxRegion(intervals=box)
     dims, count = box.intervals, box.point_count
     check_box_size(len(dims), sample)
+    if weight == "GW":
+        check_p_max(P_max)
+    else:
+        check_delta_bound(dims)
 
     def g(point):
         if weight == "GW":

@@ -317,6 +317,10 @@ def test_majorant_w_past_the_table_field_exits_1_before_the_sieve(
     "apsearch --mode narrowness --rule-mod 4294967296 --rule-classes 1",
     "gallagher --t 2147483648",
     "gallagher --samples 2147483648",
+    "gallagher --weight E --lo 1 --hi 1000000000000000000 --t 2 --samples 100",
+    "singular --h 0,2 --P-max 2147483648",
+    "gallagher --P-max 2147483648",
+    "apsearch --mode count --P-max 2147483648",
 ])
 def test_size_caps_exit_1_before_any_work(capsys, no_sieve, tmp_path, argv):
     out = tmp_path / "report.out"

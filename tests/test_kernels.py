@@ -256,13 +256,18 @@ def test_ap_count_paths_agree():
 
 
 def test_spf_segment_matches_trial_division():
+    # The segment kernel writes every entry's final value into an
+    # uninitialised segment, reading a ramp and a wheel pattern that are
+    # at least as long as the segment, from any start lo.
     rng = np.random.default_rng(1)
+    ramp = np.arange(3000, dtype=np.uint32)
+    wheel = nt.wheel_pattern(3000 + nt.WHEEL - 1)
     for trial in range(20):
         lo = int(rng.integers(2, 200000))
         size = int(rng.integers(1, 3000))
         hi = lo + size
         base = nt._bootstrap_primes(int(hi ** 0.5) + 1)
-        seg = np.zeros(size, dtype=np.uint32)
-        nt.spf_segment(seg, lo, base)
-        want = [_trial_spf(n) for n in range(lo, hi)]
+        seg = np.full(size, 12345, dtype=np.uint32)
+        nt.spf_segment(seg, lo, base, ramp, wheel)
+        want = [_trial_spf(n) or n for n in range(lo, hi)]
         assert seg.tolist() == want, (trial, lo, size)

@@ -257,6 +257,49 @@ def test_save_load_roundtrip(table, chi, tmp_path):
     assert bare.cutoff is None
 
 
+def test_loaded_majorant_is_the_saved_bytes_and_private(table, tmp_path):
+    path = tmp_path / "majorant.bin"
+    mj.save_majorant(table, str(path))
+    before = path.read_bytes()
+    back = mj.load_majorant(str(path))
+    assert back.values.tobytes() == table.values.tobytes()
+    assert back.lambda_values.tobytes() == table.lambda_values.tobytes()
+    assert back.values.flags.writeable and back.lambda_values.flags.writeable
+    back.values[:] = -1.0
+    back.lambda_values[0] = math.nan
+    assert path.read_bytes() == before
+    assert mj.load_majorant(str(path)).values.tobytes() == table.values.tobytes()
+
+
+def test_loaded_majorant_outlives_its_file(table, ctx, chi, sieve_2m, tmp_path):
+    path = tmp_path / "majorant.bin"
+    mj.save_majorant(table, str(path))
+    back = mj.load_majorant(str(path))
+    other = mj.build_majorant(ctx, 50.0, chi, sieve_2m)
+    mj.save_majorant(other, str(path))
+    assert mj.load_majorant(str(path)).R == 50.0
+    path.unlink()
+    assert back.R == table.R
+    assert back.values.tobytes() == table.values.tobytes()
+    assert back.lambda_values.tobytes() == table.lambda_values.tobytes()
+
+
+def test_rejected_majorant_files_are_never_mapped(table, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mapped a rejected file")
+
+    path = tmp_path / "m.bin"
+    mj.save_majorant(table, str(path))
+    blob = path.read_bytes()
+    monkeypatch.setattr(nt.mmap, "mmap", refuse)
+    bad = [blob[:20], blob[:-8], b"NOPEV1" + blob[6:], _with_header(blob, W=10),
+           *_hostile_headers(blob).values()]
+    for data in bad:
+        path.write_bytes(data)
+        with pytest.raises(FormatError):
+            mj.load_majorant(str(path))
+
+
 def test_majorant_file_bytes_are_pinned(table, tmp_path):
     # Digest of the NAPMV1 file for N' = 10,007, w = 3, b = 1, the cosine
     # cutoff and R = (W N')^0.45, as written before the shared table frame.

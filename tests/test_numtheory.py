@@ -49,6 +49,33 @@ def test_segment_sizes_match_trial_division(monkeypatch, segment):
     assert nt.build_factor_sieve(10 ** 5).spf.tolist() == want
 
 
+def test_spf_at_every_small_limit_matches_trial_division():
+    want = _trial_spf_table(64)
+    for limit in range(2, 65):
+        assert nt.build_factor_sieve(limit).spf.tolist() == want[:limit + 1], limit
+
+
+@pytest.mark.parametrize("segment", [None, 1 << 10, 40001, 30029])
+def test_spf_at_wheel_period_edges_matches_trial_division(monkeypatch, segment):
+    # Limits one below, at and one past each multiple of the wheel's
+    # period, at the default segment size and at sizes that put segment
+    # edges off the period: 2^10, an odd size past it and one below it.
+    want = _trial_spf_table(3 * nt.WHEEL + 1)
+    if segment is not None:
+        monkeypatch.setattr(nt, "SEGMENT_SIZE", segment)
+    for j in (1, 2, 3):
+        for limit in (j * nt.WHEEL - 1, j * nt.WHEEL, j * nt.WHEEL + 1):
+            assert nt.build_factor_sieve(limit).spf.tolist() == want[:limit + 1], limit
+
+
+def test_wheel_pattern_is_the_least_small_prime():
+    pattern = nt.wheel_pattern(2 * nt.WHEEL + 5)
+    assert math.prod(nt.WHEEL_PRIMES) == nt.WHEEL
+    for n in range(pattern.shape[0]):
+        least = next((p for p in nt.WHEEL_PRIMES if n % p == 0), 2 ** 32 - 1)
+        assert int(pattern[n]) == least, n
+
+
 def test_factor_table_bytes_are_pinned():
     # Digest of the table as built before the cache-sized kernel; any
     # later kernel must reproduce every byte.
@@ -252,14 +279,65 @@ def test_table_frame_roundtrip_and_checks(tmp_path):
     nt.write_table(str(path), b"TESTV1", "<Qd", (4, 0.5), arrays, "<u4")
     assert path.stat().st_size == 6 + 16 + 16
     head, payload = nt.read_table(str(path), b"TESTV1", "<Qd", "<u4",
-                                  lambda n, _: n)
+                                  lambda n, x: ((n, x), n))
     assert head == (4, 0.5) and payload.tolist() == [0, 1, 2, 7]
     with pytest.raises(FormatError, match="payload has 16 bytes, expected 20"):
-        nt.read_table(str(path), b"TESTV1", "<Qd", "<u4", lambda n, _: n + 1)
+        nt.read_table(str(path), b"TESTV1", "<Qd", "<u4", lambda n, _: (n, n + 1))
     with pytest.raises(FormatError, match="OTHER"):
-        nt.read_table(str(path), b"OTHERV", "<Qd", "<u4", lambda n, _: n)
+        nt.read_table(str(path), b"OTHERV", "<Qd", "<u4", lambda n, _: (n, n))
     with pytest.raises(FormatError, match="truncated"):
-        nt.read_table(str(path), b"TESTV1", "<Q64s", "<u4", lambda n, _: n)
+        nt.read_table(str(path), b"TESTV1", "<Q64s", "<u4", lambda n, _: (n, n))
+
+
+def test_loaded_sieve_is_the_saved_bytes(tmp_path):
+    sieve = nt.build_factor_sieve(60050)
+    path = tmp_path / "sieve.bin"
+    nt.save_sieve(sieve, str(path))
+    loaded = nt.load_sieve(str(path))
+    assert loaded.spf.dtype == np.dtype("<u4") and loaded.spf.shape == sieve.spf.shape
+    assert loaded.spf.tobytes() == sieve.spf.tobytes()
+    assert path.read_bytes()[14:] == sieve.spf.tobytes()
+
+
+def test_loaded_sieve_is_private_to_its_caller(tmp_path):
+    path = tmp_path / "sieve.bin"
+    nt.save_sieve(nt.build_factor_sieve(5000), str(path))
+    before = path.read_bytes()
+    first, second = nt.load_sieve(str(path)), nt.load_sieve(str(path))
+    assert first.spf.flags.writeable
+    first.spf[:] = 7
+    assert path.read_bytes() == before
+    assert second.spf.tobytes() == before[14:]
+    assert nt.load_sieve(str(path)).spf.tobytes() == before[14:]
+
+
+def test_loaded_sieve_outlives_its_file(tmp_path):
+    # Writers replace the file, so a load keeps the bytes it mapped.
+    path = tmp_path / "sieve.bin"
+    nt.save_sieve(nt.build_factor_sieve(5000), str(path))
+    want = path.read_bytes()[14:]
+    loaded = nt.load_sieve(str(path))
+    nt.save_sieve(nt.build_factor_sieve(5000 + 7), str(path))
+    assert nt.load_sieve(str(path)).limit == 5007
+    assert loaded.limit == 5000 and loaded.spf.tobytes() == want
+    path.unlink()
+    assert loaded.spf.tobytes() == want
+    assert loaded.primes(100).tolist()[:5] == [2, 3, 5, 7, 11]
+
+
+def test_rejected_sieve_files_are_never_mapped(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mapped a rejected file")
+
+    path = tmp_path / "sieve.bin"
+    nt.save_sieve(nt.build_factor_sieve(5000), str(path))
+    data = path.read_bytes()
+    monkeypatch.setattr(nt.mmap, "mmap", refuse)
+    for bad in (data[:len(data) // 2], data[:10], data + b"\x00",
+                b"NOPEV1" + data[6:], data[:6] + (2 ** 64 - 1).to_bytes(8, "little")):
+        path.write_bytes(bad)
+        with pytest.raises(FormatError):
+            nt.load_sieve(str(path))
 
 
 def test_load_rejects_bad_magic(tmp_path):

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from narrowlab import aplab as ap
 from narrowlab import numtheory as nt
 from narrowlab import singular as sg
 from narrowlab.errors import DomainError, ResourceError
@@ -338,3 +339,42 @@ def test_least_root_is_shared_by_powers():
         for e in (1, 2, 3, 6):
             assert sg._least_root(m ** e, 5) == m
     assert sg._least_root(2 ** 64, 1) == 2
+
+
+def test_p_max_cap_refuses_before_any_prime_is_sieved(monkeypatch):
+    def refuse(upto):
+        raise AssertionError(f"sieved primes up to {upto}")
+
+    over = sg.MAX_PMAX + 1
+    monkeypatch.setattr(sg, "_bootstrap_primes", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_PMAX}"):
+        sg.singular_series((0, 2), P_max=over)
+    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_PMAX}"):
+        sg.gallagher_average("GW", ((1, 500), (1, 500)), P_max=over)
+    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_PMAX}"):
+        ap.hl_prediction(10 ** 7, 3, 6, P_max=over)
+    assert time.perf_counter() - start < 1.0
+    # The E weight reads no truncation, so P_max does not bound it.
+    assert sg.gallagher_average("E", ((1, 3), (1, 3)), P_max=over).mode == "exact"
+
+
+def test_delta_cap_of_the_error_weight():
+    assert sg.error_factor((0, sg.MAX_DELTA), 1.0).prime_inverse_sum == 1 / 2 + 1 / 5
+    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_DELTA}"):
+        sg.error_factor((0, sg.MAX_DELTA + 1), 1.0)
+    # The box bound is the product of each pair's largest difference.
+    edge = 10 ** 4
+    sg.check_delta_bound(((0, edge),) * 3)
+    sg.check_delta_bound(((0, sg.MAX_DELTA), (0, 0)))
+    for box in (((0, edge + 1),) * 3, ((0, sg.MAX_DELTA + 1), (0, 0)),
+                ((-sg.MAX_DELTA, 0), (1, 1))):
+        with pytest.raises(ResourceError, match=f"cap of {sg.MAX_DELTA}"):
+            sg.check_delta_bound(box)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_DELTA}"):
+        sg.gallagher_average("E", ((1, 10 ** 18), (1, 10 ** 18)), sample=100)
+    assert time.perf_counter() - start < 1.0
+    # Every point of a box within the bound has |Delta| within the cap.
+    rep = sg.gallagher_average("E", ((0, edge),) * 3, C=1.0, sample=50, seed=3)
+    assert rep.mode == "sample" and rep.mean >= 1.0
