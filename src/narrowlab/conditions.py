@@ -21,6 +21,7 @@ from .linforms import _codim2_flats, _collision_hyperplanes, _flat_gram_det, _jo
 
 MAX_RANDOM_MODULUS = 1 << 27
 MC_BATCH = 1 << 18   # Monte Carlo samples drawn per batch
+MAX_MC_SAMPLES = 10 ** 8   # Monte Carlo samples one call draws at most
 EXACT_CAP = 10 ** 7   # evaluations allowed in an exact average
 EHRHART_MEMO = 4096   # (row, residue class) quasi-polynomial fits kept
 
@@ -185,13 +186,21 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     Samples (n, x) uniformly with n in Z/N'Z and x an integer point of the
     box, MC_BATCH at a time.  The seed is split deterministically into
     `workers` seed streams, which run one after another in this process,
-    so the result depends only on (seed, workers).
+    so the result depends only on (seed, workers).  More than
+    MAX_MC_SAMPLES samples, or more workers than samples, raise
+    ResourceError before any stream is spawned.
     """
     active, A, c = _form_arrays(sys, e, box)
     samples = int(samples)
     if samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {samples}")
+    if samples > MAX_MC_SAMPLES:
+        raise ResourceError(f"{samples} Monte Carlo samples exceed the cap "
+                            f"of {MAX_MC_SAMPLES}")
     workers = max(1, int(workers))
+    if workers > samples:
+        raise ResourceError(f"{workers} workers exceed the {samples} samples "
+                            "they would split")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     d = A.shape[1]
@@ -424,7 +433,9 @@ class _DeviationEngine:
     Holds, in term order (hyperplanes, then codim-2 flats), each collision
     subspace's (codim, partition size, ratio), each hyperplane's row for
     the exact box counts, and each flat's parents and lattice covolume for
-    inclusion-exclusion and the density approximation.  Subspaces with no
+    inclusion-exclusion and the density approximation.  Flats come from
+    the codim-2 reader as parent lists, and a covolume reads its flat's
+    first two parent rows, so no echelon is built.  Subspaces with no
     integer point are left out, and a partition joins the form pairs of
     the hyperplanes containing the subspace, as lindex scores it.
     """
@@ -446,7 +457,7 @@ class _DeviationEngine:
         # hyperplane through such a flat holds its points, so it is a row
         # here and the flat's parents name all the hyperplanes containing it.
         self.flats = []
-        for _, parents in _codim2_flats(self.rows, max_subspaces):
+        for parents in _codim2_flats(self.rows, max_subspaces):
             gram = _flat_gram_det(*(self.rows[p] for p in parents[:2]))
             if gram is not None:
                 self.flats.append((parents, math.sqrt(float(gram))))

@@ -18,6 +18,7 @@ from .errors import DomainError, ResourceError, UnsupportedError
 
 INFINITE_CODIM = math.inf
 MAX_FAMILY_FORMS = 1 << 16   # forms a family constructor builds at most
+MAX_SUBSPACES = 500000   # subspaces a collision lattice walk finds at most
 
 
 @dataclass(frozen=True)
@@ -358,54 +359,61 @@ def _bits(mask):
         mask ^= low
 
 
-def _hyperplane_echelons(hyperplanes):
-    """One-row echelons of primitive rows with a positive leading entry."""
-    return [((next(i for i, v in enumerate(row) if v), row),)
-            for row in hyperplanes]
+def _children(ech, inside, rows):
+    """Children of the subspace ech: a dict from each child's primitive
+    reduced row to the bitmask of the rows outside inside that cut it out.
+
+    Reduced by ech, a row either misses the subspace (0 = nonzero) or cuts
+    out a child, and rows with parallel reductions cut out the same one."""
+    children = {}
+    for j in _bits(((1 << len(rows)) - 1) & ~inside):
+        r = _reduce(ech, rows[j])
+        if any(r[:-1]):
+            key = _primitive(r)
+            children[key] = children.get(key, 0) | 1 << j
+    return children
 
 
-def _codim2_flats(hyperplanes, cap):
+def _codim2_flats(rows, cap):
     """Nonempty codim-2 intersections of the rows of _collision_hyperplanes.
 
-    Returns (flat, parents) pairs in the order the hyperplane pairs first
-    produce them, so grouped by smallest parent and then by second parent:
-    flat is the echelon, parents the ascending list of the indices of the
-    hyperplanes that contain it.  Two distinct hyperplanes through a
-    codim-2 flat meet exactly in it, so the pairs (smallest parent, p),
-    which come first, name every parent p.  Raises ResourceError as soon
-    as the hyperplanes and flats together number more than cap.
+    Yields each flat's parents, the ascending indices of the rows that
+    contain it, once: at its smallest parent i, among the children the
+    later rows cut out of row i, so by smallest and then second parent.
+    Two hyperplanes through a codim-2 flat meet only in it, so the flat
+    comes up again exactly at each middle parent q, with parent mask
+    mask >> q << q, held until then.  Raises ResourceError as soon as the
+    rows and flats together number more than cap.
     """
-    lines = _hyperplane_echelons(hyperplanes)
-    room = cap - len(lines)
-    flats = {}
-    for (i, hi), (j, hj) in itertools.combinations(enumerate(lines), 2):
-        ech = _echelon_add(hi, hj[0][1])
-        if len(ech) == 2 and _feasible(ech):
-            parents = flats.setdefault(ech, [i])
-            if parents[0] == i:
-                parents.append(j)
-            if len(flats) > room:
-                raise ResourceError(
-                    f"codim-2 lattice exceeded {cap} subspaces"
-                )
-    return list(flats.items())
+    room = cap - len(rows)
+    pending = set()
+    for i, row in enumerate(rows):
+        for mask in _children(_echelon([row]), (2 << i) - 1, rows).values():
+            mask |= 1 << i
+            if mask in pending:
+                pending.remove(mask)
+                continue
+            room -= 1
+            if room < 0:
+                raise ResourceError(f"codim-2 lattice exceeded {cap} subspaces")
+            parents = list(_bits(mask))
+            pending.update(mask >> q << q for q in parents[1:-1])
+            yield parents
 
 
-def lindex(sys, max_subspaces=500000):
+def lindex(sys, max_subspaces=MAX_SUBSPACES):
     """Collision index of the system with a maximizing partition.
 
     Searches the closure lattice generated by intersecting kernels of
-    pairwise form differences.  For each subspace the induced partition
-    (forms equal as functions there) is scored as
-    (t - |pi|) / codim of the partition's own subvariety, and subspaces
-    too deep to beat the best ratio are pruned.  Codim 2 is read from
-    _codim2_flats.  Each subspace carries the bitmask of the hyperplanes
-    that contain it, and its partition joins those hyperplanes' form
-    pairs.  Past codim 2 the closure walk reduces every other hyperplane
-    by a subspace's echelon once; parallel reductions cut out the same
-    child, so it builds one echelon per distinct child.  Raises
-    ResourceError once more than max_subspaces subspaces, the hyperplanes
-    included, have been found.
+    pairwise form differences.  Each subspace's induced partition (forms
+    equal as functions there) is scored as (t - |pi|) / codim of the
+    partition's own subvariety, and subspaces too deep to beat the best
+    ratio are pruned.  Each subspace carries the bitmask of the
+    hyperplanes that contain it, and its partition joins their form pairs.
+    Codim 2 is streamed from _codim2_flats; past it the closure walk takes
+    each subspace's children from _children, as that reader does, and
+    builds one echelon per distinct child.  Raises ResourceError once more
+    than max_subspaces subspaces, the hyperplanes included, are found.
     """
     t = sys.t
     if t < 2:
@@ -433,20 +441,21 @@ def lindex(sys, max_subspaces=500000):
 
     for i in range(len(rows)):
         evaluate(1, (i,))
-    # A flat scores its bound (t - 1) / 2 only if all forms agree on it.
-    # Then every hyperplane contains it and it is the only flat, so the
-    # bound never cuts the codim-2 stage short once it has begun.
-    flats = (_codim2_flats(rows, max_subspaces)
-             if Fraction(t - 1, 2) > best else [])
-    for _, parents in flats:
-        evaluate(2, parents)
-    explored = len(rows) + len(flats)
-    # Frontier entries are (echelon, inside): inside is the bitmask of the
-    # rows whose hyperplanes contain the subspace, a flat's parents at
-    # first.  A subspace of the arrangement is the intersection of the
-    # hyperplanes that contain it, so its inside mask names it.
-    everything = (1 << len(rows)) - 1
-    frontier = [(flat, sum(1 << p for p in parents)) for flat, parents in flats]
+    explored = len(rows)
+    # Frontier entries are (echelon, inside): inside, the bitmask of the
+    # rows whose hyperplanes contain the subspace, names it, since the
+    # subspace is their intersection.  A flat joins only while a child,
+    # of ratio at most deep, could beat best.
+    frontier, deep = [], Fraction(t - 1, 3)
+    # A flat scores (t - 1) / 2 only if all forms agree on it; then it is
+    # the only flat, so this bound never cuts the codim-2 stage short.
+    if Fraction(t - 1, 2) > best:
+        for parents in _codim2_flats(rows, max_subspaces):
+            evaluate(2, parents)
+            explored += 1
+            if deep > best:
+                frontier.append((_echelon(rows[p] for p in parents[:2]),
+                                 sum(1 << p for p in parents)))
     seen = set()
     while frontier:
         next_frontier = []
@@ -455,16 +464,7 @@ def lindex(sys, max_subspaces=500000):
             # this also drops, a round later, each child too deep to beat best.
             if Fraction(t - 1, len(ech) + 1) <= best:
                 continue
-            # Reduced by ech, each other row either misses the subspace
-            # (0 = nonzero) or cuts out a child, and rows whose reductions
-            # are parallel cut out the same child.
-            children = {}
-            for j in _bits(everything & ~inside):
-                r = _reduce(ech, rows[j])
-                if any(r[:-1]):
-                    key = _primitive(r)
-                    children[key] = children.get(key, 0) | 1 << j
-            for key, mask in children.items():
+            for key, mask in _children(ech, inside, rows).items():
                 child_inside = inside | mask
                 if child_inside in seen:
                     continue
@@ -535,31 +535,31 @@ def min_distinct_on_codim(sys, c):
     """Minimum count of distinct restricted forms over codim-c subspaces.
 
     Candidates are kernels of pairwise form differences (c = 1) and their
-    pairwise intersections of codimension exactly 2 (c = 2): any collision
-    on a subspace forces it inside some difference kernel, so these
-    candidate sets realize the minima.  The forms that stay distinct on a
-    candidate are the atoms of its induced partition, which joins the form
-    pairs of the hyperplanes containing it (a flat's parents).
+    pairwise intersections of codimension exactly 2 (c = 2), streamed from
+    _codim2_flats: any collision on a subspace forces it inside some
+    difference kernel, so these candidate sets realize the minima.  The
+    forms that stay distinct on a candidate are the atoms of its induced
+    partition, which joins the form pairs of the hyperplanes containing it
+    (a flat's parents).  The first minimal candidate is the witness; only
+    its echelon is built.  ResourceError past MAX_SUBSPACES hyperplanes
+    and flats, counted as lindex counts them.
     """
     if c not in (1, 2):
         raise DomainError(f"codimension must be 1 or 2, got {c}")
-    arrangement = _collision_hyperplanes(sys, math.inf)
+    arrangement = _collision_hyperplanes(sys, MAX_SUBSPACES)
     rows = list(arrangement)
     pairs = list(arrangement.values())
-    if c == 1:
-        candidates = [(ech, (i,)) for i, ech
-                      in enumerate(_hyperplane_echelons(rows))]
-    else:
-        candidates = _codim2_flats(rows, math.inf)
-    if not candidates:
-        raise DomainError(
-            f"system has no feasible codim-{c} collision subspaces"
-        )
-    counts = [_joined(sys.t, (pairs[i] for i in parents))[0]
-              for _, parents in candidates]
-    best = counts.index(min(counts))
-    return MinDistinctResult(count=counts[best],
-                             witness=_as_subspace(candidates[best][0]))
+    candidates = (((i,) for i in range(len(rows))) if c == 1
+                  else _codim2_flats(rows, MAX_SUBSPACES))
+
+    def count(parents):
+        return _joined(sys.t, (pairs[i] for i in parents))[0]
+
+    best = min(candidates, key=count, default=None)
+    if best is None:
+        raise DomainError(f"system has no feasible codim-{c} collision subspaces")
+    witness = _echelon(rows[p] for p in best[:2])
+    return MinDistinctResult(count=count(best), witness=_as_subspace(witness))
 
 
 # ----------------------------------------------------------- integer lattice

@@ -321,6 +321,8 @@ def test_majorant_w_past_the_table_field_exits_1_before_the_sieve(
     "singular --h 0,2 --P-max 2147483648",
     "gallagher --P-max 2147483648",
     "apsearch --mode count --P-max 2147483648",
+    "lfc --family first --k 2 --samples 2147483648",
+    "lfc --family first --k 2 --workers 2147483648",
 ])
 def test_size_caps_exit_1_before_any_work(capsys, no_sieve, tmp_path, argv):
     out = tmp_path / "report.out"

@@ -496,7 +496,7 @@ def test_deviation_is_exact_at_d2_once_the_box_holds_the_point_flats():
             x, y = r1 * b2 - a2 * r2, a1 * r2 - r1 * b1
             assert x % det == 0 and y % det == 0
             assert abs(x // det) <= S and abs(y // det) <= S
-        affected += len(lf._codim2_flats(rows, math.inf)) > len(engine.flats)
+        affected += len(list(lf._codim2_flats(rows, math.inf))) > len(engine.flats)
         got = engine.deviation(alpha, S).total
         want = cd.lfc_average_exact(model, sys, None, box) - 1.0
         assert got == pytest.approx(want, rel=1e-12, abs=0), (checked, sys)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -281,6 +282,75 @@ def test_min_distinct_witness_realizes_count_with_constants():
             assert _distinct_values(sys, x) == res.count, (trial, c, sys)
 
 
+def _pairwise_codim2_flats(hyperplanes):
+    """The codim-2 reader as it was before it streamed: every pair of
+    hyperplanes meets by _echelon_add, and one dict holds every flat's
+    echelon with its ascending parents, in the order the pairs first
+    produce the flat."""
+    lines = [lf._echelon([row]) for row in hyperplanes]
+    flats = {}
+    for (i, hi), (j, hj) in itertools.combinations(enumerate(lines), 2):
+        ech = lf._echelon_add(hi, hj[0][1])
+        if len(ech) == 2 and lf._feasible(ech):
+            parents = flats.setdefault(ech, [i])
+            if parents[0] == i:
+                parents.append(j)
+    return list(flats.items())
+
+
+def _flat_echelons(hyperplanes):
+    """(echelon, parents) of each flat the codim-2 reader yields."""
+    rows = list(hyperplanes)
+    return [(lf._echelon(rows[p] for p in parents[:2]), parents)
+            for parents in lf._codim2_flats(rows, math.inf)]
+
+
+def test_codim2_reader_matches_the_pairwise_flats():
+    rng = np.random.default_rng(26)
+    systems = [lf.first_family(k) for k in (2, 3, 4)]
+    systems += [lf.second_family(k) for k in (2, 3, 4)]
+    systems += [lf.third_family(k, j) for k in (3, 4) for j in range(1, k + 1)]
+    systems += _benchmark_systems()
+    systems += [_random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 8)))
+                for _ in range(300)]
+    multi = 0
+    for i, sys in enumerate(systems):
+        rows = list(lf._collision_hyperplanes(sys, math.inf))
+        want = _pairwise_codim2_flats(rows)
+        got = list(lf._codim2_flats(rows, math.inf))
+        assert got == [parents for _, parents in want], (i, sys)
+        for parents, (flat, _) in zip(got, want):
+            assert lf._echelon(rows[p] for p in parents[:2]) == flat, (i, parents)
+        multi += sum(len(parents) > 2 for parents in got)
+    assert multi > 1000   # flats with middle parents are exercised
+
+
+def test_codim2_reader_streams_first4_in_little_memory():
+    # first(4) has 316 hyperplanes and 36,454 flats; a dict of every
+    # flat's echelon peaked at 19.4 MB.
+    rows = list(lf._collision_hyperplanes(lf.first_family(4), math.inf))
+    assert len(rows) == 316
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in lf._codim2_flats(rows, math.inf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 36454
+    assert peak < 2 << 20
+
+
+def test_min_distinct_cap_counts_hyperplanes_and_flats(monkeypatch):
+    # first(3) has 37 hyperplanes and 347 codim-2 flats.
+    sys = lf.first_family(3)
+    assert lf.MAX_SUBSPACES == 500000
+    monkeypatch.setattr(lf, "MAX_SUBSPACES", 384)
+    assert lf.min_distinct_on_codim(sys, 2).count == 5
+    monkeypatch.setattr(lf, "MAX_SUBSPACES", 383)
+    with pytest.raises(ResourceError, match="codim-2 lattice exceeded 383 subspaces"):
+        lf.min_distinct_on_codim(sys, 2)
+
+
 def test_codim2_flat_parents_are_the_containing_hyperplanes():
     mixed = _random_system(np.random.default_rng(3), 3, 6)
     assert any(row[-1] % math.gcd(*row[:-1])
@@ -289,7 +359,7 @@ def test_codim2_flat_parents_are_the_containing_hyperplanes():
         hyperplanes = lf._collision_hyperplanes(sys, math.inf)
         for row in hyperplanes:
             assert math.gcd(*row) == 1 and next(v for v in row if v) > 0
-        flats = lf._codim2_flats(hyperplanes, math.inf)
+        flats = _flat_echelons(hyperplanes)
         assert len({flat for flat, parents in flats}) == len(flats) > 0
         for flat, parents in flats:
             assert len(flat) == 2 and len(parents) >= 2
@@ -311,7 +381,7 @@ def _pair_walk_lindex(sys):
     hyperplane meets every row, against a set of the subspaces seen."""
     t = sys.t
     hyperplanes = lf._collision_hyperplanes(sys, math.inf)
-    generators = lf._hyperplane_echelons(hyperplanes)
+    generators = [lf._echelon([row]) for row in hyperplanes]
     best, witness, codim = Fraction(0), None, 0
     seen = set(generators)
 
@@ -348,8 +418,8 @@ def test_lindex_matches_the_pair_walk_on_random_systems():
         res = lf.lindex(sys)
         got = (res.value, res.witness, res.codim, res.subspaces_explored)
         assert got == _pair_walk_lindex(sys), (trial, sys)
-        hyperplanes = lf._collision_hyperplanes(sys, math.inf)
-        flats = lf._codim2_flats(hyperplanes, math.inf)
+        hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
+        flats = list(lf._codim2_flats(hyperplanes, math.inf))
         deeper += res.subspaces_explored > len(hyperplanes) + len(flats)
     assert deeper > 50   # the closure walk past codim 2 is exercised too
 
@@ -372,9 +442,9 @@ def _closure_walk_lindex(sys):
             best = Fraction(t - len(atoms), len(ech))
             witness, codim = lf.FormPartition(atoms=atoms), len(ech)
 
-    for g in lf._hyperplane_echelons(hyperplanes):
-        evaluate(g)
-    frontier = ([flat for flat, _ in lf._codim2_flats(hyperplanes, math.inf)]
+    for row in hyperplanes:
+        evaluate(lf._echelon([row]))
+    frontier = ([flat for flat, _ in _flat_echelons(hyperplanes)]
                 if Fraction(t - 1, 2) > best else [])
     for flat in frontier:
         evaluate(flat)
@@ -427,8 +497,8 @@ def test_min_distinct_matches_the_induced_atoms_on_first_family(k):
     sys = lf.first_family(k)
     hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
     for c, candidates in (
-            (1, lf._hyperplane_echelons(hyperplanes)),
-            (2, [flat for flat, _ in lf._codim2_flats(hyperplanes, math.inf)])):
+            (1, [lf._echelon([row]) for row in hyperplanes]),
+            (2, [flat for flat, _ in _flat_echelons(hyperplanes)])):
         counts = [len(_induced_atoms(sys, ech)) for ech in candidates]
         best = counts.index(min(counts))
         res = lf.min_distinct_on_codim(sys, c)
@@ -512,7 +582,7 @@ def _minors_gcd(a, b):
 def _flat_row_pairs(sys):
     rows = list(lf._collision_hyperplanes(sys, math.inf))
     return [(rows[p][:-1], rows[q][:-1])
-            for _, (p, q, *_) in lf._codim2_flats(rows, math.inf)]
+            for p, q, *_ in lf._codim2_flats(rows, math.inf)]
 
 
 def test_flat_gram_det_hand_checked_with_shared_minor_factor():
@@ -580,7 +650,7 @@ def test_flat_integer_point_test_matches_column_reduction():
     for _ in range(60):
         sys = _random_system(rng, int(rng.integers(2, 6)), 5)
         rows = list(lf._collision_hyperplanes(sys, math.inf))
-        for _, (p, q, *_) in lf._codim2_flats(rows, math.inf):
+        for p, q, *_ in lf._codim2_flats(rows, math.inf):
             a, b = rows[p], rows[q]
             gram = lf._flat_gram_det(a, b)
             outcomes.append(gram is not None)
