@@ -225,7 +225,8 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
             n = rng.integers(0, modulus, size=m)
             if active and model.kind != "one":
                 phi = x @ At
-                phi += c
+                if c.any():   # the paper's families have no constants
+                    phi += c
                 phi += n[:, None]
                 # np.take's wrap mode steps one modulus at a time, so
                 # values more than a modulus away are reduced first.

@@ -147,18 +147,7 @@ def _echelon_add(ech, row):
     if p is None:
         return ech
     row = _primitive(row)
-    a = row[p]
-    out = []
-    for q, r in ech:
-        c = r[p]
-        if c:
-            r = [a * x - c * y for x, y in zip(r, row)]
-            g = math.gcd(*r)
-            r = tuple(v // g for v in r)
-        out.append((q, r))
-    out.append((p, row))
-    out.sort()
-    return tuple(out)
+    return tuple(sorted([*_eliminate(dict(ech), row).items(), (p, row)]))
 
 
 def _echelon(rows):
@@ -359,18 +348,35 @@ def _bits(mask):
         mask ^= low
 
 
-def _children(ech, inside, rows):
-    """Children of the subspace ech: a dict from each child's primitive
-    reduced row to the bitmask of the rows outside inside that cut it out.
+def _eliminate(carried, key):
+    """One elimination step: a dict from index to the primitive a r - r[p] key
+    for each row r of the dict carried, in order, where p is the first
+    nonzero column of the primitive row key and a = key[p].  Rows whose
+    coefficient part vanishes are dropped.  For rows reduced by a subspace
+    and a key that cuts out a child, these are the rows reduced by the child
+    less those that contain or miss it; an echelon's rows lose none.
+    """
+    p = next(i for i, v in enumerate(key) if v)
+    a = key[p]
+    out = {}
+    for j, r in carried.items():
+        c = r[p]
+        if c:
+            r = [a * x - c * y for x, y in zip(r, key)]
+            if not any(r[:-1]):
+                continue
+            r = _primitive(r)
+        out[j] = r
+    return out
 
-    Reduced by ech, a row either misses the subspace (0 = nonzero) or cuts
-    out a child, and rows with parallel reductions cut out the same one."""
+
+def _children(carried):
+    """Children of a subspace from its rows as _eliminate gives them: a dict
+    from each child's row to the bitmask of the rows that cut it out.  Rows
+    with equal primitive reductions cut out the same child."""
     children = {}
-    for j in _bits(((1 << len(rows)) - 1) & ~inside):
-        r = _reduce(ech, rows[j])
-        if any(r[:-1]):
-            key = _primitive(r)
-            children[key] = children.get(key, 0) | 1 << j
+    for j, r in carried.items():
+        children[r] = children.get(r, 0) | 1 << j
     return children
 
 
@@ -388,7 +394,8 @@ def _codim2_flats(rows, cap):
     room = cap - len(rows)
     pending = set()
     for i, row in enumerate(rows):
-        for mask in _children(_echelon([row]), (2 << i) - 1, rows).values():
+        later = _eliminate(dict(enumerate(rows[i + 1:], i + 1)), row)
+        for mask in _children(later).values():
             mask |= 1 << i
             if mask in pending:
                 pending.remove(mask)
@@ -408,12 +415,13 @@ def lindex(sys, max_subspaces=MAX_SUBSPACES):
     pairwise form differences.  Each subspace's induced partition (forms
     equal as functions there) is scored as (t - |pi|) / codim of the
     partition's own subvariety, and subspaces too deep to beat the best
-    ratio are pruned.  Each subspace carries the bitmask of the
-    hyperplanes that contain it, and its partition joins their form pairs.
-    Codim 2 is streamed from _codim2_flats; past it the closure walk takes
-    each subspace's children from _children, as that reader does, and
-    builds one echelon per distinct child.  Raises ResourceError once more
-    than max_subspaces subspaces, the hyperplanes included, are found.
+    ratio (integers cross-multiplied) are pruned.  Each subspace carries
+    the bitmask of the hyperplanes containing it, and its partition joins
+    their form pairs.  Codim 2 is streamed from _codim2_flats.  Past it no
+    echelon is built: an expanded subspace carries the other rows reduced
+    by it, one _eliminate step on its parent's (for a flat, its smallest
+    parent's).  ResourceError once more than max_subspaces subspaces, the
+    hyperplanes included, are found.
     """
     t = sys.t
     if t < 2:
@@ -421,50 +429,53 @@ def lindex(sys, max_subspaces=MAX_SUBSPACES):
     arrangement = _collision_hyperplanes(sys, max_subspaces)
     rows = list(arrangement)
     pairs = list(arrangement.values())
-    best = Fraction(0)
+    num, den = 0, 1   # the best ratio so far
     best_witness = None
-    best_codim = 0
 
     def evaluate(codim, inside):
         # The subspace is cut out by collision hyperplanes whose form pairs
         # share atoms, so the partition's own subvariety is the subspace.
-        nonlocal best, best_witness, best_codim
+        nonlocal num, den, best_witness
         size, groups = _joined(t, (pairs[i] for i in inside))
-        ratio = Fraction(t - size, codim)
-        if ratio > best:
-            best = ratio
+        if (t - size) * den > num * codim:
+            num, den = t - size, codim
             joined = set().union(*groups)
             best_witness = FormPartition(
                 atoms=[tuple(g) for g in groups]
                 + [(i,) for i in range(t) if i not in joined])
-            best_codim = codim
+
+    def can_beat(codim):   # a subspace's ratio is at most (t - 1) / codim
+        return (t - 1) * den > num * codim
 
     for i in range(len(rows)):
         evaluate(1, (i,))
     explored = len(rows)
-    # Frontier entries are (echelon, inside): inside, the bitmask of the
-    # rows whose hyperplanes contain the subspace, names it, since the
-    # subspace is their intersection.  A flat joins only while a child,
-    # of ratio at most deep, could beat best.
-    frontier, deep = [], Fraction(t - 1, 3)
+    # Frontier entries are (parent rows, key, inside): key cuts the subspace
+    # out of its parent, and inside, the bitmask of the rows whose
+    # hyperplanes contain it, names it.  Flats join while a child could win.
+    frontier, cut = [], (None, None)
     # A flat scores (t - 1) / 2 only if all forms agree on it; then it is
     # the only flat, so this bound never cuts the codim-2 stage short.
-    if Fraction(t - 1, 2) > best:
+    if can_beat(2):
         for parents in _codim2_flats(rows, max_subspaces):
             evaluate(2, parents)
             explored += 1
-            if deep > best:
-                frontier.append((_echelon(rows[p] for p in parents[:2]),
-                                 sum(1 << p for p in parents)))
+            if can_beat(3):
+                i, j = parents[:2]
+                if cut[0] != i:   # flats come by smallest parent
+                    cut = i, _eliminate(dict(enumerate(rows)), rows[i])
+                inside = sum(1 << p for p in parents)
+                frontier.append((cut[1], cut[1][j], inside))
     seen = set()
+    codim = 2
     while frontier:
         next_frontier = []
-        for ech, inside in frontier:
-            # A child has codim c + 1 and ratio at most (t - 1) / (c + 1);
-            # this also drops, a round later, each child too deep to beat best.
-            if Fraction(t - 1, len(ech) + 1) <= best:
+        for carried, key, inside in frontier:
+            # This also drops each child too deep to beat best, a round later.
+            if not can_beat(codim + 1):
                 continue
-            for key, mask in _children(ech, inside, rows).items():
+            carried = _eliminate(carried, key)
+            for key, mask in _children(carried).items():
                 child_inside = inside | mask
                 if child_inside in seen:
                     continue
@@ -475,12 +486,13 @@ def lindex(sys, max_subspaces=MAX_SUBSPACES):
                         f"closure lattice exceeded {max_subspaces} subspaces; "
                         "raise max_subspaces or cap the system size"
                     )
-                child = _echelon_add(ech, key)
-                evaluate(len(child), _bits(child_inside))
-                next_frontier.append((child, child_inside))
+                evaluate(codim + 1, _bits(child_inside))
+                next_frontier.append((carried, key, child_inside))
         frontier = next_frontier
-    return LindexResult(value=best, witness=best_witness,
-                        codim=best_codim, subspaces_explored=explored)
+        codim += 1
+    return LindexResult(value=Fraction(num, den), witness=best_witness,
+                        codim=den if best_witness else 0,
+                        subspaces_explored=explored)
 
 
 def iter_partitions(t):

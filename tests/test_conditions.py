@@ -188,6 +188,23 @@ def _mc_reference(model, sys, e, box, samples, seed, workers=1):
     return mean, math.sqrt(var / max(samples - 1, 1))
 
 
+def test_mc_pinned_with_and_without_constants():
+    # The homogeneous first(2) takes the batch loop's path that adds no
+    # constants; the affine system, over two streams, adds them.
+    hom = cd.lfc_average_mc(cd.WeightModel.random(0.3, 2, 10007),
+                            lf.first_family(2), None, cd.symmetric_box(4, 2),
+                            300000, seed=2)
+    assert (hom.estimate, hom.stderr) == (5.0576131687242825, 0.04467733327600177)
+    table = cd.WeightModel(kind="table", modulus=401,
+                           values=np.random.default_rng(3).random(401) * 2)
+    affine = lf.LinearSystem(d=2, forms=(lf.LinearForm((1, 2), 3),
+                                         lf.LinearForm((2, -1), -5),
+                                         lf.LinearForm((0, 1), 7)))
+    aff = cd.lfc_average_mc(table, affine, None, cd.symmetric_box(2, 30),
+                            100000, seed=4, workers=2)
+    assert (aff.estimate, aff.stderr) == (1.0516893087480321, 0.0036284622144663607)
+
+
 def test_mc_batch_matches_the_modulo_reference_bit_for_bit():
     first2 = lf.first_family(2)
     table = cd.WeightModel(kind="table", modulus=401,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -490,6 +491,98 @@ def test_lindex_matches_the_closure_walk_and_its_partitions():
             assert size == len(want_atoms), (i, ech)
             assert lf.FormPartition(atoms=atoms) == lf.FormPartition(atoms=want_atoms)
     assert deeper > 100   # the closure walk past codim 2 is exercised too
+
+
+def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch):
+    # Every _eliminate call lindex makes returns the rows of one subspace:
+    # a hyperplane's from a dict of raw rows, a child's from its parent's.
+    # Each kept row must be the primitive reduction of its raw row by the
+    # echelon of the hyperplanes containing that subspace, and each dropped
+    # row must reduce to 0 (it contains the subspace) or 0 = nonzero (it
+    # misses it).
+    rng = np.random.default_rng(27)
+    systems = _benchmark_systems() + [
+        _random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 8)))
+        for _ in range(200)]
+    eliminate = lf._eliminate
+    deeper = 0
+    for i, sys in enumerate(systems):
+        calls = []
+
+        def record(carried, key):
+            out = eliminate(carried, key)
+            calls.append((carried, key, out))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(lf, "_eliminate", record)
+            lf.lindex(sys)
+        rows = list(lf._collision_hyperplanes(sys, math.inf))
+        echelons = {}   # id of each returned dict, all kept alive in calls
+        for carried, key, out in calls:
+            parent = echelons.get(id(carried))
+            if parent is None:
+                assert all(r == rows[j] for j, r in carried.items())
+                parent = ()
+            ech = lf._echelon_add(parent, key)
+            assert len(ech) == len(parent) + 1 and lf._feasible(ech)
+            containing = [j for j, row in enumerate(rows)
+                          if not any(lf._reduce(ech, row))]
+            want = lf._echelon(rows[j] for j in containing)
+            assert want == ech, (i, containing)
+            echelons[id(out)] = want
+            # A child's rows cover every row but those its parent dropped.
+            for j in carried if parent == () else range(len(rows)):
+                r = lf._reduce(want, rows[j])
+                if any(r[:-1]):
+                    assert out[j] == lf._primitive(r), (i, j)
+                else:
+                    assert j not in out, (i, j)
+            deeper += len(ech) > 2
+    assert deeper > 1000   # expanded subspaces past codim 2
+
+
+def _big_system(rng, d, t):
+    """A seeded system whose coefficients and constants pass 2^63.
+
+    A small random system is mapped by x -> M x with a big nonsingular M,
+    scaled by B > 2^64 and shifted by one big form g added to every form.
+    Form differences are B times the old ones composed with M, so the
+    collision lattice, and lindex, are the small system's.
+    """
+    small = _random_system(rng, d, t)
+    big = random.Random(int(rng.integers(1 << 62)))
+    while True:
+        M = [[big.randrange(-1 << 40, 1 << 40) for _ in range(d)] for _ in range(d)]
+        if lf._int_det(M):
+            break
+    B = (1 << 64) + big.randrange(1 << 20)
+    g = [big.randrange(-1 << 80, 1 << 80) for _ in range(d + 1)]
+    forms = []
+    for f in small.forms:
+        coeffs = [B * sum(f.coeffs[i] * M[i][k] for i in range(d)) + g[k]
+                  for k in range(d)]
+        forms.append(lf.LinearForm(coeffs=coeffs, constant=B * f.constant + g[d]))
+    return small, lf.LinearSystem(d=d, forms=tuple(forms))
+
+
+def test_lindex_on_coefficients_past_int64():
+    rng = np.random.default_rng(2063)
+    deeper = 0
+    for trial in range(40):
+        small, sys = _big_system(rng, int(rng.integers(2, 5)), int(rng.integers(3, 8)))
+        assert max(abs(v) for f in sys.forms for v in f.functional()) > 1 << 63
+        res = lf.lindex(sys)
+        got = (res.value, res.witness, res.codim, res.subspaces_explored)
+        assert res.value == lf.lindex_bruteforce(sys), (trial, small)
+        assert got == _closure_walk_lindex(sys)[0], (trial, small)
+        small_res = lf.lindex(small)
+        assert got == (small_res.value, small_res.witness, small_res.codim,
+                       small_res.subspaces_explored), (trial, small)
+        hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
+        flats = list(lf._codim2_flats(hyperplanes, math.inf))
+        deeper += res.subspaces_explored > len(hyperplanes) + len(flats)
+    assert deeper > 10   # the closure walk past codim 2 runs on big rows too
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
