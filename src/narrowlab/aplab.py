@@ -16,29 +16,28 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import limits
 from .cutoff import gauss_panels
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .numtheory import factorize, is_prime, pack_bits
 from .singular import DEFAULT_PMAX, as_shift, discriminant_primes, singular_series
 
 MEDIAN_TARGET = 512
-MAX_TERMS = 16          # progression terms lambda_D takes at most
 SWEEP_ENTRIES = 1 << 18  # window entries per block of the dense sweep
 CHUNK_WORDS = 1 << 16   # window words per gather of the support sweep
-MAX_RULE_MODULUS = 1 << 32  # a factor sieve's range; past it a class keeps <= 1 integer
 
 
 def lambda_D(f_list, D):
     """Mean over n in Z/N'Z and d in [1, D] of prod_j f_j(n + j*d).
 
     Indices reduce cyclically mod N'.  All arrays must share one length,
-    and there are at most MAX_TERMS of them (ResourceError otherwise).
+    and there are at most limits.MAX_TERMS of them (ResourceError otherwise).
     When every f_j takes at most one nonzero value c_j, and it is finite,
     f_j = c_j * 1_{S_j} and the mean is (prod_j c_j) * count / (N' D),
     with count the exact number of cyclic progressions through the S_j.
     Any other input takes the dense sweep.
     """
-    check_term_cap(len(f_list))
+    limits.check(len(f_list), limits.MAX_TERMS, "progression terms")
     fs = [np.asarray(f, dtype=np.float64) for f in f_list]
     if not fs:
         raise DomainError("need at least one array")
@@ -58,14 +57,6 @@ def lambda_D(f_list, D):
     return math.prod(c for c, _ in scaled) * count / (n * D)
 
 
-def check_term_cap(k):
-    """Raise ResourceError when k progression terms exceed MAX_TERMS."""
-    if k > MAX_TERMS:
-        raise ResourceError(
-            f"at most {MAX_TERMS} progression terms, got k={k}"
-        )
-
-
 def check_difference_cap(D, nprime):
     """D as an int, raising DomainError unless D is an integer, 1 <= D < N'."""
     try:
@@ -73,7 +64,7 @@ def check_difference_cap(D, nprime):
     except TypeError:
         raise DomainError(f"D must be an integer, got {D!r}") from None
     if not 1 <= D < nprime:
-        raise DomainError(f"need 1 <= D < N', got D={D}, N'={nprime}")
+        raise DomainError(f"need 1 <= D < N', got D={limits.short(D)}, N'={nprime}")
     return D
 
 
@@ -357,11 +348,8 @@ class SubsetRule:
         m = int(self.modulus)
         if m < 1:
             raise DomainError(f"modulus must be >= 1, got {m}")
-        if m >= MAX_RULE_MODULUS:
-            raise ResourceError(
-                f"rule modulus {m} must be below {MAX_RULE_MODULUS}, the factor "
-                f"sieve's range; a larger one keeps one integer per class"
-            )
+        # A modulus past the factor sieve's range keeps <= 1 integer per class.
+        limits.check(m, limits.SIEVE_RANGE, "rule modulus", below=True)
         cls = tuple(sorted({int(c) % m for c in self.classes}))
         if not cls:
             raise DomainError("subset rule needs at least one class")

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from . import aplab, conditions, cutoff, linforms, majorant, numtheory, singular
+from . import aplab, conditions, cutoff, limits, linforms, majorant, numtheory, singular
 from .errors import DomainError, NarrowlabError, NumericError, ResourceError
 
 
@@ -377,7 +377,10 @@ def _cmd_cutoff_check(params):
 
 def _cmd_majorant(params):
     ctx = numtheory.primorial_context(params["w"], params["b"], params["N"])
-    R = float(ctx.W * ctx.modulus) ** params["R-exp"]
+    try:
+        R = float(ctx.W * ctx.modulus) ** params["R-exp"]
+    except OverflowError:   # past the float range, so past sqrt(W N' + b)
+        R = math.inf
     sieve = _get_sieve(ctx.W * ctx.modulus + ctx.b, params["sieve"])
     spec = cutoff.make_cutoff(params["chi"])
     table = majorant.build_majorant(ctx, R, spec, sieve)
@@ -453,9 +456,9 @@ def _cmd_lambda_d(params):
     if D is None:
         D = math.ceil(aplab.narrow_width(nprime, k))
     # After the default D: a default that overflows is bad input (exit 2).
-    aplab.check_term_cap(k)
+    limits.check(k, limits.MAX_TERMS, "progression terms")
     if not numtheory.is_prime(nprime):
-        raise DomainError(f"modulus {nprime} must be prime")
+        raise DomainError(f"modulus {limits.short(nprime)} must be prime")
     if params["D"] is None and D >= nprime:
         raise DomainError(
             f"default D = ceil((log N')^{aplab.narrow_exponent(k)}) = {D} "

@@ -16,13 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError
+from . import limits
+from .errors import DomainError, NumericError
 from .linforms import _codim2_flats, _collision_hyperplanes, _flat_gram_det, _joined
 
-MAX_RANDOM_MODULUS = 1 << 27
 MC_BATCH = 1 << 18   # Monte Carlo samples drawn per batch
-MAX_MC_SAMPLES = 10 ** 8   # Monte Carlo samples one call draws at most
-EXACT_CAP = 10 ** 7   # evaluations allowed in an exact average
 EHRHART_MEMO = 4096   # (row, residue class) quasi-polynomial fits kept
 
 
@@ -112,11 +110,7 @@ class WeightModel:
         if seed < 0:
             raise DomainError(f"seed must be >= 0, got {seed}")
         model = cls(kind="random", modulus=modulus, alpha=alpha)
-        if model.modulus > MAX_RANDOM_MODULUS:
-            raise ResourceError(
-                f"random model materializes {model.modulus} draws; cap is "
-                f"{MAX_RANDOM_MODULUS}"
-            )
+        limits.check(model.modulus, limits.MAX_RANDOM_MODULUS, "random model draws")
         draws = np.random.default_rng(seed).random(model.modulus)
         model.values = np.where(draws < alpha, 1.0 / alpha, 0.0)
         return model
@@ -157,9 +151,9 @@ def _form_arrays(sys, e, box):
             f"exponent pattern has {len(e.entries)} entries, system has {t}"
         )
     active = [i for i, bit in enumerate(e.entries) if bit]
-    if any(abs(v) >= 1 << 63 for i in active for v in forms[i].functional()):
-        raise ResourceError("form coefficients and constants must lie "
-                            "strictly between -2^63 and 2^63")
+    top = max((abs(v) for i in active for v in forms[i].functional()), default=0)
+    limits.check(top, limits.INT64_RANGE, "|coefficient| or |constant| of an "
+                 "active form, as an int64,", below=True)
     A = np.array([forms[i].coeffs for i in active], dtype=np.int64)
     c = np.array([forms[i].constant for i in active], dtype=np.int64)
     return active, A.reshape(len(active), d), c
@@ -174,9 +168,9 @@ def _int64_span(A, c, box, modulus):
     reach = max((abs(v) for iv in box.intervals for v in iv), default=0)
     span = max([reach] + [sum(map(abs, row)) * reach + abs(b)
                           for row, b in zip(A.tolist(), c.tolist())])
-    top = modulus + span
-    if top >= 1 << 63:
-        raise ResourceError(f"form values up to {top} on this box exceed int64")
+    limits.check(modulus + span, limits.INT64_RANGE,
+                 "largest form value on this box plus N', as an int64,",
+                 below=True)
     return span
 
 
@@ -187,20 +181,16 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     box, MC_BATCH at a time.  The seed is split deterministically into
     `workers` seed streams, which run one after another in this process,
     so the result depends only on (seed, workers).  More than
-    MAX_MC_SAMPLES samples, or more workers than samples, raise
+    limits.MAX_MC_SAMPLES samples, or more workers than samples, raise
     ResourceError before any stream is spawned.
     """
     active, A, c = _form_arrays(sys, e, box)
     samples = int(samples)
     if samples < 1000:
         raise DomainError(f"need at least 1000 samples, got {samples}")
-    if samples > MAX_MC_SAMPLES:
-        raise ResourceError(f"{samples} Monte Carlo samples exceed the cap "
-                            f"of {MAX_MC_SAMPLES}")
+    limits.check(samples, limits.MAX_MC_SAMPLES, "Monte Carlo samples")
     workers = max(1, int(workers))
-    if workers > samples:
-        raise ResourceError(f"{workers} workers exceed the {samples} samples "
-                            "they would split")
+    limits.check(workers, samples, "workers (at most one per sample)")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     d = A.shape[1]
@@ -251,8 +241,9 @@ def lfc_average_exact(model, sys, e, box):
     """Exact linear-forms average on a small box.
 
     For the table model every (x, n) pair is evaluated, so the box size
-    times the modulus must stay under EXACT_CAP.  For the random model the
-    average over the randomness is analytic: each point contributes
+    times the modulus must stay within limits.EXACT_CAP (the box size
+    alone for the random model).  For the random model the average over
+    the randomness is analytic: each point contributes
     alpha^(distinct - active) through its collision pattern.  The constant
     model is identically 1.  Otherwise every form value must fit int64,
     checked before any evaluation (ResourceError).
@@ -262,14 +253,8 @@ def lfc_average_exact(model, sys, e, box):
     if len(active) == 0 or model.kind == "one":
         return 1.0
     _int64_span(A, c, box, model.modulus)
-    if model.kind == "table":
-        budget = npoints * model.modulus
-    else:
-        budget = npoints
-    if budget > EXACT_CAP:
-        raise ResourceError(
-            f"exact average needs {budget} evaluations (cap {EXACT_CAP})"
-        )
+    budget = npoints * (model.modulus if model.kind == "table" else 1)
+    limits.check(budget, limits.EXACT_CAP, "exact average evaluations")
     ranges = [range(lo, hi + 1) for lo, hi in box.intervals]
     if model.kind == "random":
         alpha = model.alpha
@@ -360,11 +345,9 @@ def _boxcar_count(a, S, rhs):
     coefficient is summed against it rather than convolved in, so two
     coordinates take O(S) memory whatever their size.
     """
-    if (2 * S + 1) ** (len(a) - 1) >= 1 << 63:
-        raise ResourceError(
-            f"hyperplane count with {len(a)} active coordinates at S={S} "
-            "exceeds the int64 range"
-        )
+    limits.check((2 * S + 1) ** (len(a) - 1), limits.INT64_RANGE,
+                 "partial count (2S+1)^(t-1) of a hyperplane count, as an int64,",
+                 below=True)
     *head, last = sorted(abs(v) for v in a)
     if abs(rhs) > S * (sum(head) + last):
         return 0
@@ -441,7 +424,7 @@ class _DeviationEngine:
     the hyperplanes containing the subspace, as lindex scores it.
     """
 
-    def __init__(self, sys, max_subspaces=200000):
+    def __init__(self, sys, max_subspaces=limits.MAX_DEVIATION_SUBSPACES):
         self.t = sys.t
         self.d = sys.d
         # Only hyperplanes with integer points (gcd(a) | rhs) meet the box.
@@ -487,7 +470,11 @@ class _DeviationEngine:
         for (parents, _), f2 in zip(self.flats, frac2):
             for parent in parents:
                 excl[parent] -= f2
-        gains = {size: alpha ** (size - self.t) - 1.0 for size in self.sizes}
+        try:
+            gains = {size: alpha ** (size - self.t) - 1.0 for size in self.sizes}
+        except OverflowError:
+            raise NumericError(f"alpha^(|pi| - t) overflows a float at "
+                               f"alpha={alpha}, t={self.t}") from None
         contributions = []
         total = 0.0
         for (_, size, _), ex in zip(self.entries, excl):
@@ -506,7 +493,8 @@ class _DeviationEngine:
                                S=int(S), alpha=float(alpha))
 
 
-def random_model_deviation(sys, alpha, S, max_subspaces=200000):
+def random_model_deviation(sys, alpha, S,
+                           max_subspaces=limits.MAX_DEVIATION_SUBSPACES):
     """Deviation of the Bernoulli random model from 1 at box width S.
 
     Sums, over the collision subspaces of the system up to codimension 2
@@ -540,7 +528,8 @@ class ThresholdFit:
     rows: tuple
 
 
-def width_threshold_fit(sys, alphas, target=1.0, max_subspaces=200000):
+def width_threshold_fit(sys, alphas, target=1.0,
+                        max_subspaces=limits.MAX_DEVIATION_SUBSPACES):
     """Solve deviation(S) = target per alpha and fit log S* vs log(1/alpha).
 
     The deviation decreases in S; the crossing is bracketed by doubling

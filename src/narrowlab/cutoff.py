@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ResourceError, UnsupportedError
+from . import limits
+from .errors import DomainError, NumericError, UnsupportedError
 
 KINDS = ("cosine", "bump")
 
@@ -20,7 +21,6 @@ DEFAULT_T = {"cosine": 200.0, "bump": 50.0}
 DEFAULT_T_TRIPLE = 80.0
 DEFAULT_NODES_PER_UNIT = 3.2
 IMAG_TOL = 1e-5
-MAX_QUADRATURE_ENTRIES = 1 << 22   # entries of a factor integral's largest array
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,14 @@ def _panel_count(spec, m, T):
     The largest array has n entries for the cosine kind at m = 1, where
     psi is elementwise, and is counted as n^2 otherwise: the pair kernel
     at m >= 2 is n x n, and the bump kind's Fourier matrix about n x n/2.
-    Past MAX_QUADRATURE_ENTRIES this raises ResourceError.
+    Past limits.MAX_QUADRATURE_ENTRIES this raises ResourceError.
     """
-    npanels = max(4, int(math.ceil(2.0 * T * DEFAULT_NODES_PER_UNIT / 10.0)))
+    panels = 2.0 * T * DEFAULT_NODES_PER_UNIT / 10.0   # inf once 2T overflows
+    npanels = max(4, math.ceil(panels)) if panels < math.inf else panels
     n = 10 * npanels
     entries = n if m == 1 and spec.kind == "cosine" else n * n
-    if entries > MAX_QUADRATURE_ENTRIES:
-        raise ResourceError(
-            f"T={T} needs {n} quadrature nodes at m={m}: {entries} array "
-            f"entries, past the cap of {MAX_QUADRATURE_ENTRIES}"
-        )
+    limits.check(entries, limits.MAX_QUADRATURE_ENTRIES,
+                 f"array entries of the quadrature nodes at m={m}, T={T}:")
     return npanels
 
 
@@ -179,7 +177,7 @@ def factor_truncation(spec, m, T=None):
     Raises UnsupportedError for m outside {1, 2, 3}, DomainError for a T
     that is not positive and finite, and ResourceError when the
     quadrature at T, which needs more entries than at T/2, would pass
-    MAX_QUADRATURE_ENTRIES.
+    limits.MAX_QUADRATURE_ENTRIES.
     """
     if m not in (1, 2, 3):
         raise UnsupportedError(f"sieve factor implemented for m in {{1,2,3}}, got {m}")

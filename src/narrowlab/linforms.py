@@ -14,11 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import limits
 from .errors import DomainError, ResourceError, UnsupportedError
 
 INFINITE_CODIM = math.inf
-MAX_FAMILY_FORMS = 1 << 16   # forms a family constructor builds at most
-MAX_SUBSPACES = 500000   # subspaces a collision lattice walk finds at most
 
 
 @dataclass(frozen=True)
@@ -199,9 +198,9 @@ def _check_family_size(name, k, count):
 
     A family has at least k forms, so count(k) runs only for k <= the cap:
     no 2^(k-1) is ever built for a huge k (256 MB at k = 2^31)."""
-    if k > MAX_FAMILY_FORMS or count(k) > MAX_FAMILY_FORMS:
-        raise ResourceError(f"the {name} family with k={k} has more than "
-                            f"{MAX_FAMILY_FORMS} forms")
+    cap = limits.MAX_FAMILY_FORMS
+    limits.check(k, cap, f"forms of the {name} family: at least k =")
+    limits.check(count(k), cap, f"forms of the {name} family at k={k}:")
 
 
 def psi_j(k, j):
@@ -408,7 +407,7 @@ def _codim2_flats(rows, cap):
             yield parents
 
 
-def lindex(sys, max_subspaces=MAX_SUBSPACES):
+def lindex(sys, max_subspaces=limits.MAX_SUBSPACES):
     """Collision index of the system with a maximizing partition.
 
     Searches the closure lattice generated by intersecting kernels of
@@ -553,16 +552,16 @@ def min_distinct_on_codim(sys, c):
     forms that stay distinct on a candidate are the atoms of its induced
     partition, which joins the form pairs of the hyperplanes containing it
     (a flat's parents).  The first minimal candidate is the witness; only
-    its echelon is built.  ResourceError past MAX_SUBSPACES hyperplanes
-    and flats, counted as lindex counts them.
+    its echelon is built.  ResourceError past limits.MAX_SUBSPACES
+    hyperplanes and flats, counted as lindex counts them.
     """
     if c not in (1, 2):
         raise DomainError(f"codimension must be 1 or 2, got {c}")
-    arrangement = _collision_hyperplanes(sys, MAX_SUBSPACES)
+    arrangement = _collision_hyperplanes(sys, limits.MAX_SUBSPACES)
     rows = list(arrangement)
     pairs = list(arrangement.values())
     candidates = (((i,) for i in range(len(rows))) if c == 1
-                  else _codim2_flats(rows, MAX_SUBSPACES))
+                  else _codim2_flats(rows, limits.MAX_SUBSPACES))
 
     def count(parents):
         return _joined(sys.t, (pairs[i] for i in parents))[0]

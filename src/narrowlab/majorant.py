@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .cutoff import chi_value
 from .errors import DomainError, FormatError
 from .numtheory import (
     SEGMENT_SIZE,
-    W_FIELD_PRIME,
     WTrickContext,
     factorize,
     moebius,
@@ -223,7 +223,7 @@ def load_majorant(path, cutoff=None):
 def _parse_head(nprime, W, b, R):
     """The context and R of a NAPMV1 header, and its payload's item count."""
     w, walked = 1, 1
-    for p, primorial_p in primorial_walk(W_FIELD_PRIME - 1):   # all below 2^64
+    for p, primorial_p in primorial_walk(limits.W_FIELD_PRIME - 1):   # all below 2^64
         if walked >= W:
             break
         w, walked = p, primorial_p

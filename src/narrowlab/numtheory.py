@@ -10,12 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .errors import DomainError, FormatError, ResourceError
 
 SIEVE_MAGIC = b"NAPSV1"
 SIEVE_HEAD = "<Q"        # limit
 SEGMENT_SIZE = 1 << 19   # entries per sieve segment: 2 MB of uint32, sized for L2
-W_FIELD_PRIME = 53       # the least prime whose primorial exceeds 2^64
 WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 WHEEL = 30030            # the product of WHEEL_PRIMES, the wheel pattern's period
 
@@ -150,10 +150,7 @@ def build_factor_sieve(limit):
     limit = int(limit)
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if limit >= 1 << 32:
-        raise ResourceError(
-            f"sieve limit {limit} exceeds the uint32 factor table range"
-        )
+    limits.check(limit, limits.SIEVE_RANGE, "sieve limit", below=True)
     try:
         spf = np.empty(limit + 1, dtype=np.uint32)
     except MemoryError:
@@ -300,7 +297,7 @@ class WTrickContext:
                 f"residue b={self.b} shares the factor {shared} with W={self.W}"
             )
         if not is_prime(self.modulus):
-            raise DomainError(f"modulus {self.modulus} is not prime")
+            raise DomainError(f"modulus {limits.short(self.modulus)} is not prime")
 
     @property
     def phi_W(self):
@@ -309,10 +306,11 @@ class WTrickContext:
 
 def primorial_walk(w):
     """Pairs (p, primorial(p)) for the primes p <= min(w, W_FIELD_PRIME);
-    ResourceError at a primorial past 2^64, the NAPMV1 W field."""
+    ResourceError once a primorial reaches limits.W_RANGE = 2^64, the
+    NAPMV1 W field."""
     W, last = 1, 1
-    for p in _bootstrap_primes(min(int(w), W_FIELD_PRIME)).tolist():
-        if W * p >= 1 << 64:
+    for p in _bootstrap_primes(min(int(w), limits.W_FIELD_PRIME)).tolist():
+        if W * p >= limits.W_RANGE:
             raise ResourceError(
                 f"W = primorial({w}) does not fit the 64-bit W field of a "
                 f"majorant table; the largest is primorial({last})"

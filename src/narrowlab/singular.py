@@ -14,16 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .conditions import BoxRegion
-from .errors import DomainError, ResourceError
+from .errors import DomainError, NumericError, ResourceError
 from .numtheory import _bootstrap_primes, factorize
 
 DEFAULT_PMAX = 100000
-MAX_PMAX = 10 ** 8                # truncation bound: a boolean sieve of 100 MB
-EXACT_CAP = 10 ** 7
-MAX_DELTA = 10 ** 12              # |Delta(h)| of the E weight, factored by trial division
-MAX_BOX_DIM = 64                  # coordinates of a Gallagher box
-MAX_SAMPLE_ENTRIES = 10 ** 7      # sampled coordinates: samples times box dimension
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def singular_series(h, P_max=DEFAULT_PMAX, W=1):
     W = int(W)
     if W < 1:
         raise DomainError(f"W must be >= 1, got {W}")
-    P_max = check_p_max(P_max)
+    P_max = limits.check(int(P_max), limits.MAX_PMAX, "P_max")   # before any sieving
     W_factors = [(p, e) for p, e in factorize(W, bound=P_max) if p <= P_max]
     if any(e > 1 for _, e in W_factors):
         raise DomainError(f"W={W} must be squarefree")
@@ -187,14 +183,6 @@ def singular_series(h, P_max=DEFAULT_PMAX, W=1):
     return SingularValue(value=value, P_max=P_max, tail_bound=tail)
 
 
-def check_p_max(P_max):
-    """P_max as an int; ResourceError past MAX_PMAX, before its primes are sieved."""
-    P_max = int(P_max)
-    if P_max > MAX_PMAX:
-        raise ResourceError(f"P_max={P_max} is past the cap of {MAX_PMAX}")
-    return P_max
-
-
 def error_factor(h, C):
     """exp(C * sum of 1/p over p | Delta(h)), plus the raw inverse sum.
 
@@ -204,12 +192,13 @@ def error_factor(h, C):
     """
     h = as_shift(h)
     C = float(C)
-    if C <= 0:
-        raise DomainError(f"C must be positive, got {C}")
+    if not (math.isfinite(C) and C > 0):
+        raise DomainError(f"C must be positive and finite, got {C}")
     disc = delta(h)
-    if abs(disc) > MAX_DELTA:
-        raise ResourceError(f"|Delta(h)| = {abs(disc)} is past the cap of {MAX_DELTA}")
+    limits.check(abs(disc), limits.MAX_DELTA, "|Delta(h)|")
     s = sum(1.0 / p for p, _ in factorize(disc))
+    if C * s > math.log(np.finfo(float).max):   # C * s is inf if it overflows
+        raise NumericError(f"exp(C * {s:.6g}) overflows a float at C={C}")
     return ErrorFactor(value=math.exp(C * s), prime_inverse_sum=s)
 
 
@@ -220,23 +209,15 @@ def check_delta_bound(dims):
     bound = 1
     for (lo_i, hi_i), (lo_j, hi_j) in itertools.combinations(dims, 2):
         bound *= max(hi_i - lo_j, hi_j - lo_i, 1)
-        if bound > MAX_DELTA:
-            raise ResourceError(
-                f"points of the box may have |Delta| past the E weight's "
-                f"cap of {MAX_DELTA}"
-            )
+        limits.check(bound, limits.MAX_DELTA, "a bound on |Delta| over the box")
 
 
 def check_box_size(t, sample=None):
     """ResourceError for a box of more than MAX_BOX_DIM coordinates, or
     for more than MAX_SAMPLE_ENTRIES drawn coordinates, before either is built."""
-    if t > MAX_BOX_DIM:
-        raise ResourceError(f"box has {t} coordinates, past the cap of {MAX_BOX_DIM}")
-    if sample is not None and sample * t > MAX_SAMPLE_ENTRIES:
-        raise ResourceError(
-            f"{sample} samples of {t} coordinates draw {sample * t} entries, "
-            f"past the cap of {MAX_SAMPLE_ENTRIES}"
-        )
+    limits.check(t, limits.MAX_BOX_DIM, "box coordinates")
+    limits.check((sample or 0) * t, limits.MAX_SAMPLE_ENTRIES,
+                 "sampled coordinates (samples times box coordinates)")
 
 
 def _refine(classes, interval):
@@ -254,7 +235,7 @@ def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
 
     weight "GW" averages the W-tricked singular series, weight "E" the
     discriminant error factor with constant C.  Boxes with at most
-    EXACT_CAP points are summed exactly, one weight per class of equal
+    limits.EXACT_CAP points are summed exactly, one weight per class of equal
     x_1 - x_i, as translation, permutation and sign keep both weights;
     larger boxes require a sample count and report a standard error.
     """
@@ -266,7 +247,7 @@ def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
     dims, count = box.intervals, box.point_count
     check_box_size(len(dims), sample)
     if weight == "GW":
-        check_p_max(P_max)
+        limits.check(int(P_max), limits.MAX_PMAX, "P_max")
     else:
         check_delta_bound(dims)
 
@@ -275,7 +256,7 @@ def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
             return singular_series(point, P_max=P_max, W=W).value
         return error_factor(point, C).value
 
-    if count <= EXACT_CAP and sample is None:
+    if count <= limits.EXACT_CAP and sample is None:
         classes = functools.reduce(_refine, dims[1:], [((), *dims[0])])
         total = 0.0
         weigh = functools.cache(g)
@@ -287,8 +268,8 @@ def gallagher_average(weight, box, W=1, P_max=DEFAULT_PMAX, C=1.0,
                                stderr=0.0, n_points=count, mode="exact")
     if sample is None:
         raise ResourceError(
-            f"box has {count} points (cap {EXACT_CAP}); pass sample=... "
-            "to switch to uniform sampling"
+            f"box has {limits.short(count)} points (cap {limits.EXACT_CAP}); "
+            "pass sample=... to switch to uniform sampling"
         )
     sample = int(sample)
     if sample < 2:

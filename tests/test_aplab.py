@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from narrowlab import aplab as ap
+from narrowlab import limits
 from narrowlab import numtheory as nt
 from narrowlab.errors import DomainError, ResourceError
 from test_kernels import _packed_ap_count
@@ -61,9 +62,9 @@ def test_lambda_d_rejects_non_integer_difference_cap(D):
 
 def test_lambda_d_term_cap():
     ones = np.ones(50)
-    assert ap.lambda_D([ones] * ap.MAX_TERMS, 5) == 1.0
-    with pytest.raises(ResourceError, match="at most 16"):
-        ap.lambda_D([ones] * (ap.MAX_TERMS + 1), 5)
+    assert ap.lambda_D([ones] * limits.MAX_TERMS, 5) == 1.0
+    with pytest.raises(ResourceError, match="cap of 16"):
+        ap.lambda_D([ones] * (limits.MAX_TERMS + 1), 5)
 
 
 def test_count_small_cases(sieve_2m):
@@ -195,11 +196,11 @@ def test_subset_rule_mask_rejects_a_negative_bound():
 
 def test_subset_rule_modulus_cap():
     start = time.perf_counter()
-    top = ap.SubsetRule(modulus=ap.MAX_RULE_MODULUS - 1, classes=(1,))
+    top = ap.SubsetRule(modulus=limits.SIEVE_RANGE - 1, classes=(1,))
     assert top.prime_density == 1 / 2 ** 31   # phi(2^32 - 1) = 2^31
     assert top.mask(10).tolist() == [False, True] + [False] * 9
     with pytest.raises(ResourceError, match="below 4294967296"):
-        ap.SubsetRule(modulus=ap.MAX_RULE_MODULUS, classes=(1,))
+        ap.SubsetRule(modulus=limits.SIEVE_RANGE, classes=(1,))
     assert time.perf_counter() - start < 0.5
 
 

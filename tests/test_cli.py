@@ -189,7 +189,7 @@ def test_lfc_coefficient_past_int64_is_a_resource_error(capsys, tmp_path):
     forms.write_text(f"0; {2 ** 63} 1\n1; 1 2\n")
     code, _, err = run(capsys, "lfc", "--file", str(forms))
     assert code == 1
-    assert err.startswith("error:") and "2^63" in err
+    assert err.startswith("error:") and "int64" in err
 
 
 def test_lfc_width_past_int64_is_a_resource_error(capsys):
@@ -272,7 +272,7 @@ def test_lambda_d_term_cap_exits_1_before_the_sieve(capsys, no_sieve,
     code, _, err = run(capsys, "lambda-d", "--N", "1009", "--k", "2147483648",
                        "--D", "5", "--out", str(out))
     assert code == 1
-    assert err.startswith("error:") and "at most 16" in err
+    assert err.startswith("error:") and "cap of 16" in err
     assert not out.exists()
 
 
@@ -338,6 +338,35 @@ def test_size_caps_exit_1_before_any_work(capsys, no_sieve, tmp_path, argv):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("majorant --N 10007 --R-exp 2147483648", 2),
+    ("cutoff-check --m 1 --T 1e308", 1),
+    ("gallagher --weight E --C 1e300 --hi 20", 1),
+    ("gallagher --weight E --C inf --hi 20", 2),
+    ("gallagher --weight E --C nan --hi 20", 2),
+    ("threshold --family second --k 2 --alphas 1e-320,0.1,0.2", 1),
+])
+def test_float_overflows_end_in_an_error_line(capsys, tmp_path, argv, want):
+    # Each of these once ended in an OverflowError traceback or, for a
+    # non-finite C, printed mean = nan with exit 0.
+    code, _, err = run(capsys, *argv.split(), "--out", str(tmp_path / "r.out"))
+    assert code == want
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "lambda-d --N 1e308 --D 5",
+    "lambda-d --N 1009 --D 1e308",
+    "majorant --N 1e308",
+    "singular --h 0,2 --P-max 1e308",
+])
+def test_huge_counts_are_shortened_in_error_lines(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv.split(), "--out", str(tmp_path / "r.out"))
+    assert code in (1, 2)
+    assert err.startswith("error:") and "1.000e+308" in err and len(err) < 100
 
 
 def test_cutoff_check_caps_every_order_before_the_first_factor(capsys, tmp_path):

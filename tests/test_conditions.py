@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from narrowlab import conditions as cd
+from narrowlab import limits
 from narrowlab import linforms as lf
 from narrowlab.errors import DomainError, ResourceError
 from test_linforms import _random_system
@@ -50,7 +51,7 @@ def test_weight_models():
     with pytest.raises(DomainError):
         cd.WeightModel.random(1.5, 0, 101)
     with pytest.raises(ResourceError):
-        cd.WeightModel.random(0.5, 0, cd.MAX_RANDOM_MODULUS * 2 + 1)
+        cd.WeightModel.random(0.5, 0, limits.MAX_RANDOM_MODULUS * 2 + 1)
 
 
 @pytest.mark.parametrize("modulus", [0, -3])
@@ -245,9 +246,9 @@ def test_coefficients_past_int64_are_a_resource_error(form):
     forms = [form, lf.LinearForm(coeffs=(1, 2), constant=1)]
     one = cd.WeightModel.constant_one(7)
     box = cd.symmetric_box(2, 1)
-    with pytest.raises(ResourceError, match="2\\^63"):
+    with pytest.raises(ResourceError, match="int64"):
         cd.lfc_average_mc(one, forms, None, box, samples=1000)
-    with pytest.raises(ResourceError, match="2\\^63"):
+    with pytest.raises(ResourceError, match="int64"):
         cd.lfc_average_exact(one, forms, None, box)
     # An inactive form is never converted.
     skip = cd.ExponentPattern((0, 1))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from narrowlab import conditions as cd
+from narrowlab import limits
 from narrowlab import linforms as lf
 from narrowlab.errors import DomainError, ResourceError, UnsupportedError
 
@@ -344,10 +345,10 @@ def test_codim2_reader_streams_first4_in_little_memory():
 def test_min_distinct_cap_counts_hyperplanes_and_flats(monkeypatch):
     # first(3) has 37 hyperplanes and 347 codim-2 flats.
     sys = lf.first_family(3)
-    assert lf.MAX_SUBSPACES == 500000
-    monkeypatch.setattr(lf, "MAX_SUBSPACES", 384)
+    assert limits.MAX_SUBSPACES == 500000
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 384)
     assert lf.min_distinct_on_codim(sys, 2).count == 5
-    monkeypatch.setattr(lf, "MAX_SUBSPACES", 383)
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 383)
     with pytest.raises(ResourceError, match="codim-2 lattice exceeded 383 subspaces"):
         lf.min_distinct_on_codim(sys, 2)
 
@@ -755,8 +756,8 @@ def test_flat_integer_point_test_matches_column_reduction():
 
 def test_family_sizes_are_capped_before_building(monkeypatch):
     # The cap keeps first(13) (53,248 forms) and second(16) (65,536).
-    assert 13 << 12 <= lf.MAX_FAMILY_FORMS == 1 << 16
-    monkeypatch.setattr(lf, "MAX_FAMILY_FORMS", 32)
+    assert 13 << 12 <= limits.MAX_FAMILY_FORMS == 1 << 16
+    monkeypatch.setattr(limits, "MAX_FAMILY_FORMS", 32)
     assert lf.first_family(4).t == 32
     assert lf.second_family(5).t == 32
     assert lf.third_family(16, 1).t == 31
@@ -765,7 +766,7 @@ def test_family_sizes_are_capped_before_building(monkeypatch):
                   lambda: lf.first_family(1 << 31),
                   lambda: lf.second_family(1 << 31),
                   lambda: lf.third_family(1 << 31, 1)):
-        with pytest.raises(ResourceError, match="more than 32 forms"):
+        with pytest.raises(ResourceError, match="cap of 32"):
             build()
 
 

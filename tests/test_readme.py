@@ -2,7 +2,7 @@ import pathlib
 import re
 import shlex
 
-from narrowlab import cli
+from narrowlab import cli, limits
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +33,17 @@ def test_command_line_tour_writes_only_named_files(capsys, tmp_path,
     named = {argv[i + 1] for argv in commands
              for i, arg in enumerate(argv) if arg == "--out"}
     assert {path.name for path in tmp_path.iterdir()} == named
+
+
+def test_cap_table_lists_every_limit_with_its_value():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| Cap | Value |"):]
+    table = table[:table.index("\n\n")]
+    cells = dict(re.findall(r"^\| `(\w+)` \| ([\d,^]+) \|", table, re.M))
+    caps = {name: value for name, value in vars(limits).items()
+            if name.isupper()}
+    assert set(cells) == set(caps)
+    for name, cell in cells.items():
+        base, _, exponent = cell.replace(",", "").partition("^")
+        value = int(base) ** int(exponent) if exponent else int(base)
+        assert value == caps[name], name

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from narrowlab import aplab as ap
+from narrowlab import limits
 from narrowlab import numtheory as nt
 from narrowlab import singular as sg
 from narrowlab.errors import DomainError, ResourceError
@@ -309,13 +310,13 @@ def test_gallagher_walks_only_nonempty_classes():
 
 
 def test_gallagher_size_caps():
-    wide = ((1, 1),) * (sg.MAX_BOX_DIM + 1)
-    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_BOX_DIM}"):
+    wide = ((1, 1),) * (limits.MAX_BOX_DIM + 1)
+    with pytest.raises(ResourceError, match=f"cap of {limits.MAX_BOX_DIM}"):
         sg.gallagher_average("GW", wide)
     sg.gallagher_average("GW", wide[1:])
-    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_SAMPLE_ENTRIES}"):
+    with pytest.raises(ResourceError, match=f"cap of {limits.MAX_SAMPLE_ENTRIES}"):
         sg.gallagher_average("E", ((1, 5), (1, 5)),
-                             sample=sg.MAX_SAMPLE_ENTRIES // 2 + 1)
+                             sample=limits.MAX_SAMPLE_ENTRIES // 2 + 1)
 
 
 def test_bounded_prime_search_returns_at_once():
@@ -345,14 +346,14 @@ def test_p_max_cap_refuses_before_any_prime_is_sieved(monkeypatch):
     def refuse(upto):
         raise AssertionError(f"sieved primes up to {upto}")
 
-    over = sg.MAX_PMAX + 1
+    over = limits.MAX_PMAX + 1
     monkeypatch.setattr(sg, "_bootstrap_primes", refuse)
     start = time.perf_counter()
-    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_PMAX}"):
+    with pytest.raises(ResourceError, match=f"cap of {limits.MAX_PMAX}"):
         sg.singular_series((0, 2), P_max=over)
-    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_PMAX}"):
+    with pytest.raises(ResourceError, match=f"cap of {limits.MAX_PMAX}"):
         sg.gallagher_average("GW", ((1, 500), (1, 500)), P_max=over)
-    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_PMAX}"):
+    with pytest.raises(ResourceError, match=f"cap of {limits.MAX_PMAX}"):
         ap.hl_prediction(10 ** 7, 3, 6, P_max=over)
     assert time.perf_counter() - start < 1.0
     # The E weight reads no truncation, so P_max does not bound it.
@@ -360,19 +361,19 @@ def test_p_max_cap_refuses_before_any_prime_is_sieved(monkeypatch):
 
 
 def test_delta_cap_of_the_error_weight():
-    assert sg.error_factor((0, sg.MAX_DELTA), 1.0).prime_inverse_sum == 1 / 2 + 1 / 5
-    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_DELTA}"):
-        sg.error_factor((0, sg.MAX_DELTA + 1), 1.0)
+    assert sg.error_factor((0, limits.MAX_DELTA), 1.0).prime_inverse_sum == 1 / 2 + 1 / 5
+    with pytest.raises(ResourceError, match=f"cap of {limits.MAX_DELTA}"):
+        sg.error_factor((0, limits.MAX_DELTA + 1), 1.0)
     # The box bound is the product of each pair's largest difference.
     edge = 10 ** 4
     sg.check_delta_bound(((0, edge),) * 3)
-    sg.check_delta_bound(((0, sg.MAX_DELTA), (0, 0)))
-    for box in (((0, edge + 1),) * 3, ((0, sg.MAX_DELTA + 1), (0, 0)),
-                ((-sg.MAX_DELTA, 0), (1, 1))):
-        with pytest.raises(ResourceError, match=f"cap of {sg.MAX_DELTA}"):
+    sg.check_delta_bound(((0, limits.MAX_DELTA), (0, 0)))
+    for box in (((0, edge + 1),) * 3, ((0, limits.MAX_DELTA + 1), (0, 0)),
+                ((-limits.MAX_DELTA, 0), (1, 1))):
+        with pytest.raises(ResourceError, match=f"cap of {limits.MAX_DELTA}"):
             sg.check_delta_bound(box)
     start = time.perf_counter()
-    with pytest.raises(ResourceError, match=f"cap of {sg.MAX_DELTA}"):
+    with pytest.raises(ResourceError, match=f"cap of {limits.MAX_DELTA}"):
         sg.gallagher_average("E", ((1, 10 ** 18), (1, 10 ** 18)), sample=100)
     assert time.perf_counter() - start < 1.0
     # Every point of a box within the bound has |Delta| within the cap.
