@@ -7,6 +7,7 @@ restricted-difference counting average Lambda_D used to certify that
 narrow progressions exist at a given scale.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -92,7 +93,8 @@ def lambda_sweep(fs, D):
     the size of L2, until three remain.  Along d, vecdot (a BLAS ddot
     per row) reduces two windows to h and einsum reduces one or three;
     a dot with fs[1] sums the block.  An infinite fs[1, m] stays inside
-    the sum over d, where inf * 0 is nan.
+    the sum over d, where inf * 0 is nan; fs[1] is searched for them once,
+    so a block without one is a single dot.
     """
     k, n = fs.shape
     if k == 1:
@@ -105,6 +107,8 @@ def lambda_sweep(fs, D):
              for j in range(2, k)]
     spec = ",".join(["md"] * min(k - 1, 3)) + "->m"
     block = max(1, SWEEP_ENTRIES // D)
+    infinite = np.isinf(fs[1])
+    any_infinite = bool(infinite.any())
     total = 0.0
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -117,7 +121,10 @@ def lambda_sweep(fs, D):
             ops = [folded] + rows[-2:]
         h = np.vecdot(*ops) if k == 3 else np.einsum(spec, *ops)
         pivot = fs[1, lo:hi]
-        inf = np.isinf(pivot)
+        if not any_infinite:
+            total += float(pivot @ h)
+            continue
+        inf = infinite[lo:hi]
         for i in np.flatnonzero(inf):
             total += float(np.sum(pivot[i] * np.prod([r[i] for r in rows], axis=0)))
         total += float(pivot[~inf] @ h[~inf])
@@ -231,14 +238,18 @@ def count_sieve_limit(N, k, d):
 
 
 def count_aps_with_difference(N, k, d, sieve):
-    """Number of primes p <= N with p, p+d, ..., p+(k-1)d all prime."""
+    """Number of primes p <= N with p, p+d, ..., p+(k-1)d all prime.
+
+    When a prime q <= k does not divide d, every such progression holds q
+    itself, so only the bits of the starts q - j*d, j < q, are read.
+    """
     N, k, d = int(N), int(k), int(d)
     top = count_sieve_limit(N, k, d)
     if top > sieve.limit:
         raise DomainError(
             f"need sieve limit >= {top}, have {sieve.limit}"
         )
-    return packed_ap_count(sieve.packed_primes(top), N + 1, k, d)
+    return _prime_ap_count(sieve.packed_primes(top), N + 1, k, d)
 
 
 def packed_ap_count(words, starts, k, d):
@@ -249,6 +260,27 @@ def packed_ap_count(words, starts, k, d):
     if starts <= 0:
         return 0
     return _and_count(words, [(words, j * d) for j in range(1, k)], starts)
+
+
+def _prime_ap_count(words, starts, k, d):
+    """packed_ap_count(words, starts, k, d) for words whose set bits are primes.
+
+    When a prime q <= k does not divide d (_missed_prime), the terms
+    n, n+d, ..., n+(q-1)d fill every residue mod q, so one of them is a
+    multiple of q, and a prime one is q itself.  Then only the starts
+    n = q - j*d, j < q, can count, and just their bits are read; the
+    general sweep runs otherwise.
+    """
+    q = _missed_prime(k, d)
+    if q is None:
+        return packed_ap_count(words, starts, k, d)
+    return sum(all(_bit(words, n + i * d) for i in range(k))
+               for n in (q - j * d for j in range(q)) if 0 <= n < starts)
+
+
+def _bit(words, i):
+    """Bit i of pack_bits words."""
+    return int(words[i >> 6]) >> (i & 63) & 1
 
 
 @dataclass(frozen=True)
@@ -269,23 +301,25 @@ class HLPrediction:
     d: int
 
 
+@functools.lru_cache(maxsize=64)
 def _log_integral(N, k):
     """int_2^N dt / (log t)^k by Gauss-Legendre on 400 panels in u = log t."""
     u, weights = gauss_panels(math.log(2.0), math.log(float(N)), 400)
     return float(np.sum(weights * np.exp(u) / u ** k))
 
 
-def _fills_a_prime(k, d):
-    """True when a prime p <= k does not divide d.
+def _missed_prime(k, d):
+    """The least prime q <= k that does not divide d, or None.
 
-    The shifts (0, d, ..., (k-1)d) then fill every residue mod p, so
-    their singular series is exactly 0.  Each prime passed divides d,
-    so at most log2(d) + 1 primes are tried.
+    The shifts (0, d, ..., (k-1)d) then fill every residue mod q, so
+    their singular series is exactly 0, and every k-AP of primes with
+    difference d holds q.  Each prime passed divides d, so at most
+    log2(d) + 1 primes are tried.
     """
-    p = 2
-    while p <= k and d % p == 0:
-        p = next(q for q in itertools.count(p + 1) if is_prime(q))
-    return p <= k
+    q = 2
+    while q <= k and d % q == 0:
+        q = next(p for p in itertools.count(q + 1) if is_prime(p))
+    return q if q <= k else None
 
 
 def hl_prediction(N, k, d, P_max=DEFAULT_PMAX):
@@ -301,7 +335,7 @@ def hl_prediction(N, k, d, P_max=DEFAULT_PMAX):
         raise DomainError(f"d must be >= 1, got {d}")
     if P_max < k:   # before the k shifts are built
         raise DomainError(f"P_max={P_max} must be at least k={k}")
-    if _fills_a_prime(k, d):
+    if _missed_prime(k, d) is not None:
         # The discriminant's primes are d's and those below k <= P_max,
         # so this raises where singular_series would.
         discriminant_primes(d, P_max)
@@ -462,7 +496,8 @@ def narrowness_report(ladder, k, delta, rule, sieve):
     stops once enough progressions are collected for a median or d passes
     the reference width (log N)^L with L = (k-1) 2^(k-2), whichever is
     later than the first hit.  Rows compare min_d against (log N)^(k-1)
-    and (log N)^L.
+    and (log N)^L.  For a d that a prime q <= k does not divide, every
+    such progression holds q, so only the progressions through q are read.
     """
     k = int(k)
     delta = float(delta)
@@ -482,7 +517,7 @@ def narrowness_report(ladder, k, delta, rule, sieve):
         min_d = 0
         diffs = []
         for d in range(1, cap + 1):
-            c = packed_ap_count(words, N + 1, k, d)
+            c = _prime_ap_count(words, N + 1, k, d)
             if c > 0:
                 if min_d == 0:
                     min_d = d

@@ -9,7 +9,8 @@ import math
 from .errors import ResourceError
 
 MAX_TERMS = 16                    # progression terms of lambda_D
-SIEVE_RANGE = 1 << 32             # sieve limits and subset-rule moduli: uint32 table
+MAX_SIEVE_LIMIT = 10 ** 9         # factor sieve limit: a 4 GB uint32 table
+SIEVE_RANGE = 1 << 32             # subset-rule moduli: past a uint32 table's range
 INT64_RANGE = 1 << 63             # |form coefficients, values, partial counts|
 W_RANGE = 1 << 64                 # W = primorial(w): a majorant table's uint64 field
 W_FIELD_PRIME = 53                # the least prime whose primorial reaches W_RANGE

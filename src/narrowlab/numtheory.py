@@ -143,14 +143,14 @@ def build_factor_sieve(limit):
 
     Segments of SEGMENT_SIZE entries, sized to stay in L2 cache, are
     filled in turn by spf_segment, which writes every entry's final value;
-    no entry is read back or fixed up afterwards.  Its ramp is sized to
-    min(SEGMENT_SIZE, limit + 1) entries and its wheel pattern to at most
-    one period more, so a small sieve builds only what it uses.
+    no entry is read back or fixed up afterwards, and nothing but the
+    table is allocated per call.  A limit past limits.MAX_SIEVE_LIMIT is
+    refused before the table is allocated.
     """
     limit = int(limit)
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    limits.check(limit, limits.SIEVE_RANGE, "sieve limit", below=True)
+    limits.check(limit, limits.MAX_SIEVE_LIMIT, "sieve limit")
     try:
         spf = np.empty(limit + 1, dtype=np.uint32)
     except MemoryError:
@@ -158,56 +158,58 @@ def build_factor_sieve(limit):
             f"cannot allocate sieve of {limit + 1} entries "
             f"(~{4 * (limit + 1)} bytes required)"
         ) from None
-    ramp = np.arange(min(SEGMENT_SIZE, limit + 1), dtype=np.uint32)
-    # A segment at lo reads wheel[lo % WHEEL:lo % WHEEL + len], which ends at or
-    # before both limit + 1 and SEGMENT_SIZE + WHEEL - 1.
-    wheel = wheel_pattern(min(limit + 1, SEGMENT_SIZE + WHEEL - 1))
     base_primes = _bootstrap_primes(math.isqrt(limit))
     for lo in range(0, limit + 1, SEGMENT_SIZE):
-        spf_segment(spf[lo:lo + SEGMENT_SIZE], lo, base_primes, ramp, wheel)
+        spf_segment(spf[lo:lo + SEGMENT_SIZE], lo, base_primes)
     return FactorSieve(limit, spf)
 
 
 @functools.cache
-def _wheel_period():
-    """One period of the wheel pattern, read-only."""
-    period = np.full(WHEEL, np.iinfo(np.uint32).max, dtype=np.uint32)
+def _period_tables():
+    """(ramp, wheel), read-only: 0, 1, ..., WHEEL - 1, and two periods of the
+    wheel pattern, the least prime among WHEEL_PRIMES dividing each n, or
+    2^32 - 1 for n with none."""
+    ramp = np.arange(WHEEL, dtype=np.uint32)
+    wheel = np.full(2 * WHEEL, np.iinfo(np.uint32).max, dtype=np.uint32)
     for p in reversed(WHEEL_PRIMES):
-        period[::p] = p
-    period.flags.writeable = False
-    return period
+        wheel[::p] = p
+    ramp.flags.writeable = wheel.flags.writeable = False
+    return ramp, wheel
 
 
-def wheel_pattern(length):
-    """Least prime among WHEEL_PRIMES dividing each n in [0, length), or
-    2^32 - 1 for n with none; the pattern has period WHEEL."""
-    return np.resize(_wheel_period(), length)
-
-
-def spf_segment(spf_seg, lo, base_primes, ramp, wheel):
+def spf_segment(spf_seg, lo, base_primes):
     """Write the smallest prime factor of each n in [lo, lo + len) into spf_seg.
 
-    ramp holds 0, 1, ..., at least len - 1, and wheel is wheel_pattern(m)
-    for some m >= lo % WHEEL + len; base_primes must contain every prime
-    up to sqrt(lo + len - 1).  The segment starts as the identity, so primes
-    (and 0 and 1) already hold their final value.  Each odd base prime p
-    above the wheel's primes then stores p at its odd multiples from
-    max(p^2, lo) on, largest p first, so a smaller prime overwrites a
-    larger one.  Last, one minimum against the wheel applies the primes
-    2 to 13: where one divides n, the least such is n's smallest prime
-    factor and below both n and every prime stored.
+    spf_seg must be contiguous, and base_primes must contain every prime
+    up to sqrt(lo + len - 1).  The segment is read as whole periods, a
+    (rows, WHEEL) view, plus a tail shorter than one period.  It starts
+    as the identity, one add of the ramp per view, so primes (and 0 and
+    1) already hold their final value.  Each odd base prime p above the
+    wheel's primes then stores p at its odd multiples from max(p^2, lo)
+    on, largest p first, so a smaller prime overwrites a larger one.
+    Last, one minimum per view against the period of the wheel that
+    starts at lo % WHEEL applies the primes 2 to 13: where one divides
+    n, the least such is n's smallest prime factor and below both n and
+    every prime stored.
     """
+    ramp, wheel = _period_tables()
     n = spf_seg.shape[0]
     hi = lo + n
-    np.add(ramp[:n], lo, out=spf_seg)
+    rows, tail = divmod(n, WHEEL)
+    whole = spf_seg[:rows * WHEEL].reshape(rows, WHEEL)
+    rest = spf_seg[rows * WHEEL:]
+    row_starts = np.arange(lo, lo + rows * WHEEL, WHEEL, dtype=np.uint32)
+    np.add(ramp, row_starts[:, None], out=whole)
+    np.add(ramp[:tail], lo + rows * WHEEL, out=rest)
     p = np.asarray(base_primes, dtype=np.int64)
     p = p[(p > WHEEL_PRIMES[-1]) & (p * p < hi)]
     start = np.maximum(p * p, -(-lo // p) * p)
     start += p * (start % 2 == 0)
     for q, s in zip(p[::-1].tolist(), start[::-1].tolist()):
         spf_seg[s - lo::2 * q] = q
-    offset = lo % WHEEL
-    np.minimum(spf_seg, wheel[offset:offset + n], out=spf_seg)
+    period = wheel[lo % WHEEL:lo % WHEEL + WHEEL]
+    np.minimum(whole, period, out=whole)
+    np.minimum(rest, period[:tail], out=rest)
 
 
 def _bootstrap_primes(upto):

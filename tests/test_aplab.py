@@ -304,7 +304,7 @@ def test_hl_prediction_early_zero_matches_the_full_path(monkeypatch):
     early = {(k, d, P_max): _prediction_or_error(N, k, d, P_max)
              for k in range(2, 9) for d in range(1, 301)
              for P_max in (k, 7, 100, 10 ** 5)}
-    monkeypatch.setattr(ap, "_fills_a_prime", lambda k, d: False)
+    monkeypatch.setattr(ap, "_missed_prime", lambda k, d: None)
     for (k, d, P_max), got in early.items():
         assert got == _prediction_or_error(N, k, d, P_max), (k, d, P_max)
     zeros = sum(isinstance(r, ap.HLPrediction) and r.singular_value == 0.0
@@ -313,6 +313,59 @@ def test_hl_prediction_early_zero_matches_the_full_path(monkeypatch):
     assert zeros > 3000 and errors > 3000 and len(early) - zeros - errors > 500
     with pytest.raises(DomainError, match="largest prime factor 7"):
         ap.hl_prediction(N, 3, 7, P_max=5)
+
+
+def test_hl_prediction_uses_the_uncached_log_integral():
+    # _log_integral is cached on (N, k); the value must be the one the
+    # uncached integral gives, on the first call and on a cached one.
+    for N, k in ((10 ** 6, 3), (10 ** 7, 3), (1000, 4), (10 ** 6, 5)):
+        for d in (6, 30, 210, 12):
+            for _ in range(2):
+                pred = ap.hl_prediction(N, k, d)
+                want = pred.singular_value * ap._log_integral.__wrapped__(N, k)
+                assert pred.value == want, (N, k, d)
+
+
+def test_prime_ap_count_matches_the_general_sweep(sieve_2m):
+    # Where a prime q <= k does not divide d, only the starts q - j*d are
+    # read; every count must equal the full sweep over the same words,
+    # from N = -3 (no start) through q - 1, q and q + 1 for each prime
+    # q <= 8 up to 2*10^5.
+    words = sieve_2m.packed_primes(2 * 10 ** 5 + 7 * 400)
+    rng = np.random.default_rng(29)
+    ladder = sorted({*range(-3, 10), 97, 1000, 2 * 10 ** 5,
+                     *(int(N) for N in rng.integers(10, 2 * 10 ** 5, size=3))})
+    fast = hits = 0
+    for k in range(1, 9):
+        for d in range(1, 401):
+            missed = ap._missed_prime(k, d) is not None
+            fast += missed
+            for N in ladder:
+                got = ap._prime_ap_count(words, N + 1, k, d)
+                assert got == ap.packed_ap_count(words, N + 1, k, d), (N, k, d)
+                hits += missed and got > 0
+    assert fast > 2000 and hits > 100
+
+
+def _rows_or_error(ladder, k, rule, sieve):
+    try:
+        return ap.narrowness_report(ladder, k, 0.0, rule, sieve).rows
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("rule", [None, (8, (1, 3)), (4, (3,))])
+def test_narrowness_rows_match_the_general_sweep(sieve_2m, monkeypatch, rule):
+    # With _missed_prime patched to None every d takes the full sweep;
+    # the rows must not move.  Small N scan hundreds of d, most of them
+    # on the prime-only path.
+    rule = rule and ap.SubsetRule(modulus=rule[0], classes=rule[1])
+    cases = [(ladder, k) for k in (2, 3) for ladder in ([30], [100], [1000], [10 ** 4, 10 ** 5])]
+    fast = [_rows_or_error(ladder, k, rule, sieve_2m) for ladder, k in cases]
+    monkeypatch.setattr(ap, "_missed_prime", lambda k, d: None)
+    for (ladder, k), got in zip(cases, fast):
+        assert got == _rows_or_error(ladder, k, rule, sieve_2m), (ladder, k)
+    assert sum(isinstance(rows, tuple) for rows in fast) >= 6
 
 
 def test_huge_k_is_rejected_before_its_exponent_is_built():

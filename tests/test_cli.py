@@ -340,6 +340,29 @@ def test_size_caps_exit_1_before_any_work(capsys, no_sieve, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    "sieve-build --limit 2147483648",
+    "apsearch --mode count --N 2147483648",
+    "lambda-d --N 2147483647 --D 5",
+])
+def test_sieve_cap_exits_1_before_the_table(capsys, tmp_path, argv):
+    # Each asks for a valid sieve past limits.MAX_SIEVE_LIMIT, 8 GB of
+    # uint32; it is refused before the table is allocated.
+    out = tmp_path / "report.out"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv.split(), "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+    assert code == 1
+    assert err.startswith("error: sieve limit") and "past the cap of 1000000000" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, want", [
     ("majorant --N 10007 --R-exp 2147483648", 2),
     ("cutoff-check --m 1 --T 1e308", 1),

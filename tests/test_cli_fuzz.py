@@ -8,14 +8,10 @@ traceback.  After exit 1 or 2 it must have printed an error: line of at
 most 300 characters and left no file in its --out directory.
 
 numtheory.build_factor_sieve is wrapped to fail any example that asks
-for a sieve limit above 10^7 that the sieve itself would accept.  Nothing
-caps a valid sieve below limits.SIEVE_RANGE = 2^32: `lambda-d --N
-2147483647 --D 5` would build an 8 GB factor table and a 16 GB signal.
-So 2^31 is not drawn for the options that set a sieve limit directly
-(sieve-build --limit, apsearch --N and --ladder).  A limit at or past
-SIEVE_RANGE is refused before any allocation and passes through, and
-small sieves are fine: some refusals come after one (apsearch --mode
-narrowness --ladder 2 finds no 3-AP).
+for a sieve limit above 10^7 that the sieve itself would accept.  A
+limit past limits.MAX_SIEVE_LIMIT is refused before any allocation and
+passes through, and small sieves are fine: some refusals come after one
+(apsearch --mode narrowness --ladder 2 finds no 3-AP).
 
 It needs hypothesis and is skipped without it.
 """
@@ -42,12 +38,12 @@ from narrowlab import cli, limits
 from narrowlab import numtheory as nt
 
 HOSTILE = ("-1", "0", str(2 ** 31), str(2 ** 63), "1e308", "nan", "inf")
-SIEVE_LIMITS = {("sieve-build", "limit"), ("apsearch", "N"), ("apsearch", "ladder")}
 
 # Small valid runs ({out} is the run's own directory), each with the
 # numeric options fuzzed and the names of the limits caps they meet.
 BASES = (
-    ("sieve-build --limit 1000 --out {out}/s.bin", {"limit": ("SIEVE_RANGE",)}),
+    ("sieve-build --limit 1000 --out {out}/s.bin",
+     {"limit": ("MAX_SIEVE_LIMIT", "SIEVE_RANGE")}),
     ("lindex --family first --k 2 --out {out}/r.json",
      {"k": ("MAX_FAMILY_FORMS",)}),
     ("forms-dump --family third --k 3 --out {out}/f.txt",
@@ -63,7 +59,8 @@ BASES = (
     ("cutoff-check --m 1 --out {out}/r.json",
      {"m": (), "T": ("MAX_QUADRATURE_ENTRIES",)}),
     ("majorant --N 10007 --out {out}/w.bin",
-     {"N": ("SIEVE_RANGE",), "w": ("W_FIELD_PRIME",), "b": (), "R-exp": ()}),
+     {"N": ("MAX_SIEVE_LIMIT", "SIEVE_RANGE"), "w": ("W_FIELD_PRIME",), "b": (),
+      "R-exp": ()}),
     ("correlate --table {table} --h 2 --out {out}/r.csv",
      {"h": (), "P-max": ("MAX_PMAX",)}),
     ("lfc --family first --k 2 --samples 1000 --out {out}/r.json",
@@ -75,28 +72,22 @@ BASES = (
     ("threshold --family first --k 2 --out {out}/r.csv",
      {"k": ("MAX_FAMILY_FORMS",), "alphas": (), "target": ()}),
     ("lambda-d --N 1009 --D 5 --out {out}/r.json",
-     {"N": ("SIEVE_RANGE",), "k": ("MAX_TERMS",), "D": ()}),
+     {"N": ("MAX_SIEVE_LIMIT", "SIEVE_RANGE"), "k": ("MAX_TERMS",), "D": ()}),
     ("apsearch --mode count --N 1000 --out {out}/r.csv",
-     {"N": ("SIEVE_RANGE",), "k": ("MAX_TERMS",), "d": ("SIEVE_RANGE",),
+     {"N": ("MAX_SIEVE_LIMIT", "SIEVE_RANGE"), "k": ("MAX_TERMS",),
+      "d": ("MAX_SIEVE_LIMIT", "SIEVE_RANGE"),
       "P-max": ("MAX_PMAX",)}),
     ("apsearch --mode narrowness --ladder 1000 --rule-mod 4 --rule-classes 1 "
      "--out {out}/r.csv",
-     {"ladder": ("SIEVE_RANGE",), "k": ("MAX_TERMS",), "delta": (),
+     {"ladder": ("MAX_SIEVE_LIMIT", "SIEVE_RANGE"), "k": ("MAX_TERMS",), "delta": (),
       "rule-mod": ("SIEVE_RANGE",)}),
 )
-
-
-def _values(command, option, caps):
-    values = HOSTILE + tuple(str(getattr(limits, cap) + 1) for cap in caps)
-    if (command, option) in SIEVE_LIMITS:
-        values = tuple(v for v in values if v != str(2 ** 31))
-    return values
 
 
 CASES = tuple((base, option, value)
               for base, options in BASES
               for option, caps in options.items()
-              for value in _values(base.split()[0], option, caps))
+              for value in HOSTILE + tuple(str(getattr(limits, cap) + 1) for cap in caps))
 
 
 def _with_option(argv, option, value):
@@ -126,7 +117,7 @@ def test_hostile_option_values(table, case):
     build = nt.build_factor_sieve
 
     def guarded(limit):
-        assert not 10 ** 7 < limit < limits.SIEVE_RANGE, f"sieve of {limit}"
+        assert not 10 ** 7 < limit <= limits.MAX_SIEVE_LIMIT, f"sieve of {limit}"
         return build(limit)
 
     with tempfile.TemporaryDirectory() as out:

@@ -140,6 +140,43 @@ def test_lambda_sweep_infinite_pivot_entry_matches_brute_force():
                 assert math.isnan(got) or got == brute, k
 
 
+def test_lambda_d_non_finite_pivot_past_the_first_block(monkeypatch):
+    # fs[1] is searched for infinities once per call: one that sits only
+    # in a later block, or in the last entry, must still leave that
+    # block's sum over d as in the brute-force sum; a NaN stays NaN.
+    rng = np.random.default_rng(14)
+    n, D = 97, 40
+    monkeypatch.setattr(ap, "SWEEP_ENTRIES", 8 * D)
+    block = ap.SWEEP_ENTRIES // D
+    positive = rng.uniform(0.5, 1.0, n)
+    firsts = (positive, np.where(rng.random(n) < 0.5, positive, 0.0))
+    with np.errstate(invalid="ignore"):
+        for bad in (np.inf, -np.inf, np.nan):
+            for at in (block + 3, n - 1):
+                pivot = positive.copy()
+                pivot[at] = bad
+                for k in (3, 5):
+                    for first in firsts:
+                        fs = [first, pivot] + [positive] * (k - 2)
+                        got, brute = ap.lambda_D(fs, D), _brute_lambda(fs, D)
+                        assert not math.isfinite(brute), (bad, at, k)
+                        assert got == brute or math.isnan(got) and math.isnan(brute), \
+                            (bad, at, k, got, brute)
+
+
+def test_dense_lambda_d_of_the_benchmark_inputs_is_pinned():
+    # The benchmark's dense inputs (three uniform arrays of 10^5 + 3
+    # entries from default_rng(seed)), at k = 3, 4, 5: every bit is kept.
+    pins = {1: ("0x1.fdb513eb9918cp-4", "0x1.fd90f6301f912p-5", "0x1.fd67584caf8d4p-6"),
+            2: ("0x1.001cb90e867c9p-3", "0x1.00710cd5ac374p-4", "0x1.008afd266a402p-5")}
+    for seed, want in pins.items():
+        rng = np.random.default_rng(seed)
+        dense = [rng.uniform(0.0, 1.0, 10 ** 5 + 3) for _ in range(3)]
+        got = (ap.lambda_D(dense, 2000), ap.lambda_D(dense + dense[:1], 300),
+               ap.lambda_D(dense + dense[:2], 100))
+        assert tuple(v.hex() for v in got) == want, seed
+
+
 def test_lambda_sweep_matches_brute_force_at_every_block_size(monkeypatch):
     # Signed values, so no product's sign hides a misread entry; blocks of
     # one position (also with D past SWEEP_ENTRIES), of 7 (a partial last
@@ -257,17 +294,38 @@ def test_ap_count_paths_agree():
 
 def test_spf_segment_matches_trial_division():
     # The segment kernel writes every entry's final value into an
-    # uninitialised segment, reading a ramp and a wheel pattern that are
-    # at least as long as the segment, from any start lo.
+    # uninitialised segment, from any start lo.
     rng = np.random.default_rng(1)
-    ramp = np.arange(3000, dtype=np.uint32)
-    wheel = nt.wheel_pattern(3000 + nt.WHEEL - 1)
     for trial in range(20):
         lo = int(rng.integers(2, 200000))
         size = int(rng.integers(1, 3000))
         hi = lo + size
         base = nt._bootstrap_primes(int(hi ** 0.5) + 1)
         seg = np.full(size, 12345, dtype=np.uint32)
-        nt.spf_segment(seg, lo, base, ramp, wheel)
+        nt.spf_segment(seg, lo, base)
         want = [_trial_spf(n) or n for n in range(lo, hi)]
         assert seg.tolist() == want, (trial, lo, size)
+
+
+def _trial_spf_array(limit):
+    """spf[0..limit] by trial division by every p >= 2: each n's least
+    divisor above 1, stored last; 0 and 1 stay themselves."""
+    n = np.arange(limit + 1)
+    spf = n.copy()
+    for p in range(math.isqrt(limit), 1, -1):
+        spf[(n % p == 0) & (n > p)] = p
+    return spf
+
+
+def test_spf_segment_at_wheel_period_edges_matches_trial_division():
+    # Starts at, one past and one before a period edge put the wheel at
+    # offsets 0, 1 and WHEEL - 1; lengths below one period leave no whole
+    # row, two periods leave no tail, and two periods + 1 both.
+    want = _trial_spf_array(4 * nt.WHEEL + 2)
+    for lo in (0, 1, nt.WHEEL - 1, nt.WHEEL, 2 * nt.WHEEL + 1):
+        for size in (1, 7, nt.WHEEL - 1, 2 * nt.WHEEL, 2 * nt.WHEEL + 1):
+            hi = lo + size
+            base = nt._bootstrap_primes(math.isqrt(hi - 1))
+            seg = np.full(size, 12345, dtype=np.uint32)
+            nt.spf_segment(seg, lo, base)
+            assert np.array_equal(seg, want[lo:hi]), (lo, size)

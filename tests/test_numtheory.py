@@ -69,7 +69,9 @@ def test_spf_at_wheel_period_edges_matches_trial_division(monkeypatch, segment):
 
 
 def test_wheel_pattern_is_the_least_small_prime():
-    pattern = nt.wheel_pattern(2 * nt.WHEEL + 5)
+    ramp, pattern = nt._period_tables()
+    assert pattern.shape == (2 * nt.WHEEL,) and ramp.tolist() == list(range(nt.WHEEL))
+    assert not (ramp.flags.writeable or pattern.flags.writeable)
     assert math.prod(nt.WHEEL_PRIMES) == nt.WHEEL
     for n in range(pattern.shape[0]):
         least = next((p for p in nt.WHEEL_PRIMES if n % p == 0), 2 ** 32 - 1)
