@@ -181,8 +181,9 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     box, MC_BATCH at a time.  The seed is split deterministically into
     `workers` seed streams, which run one after another in this process,
     so the result depends only on (seed, workers).  More than
-    limits.MAX_MC_SAMPLES samples, or more workers than samples, raise
-    ResourceError before any stream is spawned.
+    limits.MAX_MC_SAMPLES samples, more workers than samples, or a batch
+    of more than limits.MAX_ARRAY_ENTRIES form values raise ResourceError
+    before any stream is spawned.
     """
     active, A, c = _form_arrays(sys, e, box)
     samples = int(samples)
@@ -191,6 +192,10 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     limits.check(samples, limits.MAX_MC_SAMPLES, "Monte Carlo samples")
     workers = max(1, int(workers))
     limits.check(workers, samples, "workers (at most one per sample)")
+    quota, rem = divmod(samples, workers)
+    if model.kind != "one":   # a batch's form values, phi below
+        limits.check(min(MC_BATCH, quota + (rem > 0)) * len(active),
+                     limits.MAX_ARRAY_ENTRIES, "form values of a Monte Carlo batch")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     d = A.shape[1]
@@ -204,7 +209,6 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     streams = np.random.SeedSequence(seed).spawn(workers)
     total = 0.0
     total_sq = 0.0
-    quota, rem = divmod(samples, workers)
     for w, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         left = quota + (1 if w < rem else 0)
@@ -343,7 +347,11 @@ def _boxcar_count(a, S, rhs):
     distribution of the smaller coefficients' terms is held on g*Z, one
     entry per multiple of g = gcd of those coefficients, and the largest
     coefficient is summed against it rather than convolved in, so two
-    coordinates take O(S) memory whatever their size.
+    coordinates take O(S) memory whatever their size.  The distribution
+    of all but the last term has 2S sum(head)/gcd(head) + 1 entries, and no
+    array has more than one entry past it (the running sums of a step-1
+    convolution); past limits.MAX_ARRAY_ENTRIES this raises ResourceError
+    before any is allocated.
     """
     limits.check((2 * S + 1) ** (len(a) - 1), limits.INT64_RANGE,
                  "partial count (2S+1)^(t-1) of a hyperplane count, as an int64,",
@@ -351,6 +359,8 @@ def _boxcar_count(a, S, rhs):
     *head, last = sorted(abs(v) for v in a)
     if abs(rhs) > S * (sum(head) + last):
         return 0
+    limits.check(2 * S * (sum(head) // math.gcd(*head)) + 2,
+                 limits.MAX_ARRAY_ENTRIES, "entries of a hyperplane count's array")
     pmf = np.ones(2 * S + 1, dtype=np.int64)
     step = head[0]
     low = -step * S   # value at pmf[0]; pmf[i] is at low + i * step
@@ -421,14 +431,17 @@ class _DeviationEngine:
     the codim-2 reader as parent lists, and a covolume reads its flat's
     first two parent rows, so no echelon is built.  Subspaces with no
     integer point are left out, and a partition joins the form pairs of
-    the hyperplanes containing the subspace, as lindex scores it.
+    the hyperplanes containing the subspace, as lindex scores it.  Past
+    limits.MAX_DEVIATION_SUBSPACES hyperplanes plus flats it raises
+    ResourceError.
     """
 
-    def __init__(self, sys, max_subspaces=limits.MAX_DEVIATION_SUBSPACES):
+    def __init__(self, sys):
         self.t = sys.t
         self.d = sys.d
+        cap = limits.MAX_DEVIATION_SUBSPACES
         # Only hyperplanes with integer points (gcd(a) | rhs) meet the box.
-        arrangement = _collision_hyperplanes(sys, max_subspaces)
+        arrangement = _collision_hyperplanes(sys, cap)
         self.rows = [row for row in arrangement
                      if row[-1] % math.gcd(*row[:-1]) == 0]
         if not self.rows:
@@ -441,7 +454,7 @@ class _DeviationEngine:
         # hyperplane through such a flat holds its points, so it is a row
         # here and the flat's parents name all the hyperplanes containing it.
         self.flats = []
-        for parents in _codim2_flats(self.rows, max_subspaces):
+        for parents in _codim2_flats(self.rows, cap):
             gram = _flat_gram_det(*(self.rows[p] for p in parents[:2]))
             if gram is not None:
                 self.flats.append((parents, math.sqrt(float(gram))))
@@ -493,8 +506,7 @@ class _DeviationEngine:
                                S=int(S), alpha=float(alpha))
 
 
-def random_model_deviation(sys, alpha, S,
-                           max_subspaces=limits.MAX_DEVIATION_SUBSPACES):
+def random_model_deviation(sys, alpha, S):
     """Deviation of the Bernoulli random model from 1 at box width S.
 
     Sums, over the collision subspaces of the system up to codimension 2
@@ -506,7 +518,7 @@ def random_model_deviation(sys, alpha, S,
     """
     if sys.t < 2:
         raise DomainError("deviation needs a system with t >= 2 forms")
-    return _DeviationEngine(sys, max_subspaces=max_subspaces).deviation(alpha, S)
+    return _DeviationEngine(sys).deviation(alpha, S)
 
 
 @dataclass(frozen=True)
@@ -528,8 +540,7 @@ class ThresholdFit:
     rows: tuple
 
 
-def width_threshold_fit(sys, alphas, target=1.0,
-                        max_subspaces=limits.MAX_DEVIATION_SUBSPACES):
+def width_threshold_fit(sys, alphas, target=1.0):
     """Solve deviation(S) = target per alpha and fit log S* vs log(1/alpha).
 
     The deviation decreases in S; the crossing is bracketed by doubling
@@ -545,7 +556,7 @@ def width_threshold_fit(sys, alphas, target=1.0,
     target = float(target)
     if not (math.isfinite(target) and target > 0):
         raise DomainError(f"target must be positive and finite, got {target}")
-    engine = _DeviationEngine(sys, max_subspaces=max_subspaces)
+    engine = _DeviationEngine(sys)
 
     def log_between(lo, hi, frac):   # frac of the way from lo to hi in log S
         return math.exp(math.log(lo) + frac * (math.log(hi) - math.log(lo)))

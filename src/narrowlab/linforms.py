@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import limits
-from .errors import DomainError, ResourceError, UnsupportedError
+from .errors import DomainError, UnsupportedError
 
 INFINITE_CODIM = math.inf
 
@@ -301,10 +301,7 @@ def _collision_hyperplanes(sys, cap):
         row = _primitive(a + (fj.constant - fi.constant,))
         rows.setdefault(row, []).append((i, j))
         if len(rows) > cap:
-            raise ResourceError(
-                f"collision hyperplanes exceeded {cap} subspaces; "
-                "raise max_subspaces or cap the system size"
-            )
+            limits.check(len(rows), cap, "collision hyperplanes")
     return rows
 
 
@@ -390,7 +387,7 @@ def _codim2_flats(rows, cap):
     mask >> q << q, held until then.  Raises ResourceError as soon as the
     rows and flats together number more than cap.
     """
-    room = cap - len(rows)
+    found = len(rows)
     pending = set()
     for i, row in enumerate(rows):
         later = _eliminate(dict(enumerate(rows[i + 1:], i + 1)), row)
@@ -399,15 +396,15 @@ def _codim2_flats(rows, cap):
             if mask in pending:
                 pending.remove(mask)
                 continue
-            room -= 1
-            if room < 0:
-                raise ResourceError(f"codim-2 lattice exceeded {cap} subspaces")
+            found += 1
+            if found > cap:
+                limits.check(found, cap, "codim-2 lattice: hyperplanes plus flats")
             parents = list(_bits(mask))
             pending.update(mask >> q << q for q in parents[1:-1])
             yield parents
 
 
-def lindex(sys, max_subspaces=limits.MAX_SUBSPACES):
+def lindex(sys):
     """Collision index of the system with a maximizing partition.
 
     Searches the closure lattice generated by intersecting kernels of
@@ -419,13 +416,14 @@ def lindex(sys, max_subspaces=limits.MAX_SUBSPACES):
     their form pairs.  Codim 2 is streamed from _codim2_flats.  Past it no
     echelon is built: an expanded subspace carries the other rows reduced
     by it, one _eliminate step on its parent's (for a flat, its smallest
-    parent's).  ResourceError once more than max_subspaces subspaces, the
-    hyperplanes included, are found.
+    parent's).  ResourceError once more than limits.MAX_SUBSPACES
+    subspaces, the hyperplanes included, are found.
     """
     t = sys.t
     if t < 2:
         raise DomainError(f"collision index needs t >= 2 forms, got t={t}")
-    arrangement = _collision_hyperplanes(sys, max_subspaces)
+    cap = limits.MAX_SUBSPACES
+    arrangement = _collision_hyperplanes(sys, cap)
     rows = list(arrangement)
     pairs = list(arrangement.values())
     num, den = 0, 1   # the best ratio so far
@@ -456,7 +454,7 @@ def lindex(sys, max_subspaces=limits.MAX_SUBSPACES):
     # A flat scores (t - 1) / 2 only if all forms agree on it; then it is
     # the only flat, so this bound never cuts the codim-2 stage short.
     if can_beat(2):
-        for parents in _codim2_flats(rows, max_subspaces):
+        for parents in _codim2_flats(rows, cap):
             evaluate(2, parents)
             explored += 1
             if can_beat(3):
@@ -480,11 +478,8 @@ def lindex(sys, max_subspaces=limits.MAX_SUBSPACES):
                     continue
                 seen.add(child_inside)
                 explored += 1
-                if explored > max_subspaces:
-                    raise ResourceError(
-                        f"closure lattice exceeded {max_subspaces} subspaces; "
-                        "raise max_subspaces or cap the system size"
-                    )
+                if explored > cap:
+                    limits.check(explored, cap, "closure lattice: subspaces explored")
                 evaluate(codim + 1, _bits(child_inside))
                 next_frontier.append((carried, key, child_inside))
         frontier = next_frontier
@@ -557,11 +552,12 @@ def min_distinct_on_codim(sys, c):
     """
     if c not in (1, 2):
         raise DomainError(f"codimension must be 1 or 2, got {c}")
-    arrangement = _collision_hyperplanes(sys, limits.MAX_SUBSPACES)
+    cap = limits.MAX_SUBSPACES
+    arrangement = _collision_hyperplanes(sys, cap)
     rows = list(arrangement)
     pairs = list(arrangement.values())
     candidates = (((i,) for i in range(len(rows))) if c == 1
-                  else _codim2_flats(rows, limits.MAX_SUBSPACES))
+                  else _codim2_flats(rows, cap))
 
     def count(parents):
         return _joined(sys.t, (pairs[i] for i in parents))[0]

@@ -363,6 +363,48 @@ def test_sieve_cap_exits_1_before_the_table(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    "lindex --family first --k 13",     # 53,248 forms
+    "threshold --family first --k 5",   # 2,057 hyperplanes, 1,825,922 flats
+])
+def test_subspace_caps_exit_1_naming_the_cap(capsys, tmp_path, argv):
+    out = tmp_path / "report.out"
+    code, _, err = run(capsys, *argv.split(), "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "past the cap of" in err
+    assert "max_subspaces" not in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, forms", [
+    # A row with coefficients 1, 10^8, 10^8 + 1 needs 400,000,006 entries
+    # at S = 2, the fit's first width.
+    ("threshold", "0; 0 0 0\n0; 1 100000000 100000001\n"),
+    # 1,024 forms times 10^5 samples in one batch.
+    ("lfc --family first --k 8 --model random --alpha 0.5", None),
+])
+def test_array_cap_exits_1_before_the_array(capsys, tmp_path, argv, forms):
+    argv = argv.split()
+    if forms is not None:
+        path = tmp_path / "wide.forms"
+        path.write_text(forms)
+        argv += ["--file", str(path)]
+    out = tmp_path / "report.out"
+    np.random.default_rng()   # numpy imports its random module on first use
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+    assert code == 1
+    assert err.startswith("error:") and "past the cap of 67108864" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, want", [
     ("majorant --N 10007 --R-exp 2147483648", 2),
     ("cutoff-check --m 1 --T 1e308", 1),

@@ -136,6 +136,23 @@ def test_mc_input_validation():
         cd.WeightModel.random(0.5, -1, 101)
 
 
+def test_mc_batch_cap_counts_the_largest_stream_batch(monkeypatch):
+    # 1,000 samples in 3 streams: the first stream draws 334, and each of
+    # first(2)'s 4 forms takes one value per sample.
+    sys2 = lf.first_family(2)
+    box4 = cd.symmetric_box(4, 5)
+    model = cd.WeightModel.random(0.5, 0, 101)
+    monkeypatch.setattr(limits, "MAX_ARRAY_ENTRIES", 334 * 4)
+    cd.lfc_average_mc(model, sys2, None, box4, samples=1000, workers=3)
+    monkeypatch.setattr(limits, "MAX_ARRAY_ENTRIES", 334 * 4 - 1)
+    with pytest.raises(ResourceError, match="^form values of a Monte Carlo "
+                       "batch 1336 is past the cap of 1335$"):
+        cd.lfc_average_mc(model, sys2, None, box4, samples=1000, workers=3)
+    # The constant model looks no form value up.
+    one = cd.WeightModel.constant_one(101)
+    cd.lfc_average_mc(one, sys2, None, box4, samples=1000, workers=3)
+
+
 def test_mc_form_values_stay_inside_int64():
     # 2x + 3 plus n < 7 peaks at 2 S + 9 on [-S, S]: S = 2^62 - 5 is the
     # first width at which the bound 2 S + 3 + 7 < 2^63 fails.
@@ -405,6 +422,50 @@ def test_two_coordinate_rows_keep_their_closed_form_counts():
             (2 * S + 1) * (2 * (S // 1000) + 1))
 
 
+class _LongestArray:
+    """numpy, for a module that calls it, noting the longest array made."""
+
+    def __init__(self):
+        self.longest = 0
+
+    def __getattr__(self, name):
+        f = getattr(np, name)
+        if isinstance(f, type) or not callable(f):
+            return f
+
+        def noted(*args, **kwargs):
+            out = f(*args, **kwargs)
+            if isinstance(out, np.ndarray):
+                self.longest = max(self.longest, out.size)
+            return out
+        return noted
+
+
+@pytest.mark.parametrize("a, S, rhs", [
+    ((1, 1), 7, 0), ((3, 5), 20, 1), ((2, 4, 7), 30, 3), ((6, 4, 9, 11), 12, 0),
+    ((1000, 999), 50, 0), ((5, 5, 5), 9, 5),
+])
+def test_boxcar_cap_counts_its_longest_array(monkeypatch, a, S, rhs):
+    # The checked count bounds the longest array the count builds, and a
+    # step-1 convolution's running sums ((5, 5, 5)) reach it: at that cap
+    # the count runs, and one entry less refuses it before any array is made.
+    *head, _ = sorted(a)
+    entries = 2 * S * sum(head) // math.gcd(*head) + 2
+    spy = _LongestArray()
+    monkeypatch.setattr(cd, "np", spy)
+    monkeypatch.setattr(limits, "MAX_ARRAY_ENTRIES", entries)
+    want = cd._boxcar_count(a, S, rhs)
+    assert entries - 1 <= spy.longest <= entries
+    monkeypatch.setattr(limits, "MAX_ARRAY_ENTRIES", entries - 1)
+    spy.longest = 0
+    with pytest.raises(ResourceError, match=f"{entries} is past the cap of"):
+        cd._boxcar_count(a, S, rhs)
+    assert spy.longest == 0
+    monkeypatch.undo()
+    assert want == sum(1 for x in itertools.product(range(-S, S + 1), repeat=len(a))
+                       if sum(c * v for c, v in zip(a, x)) == rhs)
+
+
 def test_hyperplane_count_is_zero_when_gcd_misses_rhs():
     start = time.perf_counter()
     assert cd.count_hyperplane_points([2, 4, 6, 8, 10], 10 ** 6, rhs=1) == 0
@@ -447,7 +508,7 @@ def test_deviation_decreases_with_width():
     assert large < small
 
 
-def test_deviation_input_validation():
+def test_deviation_input_validation(monkeypatch):
     sys = lf.first_family(2)
     with pytest.raises(DomainError):
         cd.random_model_deviation(sys, 0.0, 100)
@@ -456,28 +517,30 @@ def test_deviation_input_validation():
     single = lf.LinearSystem(d=1, forms=(lf.LinearForm(coeffs=(1,)),))
     with pytest.raises(DomainError):
         cd.random_model_deviation(single, 0.5, 100)
+    monkeypatch.setattr(limits, "MAX_DEVIATION_SUBSPACES", 10)
     with pytest.raises(ResourceError):
-        cd.random_model_deviation(lf.first_family(3), 0.5, 100, max_subspaces=10)
+        cd.random_model_deviation(lf.first_family(3), 0.5, 100)
 
 
-def test_deviation_cap_stops_the_codim2_enumeration():
+def test_deviation_cap_stops_the_codim2_enumeration(monkeypatch):
     # first(5) has 1,825,922 codim-2 flats; building them all before the
     # cap check took about 15 s and 1.45 GB.
+    monkeypatch.setattr(limits, "MAX_DEVIATION_SUBSPACES", 1000)
     start = time.perf_counter()
-    with pytest.raises(ResourceError, match="exceeded 1000 subspaces"):
-        cd.random_model_deviation(lf.first_family(5), 0.5, 100,
-                                  max_subspaces=1000)
+    with pytest.raises(ResourceError, match="is past the cap of 1000$"):
+        cd.random_model_deviation(lf.first_family(5), 0.5, 100)
     assert time.perf_counter() - start < 2.0
 
 
-def test_deviation_cap_counts_hyperplanes_then_flats():
+def test_deviation_cap_counts_hyperplanes_then_flats(monkeypatch):
     # first(5) has 2,057 hyperplanes: a cap of 1,000 stops their pair
     # loop, and a cap of 5,000 passes it and stops the flats.
     for cap, stage in ((1000, "collision hyperplanes"), (5000, "codim-2 lattice")):
+        monkeypatch.setattr(limits, "MAX_DEVIATION_SUBSPACES", cap)
         start = time.perf_counter()
-        with pytest.raises(ResourceError, match=f"{stage} exceeded {cap} subspaces"):
-            cd.random_model_deviation(lf.first_family(5), 0.5, 100,
-                                      max_subspaces=cap)
+        with pytest.raises(ResourceError,
+                           match=f"^{stage}.* {cap + 1} is past the cap of {cap}$"):
+            cd.random_model_deviation(lf.first_family(5), 0.5, 100)
         assert time.perf_counter() - start < 2.0
 
 

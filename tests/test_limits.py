@@ -1,10 +1,15 @@
+import ast
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
+from narrowlab import conditions as cd
 from narrowlab import limits
+from narrowlab import linforms as lf
 from narrowlab.errors import ResourceError
+from test_linforms import _random_system
 
 SRC = pathlib.Path(limits.__file__).parent
 
@@ -35,3 +40,66 @@ def test_every_cap_is_defined_in_limits_only():
     for path in SRC.glob("*.py"):
         if path.name != "limits.py":
             assert not pattern.search(path.read_text()), path.name
+
+
+def _defaults_reading_limits(source):
+    """Line numbers of the function defaults in source that read a cap,
+    and of the functions that take max_subspaces."""
+    caps = {name for name in vars(limits) if name.isupper()}
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        if "max_subspaces" in {a.arg for a in args.posonlyargs + args.args
+                               + args.kwonlyargs}:
+            lines.append(node.lineno)
+        for default in args.defaults + [d for d in args.kw_defaults if d]:
+            for sub in ast.walk(default):
+                if (isinstance(sub, ast.Name) and sub.id in caps
+                        or isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "limits"):
+                    lines.append(sub.lineno)
+    return sorted(lines)
+
+
+def test_no_default_reads_a_cap():
+    # A cap bound into a default when its module is imported would not see
+    # a patched limits, and a keyword would make it a second knob.
+    assert _defaults_reading_limits(
+        "def f(x, cap=limits.MAX_SUBSPACES):\n"
+        "    g = lambda *, c=MAX_TERMS: c\n"
+        "def h(sys, max_subspaces=None): pass\n") == [1, 2, 3]
+    for path in SRC.glob("*.py"):
+        assert _defaults_reading_limits(path.read_text()) == [], path.name
+
+
+def test_patched_subspace_caps_reach_every_walk(monkeypatch):
+    # first(3) has 37 hyperplanes; each walk reads its own cap when it runs.
+    sys = lf.first_family(3)
+    walks = [lambda: lf.lindex(sys), lambda: lf.min_distinct_on_codim(sys, 1)]
+    engines = [lambda: cd.random_model_deviation(sys, 0.5, 100),
+               lambda: cd.width_threshold_fit(sys, (0.2, 0.1, 0.05))]
+    for cap, stopped, running in (("MAX_SUBSPACES", walks, engines),
+                                  ("MAX_DEVIATION_SUBSPACES", engines, walks)):
+        with monkeypatch.context() as patch:
+            patch.setattr(limits, cap, 10)
+            for call in stopped:
+                with pytest.raises(ResourceError, match="^collision hyperplanes "
+                                   "11 is past the cap of 10$"):
+                    call()
+            for call in running:
+                call()
+
+
+def test_closure_walk_cap_counts_explored_subspaces(monkeypatch):
+    # 10 hyperplanes and 25 codim-2 flats, then the walk goes deeper.
+    sys = _random_system(np.random.default_rng(5), 4, 5)
+    assert lf.lindex(sys).subspaces_explored == 50
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 50)
+    assert lf.lindex(sys).subspaces_explored == 50
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 49)
+    with pytest.raises(ResourceError, match="^closure lattice: subspaces "
+                       "explored 50 is past the cap of 49$"):
+        lf.lindex(sys)

@@ -349,7 +349,8 @@ def test_min_distinct_cap_counts_hyperplanes_and_flats(monkeypatch):
     monkeypatch.setattr(limits, "MAX_SUBSPACES", 384)
     assert lf.min_distinct_on_codim(sys, 2).count == 5
     monkeypatch.setattr(limits, "MAX_SUBSPACES", 383)
-    with pytest.raises(ResourceError, match="codim-2 lattice exceeded 383 subspaces"):
+    with pytest.raises(ResourceError, match="^codim-2 lattice: hyperplanes plus "
+                       "flats 384 is past the cap of 383$"):
         lf.min_distinct_on_codim(sys, 2)
 
 
@@ -600,19 +601,24 @@ def test_min_distinct_matches_the_induced_atoms_on_first_family(k):
         assert res.witness == lf._as_subspace(candidates[best])
 
 
-def test_lindex_cap_counts_hyperplanes_and_flats():
+def test_lindex_cap_counts_hyperplanes_and_flats(monkeypatch):
     # first(3) has 37 hyperplanes and 347 codim-2 flats, and lindex stops there.
-    assert lf.lindex(lf.first_family(3), max_subspaces=384).subspaces_explored == 384
-    with pytest.raises(ResourceError, match="codim-2 lattice exceeded 383 subspaces"):
-        lf.lindex(lf.first_family(3), max_subspaces=383)
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 384)
+    assert lf.lindex(lf.first_family(3)).subspaces_explored == 384
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 383)
+    with pytest.raises(ResourceError, match="^codim-2 lattice: hyperplanes plus "
+                       "flats 384 is past the cap of 383$"):
+        lf.lindex(lf.first_family(3))
 
 
-def test_hyperplane_cap_stops_the_pair_loop():
+def test_hyperplane_cap_stops_the_pair_loop(monkeypatch):
     # first(10) has 5,120 forms and about 1.3e7 form pairs; the cap must
     # stop the hyperplane enumeration long before it has seen them all.
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 10_000)
     start = time.perf_counter()
-    with pytest.raises(ResourceError, match="hyperplanes exceeded 10000 subspaces"):
-        lf.lindex(lf.first_family(10), max_subspaces=10_000)
+    with pytest.raises(ResourceError,
+                       match="^collision hyperplanes 10001 is past the cap of 10000$"):
+        lf.lindex(lf.first_family(10))
     assert time.perf_counter() - start < 2.0
 
 
