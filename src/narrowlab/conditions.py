@@ -182,8 +182,8 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     `workers` seed streams, which run one after another in this process,
     so the result depends only on (seed, workers).  More than
     limits.MAX_MC_SAMPLES samples, more workers than samples, or a batch
-    of more than limits.MAX_ARRAY_ENTRIES form values raise ResourceError
-    before any stream is spawned.
+    that looks up more than limits.MAX_ARRAY_ENTRIES form values (one
+    form's column at a time) raise ResourceError before any stream is spawned.
     """
     active, A, c = _form_arrays(sys, e, box)
     samples = int(samples)
@@ -193,7 +193,7 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     workers = max(1, int(workers))
     limits.check(workers, samples, "workers (at most one per sample)")
     quota, rem = divmod(samples, workers)
-    if model.kind != "one":   # a batch's form values, phi below
+    if model.kind != "one":   # form values a batch looks up, column by column
         limits.check(min(MC_BATCH, quota + (rem > 0)) * len(active),
                      limits.MAX_ARRAY_ENTRIES, "form values of a Monte Carlo batch")
     if seed < 0:
@@ -205,7 +205,12 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     hi = np.array([iv[1] for iv in box.intervals], dtype=np.int64)
     if len(set(box.intervals)) == 1:   # scalar bounds draw the same stream, faster
         lo, hi = box.intervals[0]
-    At = np.ascontiguousarray(A.T)
+    # Each form's nonzero coefficients, so a value column costs one pass per term.
+    terms = [[(j, a) for j, a in enumerate(row) if a] for row in A.tolist()]
+    consts = c.tolist()
+    # One batch's form values, product term, product and lookup, reused.
+    scratch = [np.empty(min(MC_BATCH, quota + (rem > 0)), dtype=dtype)
+               for dtype in (np.int64, np.int64, np.float64, np.float64)]
     streams = np.random.SeedSequence(seed).spawn(workers)
     total = 0.0
     total_sq = 0.0
@@ -217,23 +222,29 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
             left -= m
             x = rng.integers(lo, hi + 1, size=(m, d))
             n = rng.integers(0, modulus, size=m)
-            if active and model.kind != "one":
-                phi = x @ At
-                if c.any():   # the paper's families have no constants
-                    phi += c
-                phi += n[:, None]
+            phi, term, vals, looked = (buf[:m] for buf in scratch)
+            vals.fill(1.0)
+            for i, (row, b) in enumerate(zip(terms if model.kind != "one" else [], consts)):
+                base = n
+                for j, a in row:
+                    if a in (1, -1):
+                        (np.add if a == 1 else np.subtract)(base, x[:, j], out=phi)
+                    else:
+                        np.add(base, np.multiply(x[:, j], a, out=term), out=phi)
+                    base = phi
+                if b or base is n:   # the constant; n alone for a constant form
+                    np.add(base, b, out=phi)
                 # np.take's wrap mode steps one modulus at a time, so
                 # values more than a modulus away are reduced first.
                 if span >= modulus:
                     phi %= modulus
-                looked = np.take(model.values, phi, mode="wrap")
-                vals = looked[:, 0].copy()
-                for col in range(1, len(active)):   # prod's order, column by column
-                    vals *= looked[:, col]
-            else:
-                vals = np.ones(m)
+                # prod's order, form by form
+                np.take(model.values, phi, mode="wrap", out=looked if i else vals)
+                if i:
+                    vals *= looked
             total += float(vals.sum())
-            total_sq += float((vals * vals).sum())
+            vals *= vals
+            total_sq += float(vals.sum())
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     stderr = math.sqrt(var / max(samples - 1, 1))
@@ -349,9 +360,8 @@ def _boxcar_count(a, S, rhs):
     coefficient is summed against it rather than convolved in, so two
     coordinates take O(S) memory whatever their size.  The distribution
     of all but the last term has 2S sum(head)/gcd(head) + 1 entries, and no
-    array has more than one entry past it (the running sums of a step-1
-    convolution); past limits.MAX_ARRAY_ENTRIES this raises ResourceError
-    before any is allocated.
+    array is longer; when that count plus one passes limits.MAX_ARRAY_ENTRIES
+    this raises ResourceError before any is allocated.
     """
     limits.check((2 * S + 1) ** (len(a) - 1), limits.INT64_RANGE,
                  "partial count (2S+1)^(t-1) of a hyperplane count, as an int64,",
@@ -377,22 +387,24 @@ def _boxcar_count(a, S, rhs):
 
 
 def _boxcar_convolve(pmf, step, S):
-    """Convolve a distribution with the comb {step * x : |x| <= S}."""
+    """Convolve a distribution with the comb {step * x : |x| <= S}.
+
+    Each residue column of the padded copy is overwritten by running
+    differences of its own cumsum, so no index array is built.
+    """
     span = step * S
     n = pmf.shape[0]
     out_len = n + 2 * span
     padded = np.zeros(out_len, dtype=np.int64)
     padded[span:span + n] = pmf
-    out = np.empty(out_len, dtype=np.int64)
-    for r in range(step):
+    for r in range(step):   # col[q] becomes csum[min(q+S, m-1)] - csum[q-S-1]
         col = padded[r::step]
-        csum = np.concatenate([[0], np.cumsum(col)])
+        csum = np.cumsum(col)
         m = col.shape[0]
-        q = np.arange(m)
-        hi = np.minimum(q + S + 1, m)
-        lo = np.maximum(q - S, 0)
-        out[r::step] = csum[hi] - csum[lo]
-    return out
+        col[:max(m - S, 0)] = csum[S:]
+        col[max(m - S, 0):] = csum[-1:]   # a slice: at S = 0 a column can be empty
+        col[S + 1:] -= csum[:max(m - S - 1, 0)]
+    return padded
 
 
 # ------------------------------------------------------ deviation machinery
@@ -464,6 +476,10 @@ class _DeviationEngine:
             size = _joined(self.t, (pairs[i] for i in inside))[0]
             self.entries.append((codim, size, Fraction(self.t - size, codim)))
         self.sizes = {size for _, size, _ in self.entries}
+        # Count classes: x -> -x and x_i -> -x_i map the box to itself.
+        self.classes = [(tuple(sorted(map(abs, row[:-1]))), abs(row[-1]))
+                        for row in self.rows]
+        self.fractions = {}   # S -> float64 box and exclusive fractions, free of alpha
 
     def evaluate(self, alpha, S):
         """Terms' box and exclusive fractions, contributions, and total."""
@@ -473,16 +489,19 @@ class _DeviationEngine:
         S = int(S)
         if S < 2:
             raise DomainError(f"width S must be >= 2, got {S}")
-        width = 2 * S + 1
-        box_total = width ** self.d
-        frac1 = [count_hyperplane_points(row[:-1], S, rhs=row[-1]) / box_total
-                 for row in self.rows]
-        frac2 = [1.0 / (covol * width * width) for _, covol in self.flats]
-        fracs = frac1 + frac2
-        excl = list(fracs)
-        for (parents, _), f2 in zip(self.flats, frac2):
-            for parent in parents:
-                excl[parent] -= f2
+        if S not in self.fractions:
+            width = 2 * S + 1
+            box_total = width ** self.d
+            counts = {key: count_hyperplane_points(key[0], S, rhs=key[1])
+                      for key in set(self.classes)}
+            frac1 = [counts[key] / box_total for key in self.classes]
+            frac2 = [1.0 / (covol * width * width) for _, covol in self.flats]
+            excl = frac1 + frac2
+            for (parents, _), f2 in zip(self.flats, frac2):
+                for parent in parents:
+                    excl[parent] -= f2
+            self.fractions[S] = (np.array(frac1 + frac2), np.array(excl))
+        fracs, excl = (f.tolist() for f in self.fractions[S])
         try:
             gains = {size: alpha ** (size - self.t) - 1.0 for size in self.sizes}
         except OverflowError:

@@ -19,7 +19,7 @@ MAX_SUBSPACES = 500000            # hyperplanes plus subspaces a lattice walk fi
 MAX_DEVIATION_SUBSPACES = 200000  # the deviation engine holds each flat; walks stream
 MAX_RANDOM_MODULUS = 1 << 27      # draws a random weight model materializes
 MAX_MC_SAMPLES = 10 ** 8          # Monte Carlo samples one call draws
-MAX_ARRAY_ENTRIES = 1 << 26       # a hyperplane count's or Monte Carlo batch's array
+MAX_ARRAY_ENTRIES = 1 << 26       # a hyperplane count's array; values a Monte Carlo batch looks up
 EXACT_CAP = 10 ** 7               # exact-average terms: box points (times N', table)
 MAX_QUADRATURE_ENTRIES = 1 << 22  # entries of a sieve-factor integral's largest array
 MAX_PMAX = 10 ** 8                # Euler product truncation: a 100 MB boolean sieve

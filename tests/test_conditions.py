@@ -246,6 +246,17 @@ def test_mc_batch_matches_the_modulo_reference_bit_for_bit():
          cd.symmetric_box(4, 2), 5000, 8, 1),
         (cd.WeightModel.constant_one(101), first2, None,
          cd.symmetric_box(4, 2), 5000, 9, 1),
+        # a constant-only form beside a plain one
+        (table, [lf.LinearForm((0, 0), 5), lf.LinearForm((1, -2), 0)], None,
+         cd.symmetric_box(2, 9), 20000, 10, 1),
+        # three or more coefficients outside +-1, with constants, on a
+        # per-coordinate box
+        (table, [lf.LinearForm((2, -3, 5, 0), 4), lf.LinearForm((1, 0, -4, 7), -2),
+                 lf.LinearForm((0, 1, 1, -1), 0)], None,
+         cd.BoxRegion(((-3, 4), (0, 5), (-6, -1), (2, 2))), 30000, 11, 2),
+        # a d = 1 box
+        (seven, [lf.LinearForm((1,), 0), lf.LinearForm((3,), 2)], None,
+         cd.symmetric_box(1, 50), 20000, 12, 1),
     ]
     for model, sys, e, box, samples, seed, workers in cases:
         got = cd.lfc_average_mc(model, sys, e, box, samples, seed=seed,
@@ -446,9 +457,9 @@ class _LongestArray:
     ((1000, 999), 50, 0), ((5, 5, 5), 9, 5),
 ])
 def test_boxcar_cap_counts_its_longest_array(monkeypatch, a, S, rhs):
-    # The checked count bounds the longest array the count builds, and a
-    # step-1 convolution's running sums ((5, 5, 5)) reach it: at that cap
-    # the count runs, and one entry less refuses it before any array is made.
+    # The checked count bounds the longest array the count builds, which
+    # is one entry short of it: at that cap the count runs, and one entry
+    # less refuses it before any array is made.
     *head, _ = sorted(a)
     entries = 2 * S * sum(head) // math.gcd(*head) + 2
     spy = _LongestArray()
@@ -464,6 +475,53 @@ def test_boxcar_cap_counts_its_longest_array(monkeypatch, a, S, rhs):
     monkeypatch.undo()
     assert want == sum(1 for x in itertools.product(range(-S, S + 1), repeat=len(a))
                        if sum(c * v for c, v in zip(a, x)) == rhs)
+
+
+def _boxcar_convolve_reference(pmf, step, S):
+    """_boxcar_convolve as it was: running sums read through index arrays."""
+    span = step * S
+    n = pmf.shape[0]
+    out_len = n + 2 * span
+    padded = np.zeros(out_len, dtype=np.int64)
+    padded[span:span + n] = pmf
+    out = np.empty(out_len, dtype=np.int64)
+    for r in range(step):
+        col = padded[r::step]
+        csum = np.concatenate([[0], np.cumsum(col)])
+        m = col.shape[0]
+        q = np.arange(m)
+        hi = np.minimum(q + S + 1, m)
+        lo = np.maximum(q - S, 0)
+        out[r::step] = csum[hi] - csum[lo]
+    return out
+
+
+def test_boxcar_convolve_matches_the_index_array_reference():
+    rng = np.random.default_rng(31)
+    for case in range(300):
+        pmf = rng.integers(0, 10 ** 6, size=int(rng.integers(1, 40)), dtype=np.int64)
+        step, S = int(rng.integers(1, 9)), int(rng.integers(0, 12))
+        got = cd._boxcar_convolve(pmf, step, S)
+        want = _boxcar_convolve_reference(pmf, step, S)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (case, step, S)
+
+
+def test_boxcar_count_matches_the_index_array_reference(monkeypatch):
+    got = cd._boxcar_count((1, 2, 3), 10 ** 6, 1)
+    monkeypatch.setattr(cd, "_boxcar_convolve", _boxcar_convolve_reference)
+    assert got == cd._boxcar_count((1, 2, 3), 10 ** 6, 1) == 1333334666667
+
+
+def test_boxcar_count_peaks_within_three_longest_arrays():
+    # (1, 2, 3) at S convolves its head (1, 2) into 6S + 1 values.
+    S = 10 ** 5
+    tracemalloc.start()
+    try:
+        cd._boxcar_count((1, 2, 3), S, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * (6 * S + 1)
 
 
 def test_hyperplane_count_is_zero_when_gcd_misses_rhs():
@@ -583,6 +641,39 @@ def test_deviation_is_exact_at_d2_once_the_box_holds_the_point_flats():
         assert got == pytest.approx(want, rel=1e-12, abs=0), (checked, sys)
         checked += 1
     assert affected > 30
+
+
+def test_engine_counts_each_class_once_and_keeps_fractions_per_width():
+    # Rows that differ only in signs or in the order of their coefficients
+    # share one count, yet each row's box fraction must be its own exact
+    # count over the box.  Each system holds its forms and their mirror
+    # images in x_0 with the constant negated, so its rows come in pairs
+    # with x_0 and rhs flipped.
+    rng = np.random.default_rng(3131)
+    merged = affine = 0
+    for _ in range(20):
+        base = _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+        forms = {(f.coeffs, f.constant) for f in base.forms}
+        forms |= {((-a[0],) + a[1:], -b) for a, b in forms}
+        sys = lf.LinearSystem(d=base.d, forms=tuple(
+            lf.LinearForm(a, b) for a, b in sorted(forms)))
+        try:
+            engine = cd._DeviationEngine(sys)
+        except DomainError:   # no collision hyperplane holds integer points
+            continue
+        merged += len(engine.rows) - len(set(engine.classes))
+        affine += sum(1 for row in engine.rows if row[-1])
+        for S in (2, 7, 40):
+            fracs, excl, _, _ = engine.evaluate(0.3, S)
+            assert fracs[:len(engine.rows)] == [
+                cd.count_hyperplane_points(row[:-1], S, rhs=row[-1]) / (2 * S + 1) ** sys.d
+                for row in engine.rows]
+            # Fractions do not depend on alpha, and a caller's edit stays its own.
+            fracs[0] = excl[0] = -1.0
+            again, excl_again, _, _ = engine.evaluate(0.05, S)
+            assert (again, excl_again) == engine.evaluate(0.3, S)[:2]
+            assert again[0] != -1.0 and excl_again[0] != -1.0
+    assert merged >= 100 and affine >= 100
 
 
 def test_threshold_fit_slopes_and_dominant_ratios():
