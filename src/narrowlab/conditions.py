@@ -381,9 +381,18 @@ def _boxcar_count(a, S, rhs):
         pmf = _boxcar_convolve(spread, coef // g, S)
         step = g
         low -= coef * S
-    v = rhs - low - last * np.arange(-S, S + 1, dtype=np.int64)
-    v = v[(v >= 0) & (v % step == 0)] // step
-    return int(pmf[v[v < pmf.shape[0]]].sum())
+    # x_last = x reads pmf at (c - last x) / step: for the x of one residue
+    # mod step / g, the entries of one progression, stride last / g.
+    c, g = rhs - low, math.gcd(step, last)
+    period = step // g
+    x0 = c // g * pow(last // g, -1, period)
+    lo = max(-S, -((step * (pmf.shape[0] - 1) - c) // last))   # index <= len - 1
+    lo += (x0 - lo) % period
+    hi = min(S, c // last)                                     # index >= 0
+    hi -= (hi - x0) % period
+    if c % g or lo > hi:
+        return 0
+    return int(pmf[(c - last * hi) // step:(c - last * lo) // step + 1:last // g].sum())
 
 
 def _boxcar_convolve(pmf, step, S):

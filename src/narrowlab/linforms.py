@@ -411,13 +411,16 @@ def lindex(sys):
     pairwise form differences.  Each subspace's induced partition (forms
     equal as functions there) is scored as (t - |pi|) / codim of the
     partition's own subvariety, and subspaces too deep to beat the best
-    ratio (integers cross-multiplied) are pruned.  Each subspace carries
-    the bitmask of the hyperplanes containing it, and its partition joins
-    their form pairs.  Codim 2 is streamed from _codim2_flats.  Past it no
-    echelon is built: an expanded subspace carries the other rows reduced
-    by it, one _eliminate step on its parent's (for a flat, its smallest
-    parent's).  ResourceError once more than limits.MAX_SUBSPACES
-    subspaces, the hyperplanes included, are found.
+    ratio (integers cross-multiplied) are pruned: codim c scores at most
+    min(t - 1, c + nu) / c, nu the nullity of the augmented differences
+    f_a - f_0, and no subspace lies deeper than their coefficient rank.
+    Each subspace carries the bitmask of the hyperplanes containing it, and
+    its partition joins their form pairs.  Codim 2 is streamed from
+    _codim2_flats.  Past it no echelon is built: an expanded subspace
+    carries the other rows reduced by it, one _eliminate step on its
+    parent's (for a flat, its smallest parent's).  subspaces_explored
+    counts the subspaces scored, the hyperplanes included; ResourceError
+    once more than limits.MAX_SUBSPACES of them are found.
     """
     t = sys.t
     if t < 2:
@@ -441,8 +444,15 @@ def lindex(sys):
                 atoms=[tuple(g) for g in groups]
                 + [(i,) for i in range(t) if i not in joined])
 
-    def can_beat(codim):   # a subspace's ratio is at most (t - 1) / codim
-        return (t - 1) * den > num * codim
+    # A codim-c subspace's atoms have a spanning forest of rank c inside a
+    # spanning tree of all forms; nullity grows with the set: merges <= c + nu.
+    f0 = sys.forms[0].functional()
+    ech = _echelon([x - y for x, y in zip(f.functional(), f0)] for f in sys.forms[1:])
+    nu = t - 1 - len(ech)
+    depth = len(ech) - (not _feasible(ech))
+
+    def can_beat(codim):
+        return codim <= depth and min(t - 1, codim + nu) * den > num * codim
 
     for i in range(len(rows)):
         evaluate(1, (i,))
@@ -451,8 +461,9 @@ def lindex(sys):
     # out of its parent, and inside, the bitmask of the rows whose
     # hyperplanes contain it, names it.  Flats join while a child could win.
     frontier, cut = [], (None, None)
-    # A flat scores (t - 1) / 2 only if all forms agree on it; then it is
-    # the only flat, so this bound never cuts the codim-2 stage short.
+    # The codim-2 stage runs whole once a flat could beat the best ratio: a
+    # flat that reaches the bound leaves the later ones nothing to win, so
+    # the stream is not cut there.
     if can_beat(2):
         for parents in _codim2_flats(rows, cap):
             evaluate(2, parents)

@@ -512,6 +512,52 @@ def test_boxcar_count_matches_the_index_array_reference(monkeypatch):
     assert got == cd._boxcar_count((1, 2, 3), 10 ** 6, 1) == 1333334666667
 
 
+def _boxcar_count_reference(a, S, rhs):
+    """_boxcar_count as it was: the tail reads pmf through an index array of
+    the values v(x) = rhs - low - last x, masked and divided by step."""
+    *head, last = sorted(abs(v) for v in a)
+    pmf = np.ones(2 * S + 1, dtype=np.int64)
+    step, low = head[0], -head[0] * S
+    for coef in head[1:]:
+        g = math.gcd(step, coef)
+        spread = np.zeros((pmf.shape[0] - 1) * (step // g) + 1, dtype=np.int64)
+        spread[::step // g] = pmf
+        pmf = cd._boxcar_convolve(spread, coef // g, S)
+        step = g
+        low -= coef * S
+    v = rhs - low - last * np.arange(-S, S + 1, dtype=np.int64)
+    v = v[(v >= 0) & (v % step == 0)] // step
+    return int(pmf[v[v < pmf.shape[0]]].sum())
+
+
+def test_boxcar_tail_matches_the_index_array_reference():
+    rng = np.random.default_rng(32)
+    for case in range(3000):
+        a = [int(v) * int(rng.choice((-1, 1)))
+             for v in rng.integers(1, 10, size=int(rng.integers(2, 5)))]
+        S = int(rng.integers(0, 31))
+        reach = S * sum(abs(v) for v in a)
+        rhs = int(rng.integers(-reach - 5, reach + 6))   # some outside the range
+        if case % 5 == 0:   # a gcd that misses rhs
+            a = [3 * v for v in a]
+            rhs = 3 * rhs + 1
+        assert cd._boxcar_count(a, S, rhs) == _boxcar_count_reference(a, S, rhs), (
+            case, a, S, rhs)
+
+
+def test_boxcar_count_of_two_coefficients_peaks_at_its_one_array():
+    # (3, 5) at S holds pmf, 2S + 1 int64 entries, and reads it by one slice.
+    S = 10 ** 5
+    tracemalloc.start()
+    try:
+        got = cd._boxcar_count((3, 5), S, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _boxcar_count_reference((3, 5), S, 1)
+    assert peak <= 1.5 * 8 * (2 * S + 1)
+
+
 def test_boxcar_count_peaks_within_three_longest_arrays():
     # (1, 2, 3) at S convolves its head (1, 2) into 6S + 1 values.
     S = 10 ** 5

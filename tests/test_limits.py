@@ -94,12 +94,14 @@ def test_patched_subspace_caps_reach_every_walk(monkeypatch):
 
 
 def test_closure_walk_cap_counts_explored_subspaces(monkeypatch):
-    # 10 hyperplanes and 25 codim-2 flats, then the walk goes deeper.
-    sys = _random_system(np.random.default_rng(5), 4, 5)
-    assert lf.lindex(sys).subspaces_explored == 50
-    monkeypatch.setattr(limits, "MAX_SUBSPACES", 50)
-    assert lf.lindex(sys).subspaces_explored == 50
-    monkeypatch.setattr(limits, "MAX_SUBSPACES", 49)
+    # 15 hyperplanes and 65 codim-2 flats, then the walk goes deeper: the
+    # 5 form differences have rank 4, so the nullity bound leaves codim 3
+    # open.
+    sys = _random_system(np.random.default_rng(5), 3, 6)
+    assert lf.lindex(sys).subspaces_explored == 166
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 166)
+    assert lf.lindex(sys).subspaces_explored == 166
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 165)
     with pytest.raises(ResourceError, match="^closure lattice: subspaces "
-                       "explored 50 is past the cap of 49$"):
+                       "explored 166 is past the cap of 165$"):
         lf.lindex(sys)

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +17,11 @@ from narrowlab import linforms as lf
 from narrowlab.errors import DomainError, ResourceError, UnsupportedError
 
 
-def _random_system(rng, d, t):
+def _random_system(rng, d, t, homogeneous=False):
     forms = set()
     while len(forms) < t:
         coeffs = tuple(int(v) for v in rng.integers(-3, 4, size=d))
-        constant = int(rng.integers(-2, 3))
+        constant = 0 if homogeneous else int(rng.integers(-2, 3))
         forms.add((coeffs, constant))
     return lf.LinearSystem(
         d=d,
@@ -373,6 +376,19 @@ def test_codim2_flat_parents_are_the_containing_hyperplanes():
             assert parents == containing
 
 
+def test_lindex_first2_is_certified_at_codim_1():
+    # first(2) is -s2, -s2', s1, s1'.  The differences from -s2, (0, 1, 0, -1),
+    # (1, 1, 0, 0) and (0, 1, 1, 0) with constant 0, have rank 3 = t - 1, so
+    # nu = 0 and no subspace of codim c merges more than c forms: the 6
+    # hyperplanes reach ratio 1 and no flat is explored.
+    sys = lf.first_family(2)
+    assert _nullity(sys) == 0
+    res = lf.lindex(sys)
+    assert (res.value, res.codim, res.subspaces_explored) == (1, 1, 6)
+    assert len(lf._collision_hyperplanes(sys, math.inf)) == 6
+    assert _closure_walk_lindex(sys)[0][3] == 13   # 6 hyperplanes, 7 flats
+
+
 def test_lindex_first4_anchor():
     res = lf.lindex(lf.first_family(4))
     assert res.value == 12 and res.codim == 1
@@ -414,23 +430,52 @@ def _pair_walk_lindex(sys):
 
 
 def test_lindex_matches_the_pair_walk_on_random_systems():
+    # The pair walk prunes by (t - 1) / codim, so it explores at least as
+    # many subspaces as lindex.  The homogeneous d = 3, t = 5 systems have
+    # nu >= 1, so their walks can pass codim 2.
     rng = np.random.default_rng(16)
+    systems = [_random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
+               for _ in range(300)]
+    systems += [_random_system(rng, 3, 5, homogeneous=True) for _ in range(70)]
     deeper = 0
-    for trial in range(300):
-        sys = _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
+    for trial, sys in enumerate(systems):
         res = lf.lindex(sys)
-        got = (res.value, res.witness, res.codim, res.subspaces_explored)
-        assert got == _pair_walk_lindex(sys), (trial, sys)
+        *want, explored = _pair_walk_lindex(sys)
+        assert [res.value, res.witness, res.codim] == want, (trial, sys)
+        assert res.subspaces_explored <= explored, (trial, sys)
         hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
         flats = list(lf._codim2_flats(hyperplanes, math.inf))
         deeper += res.subspaces_explored > len(hyperplanes) + len(flats)
     assert deeper > 50   # the closure walk past codim 2 is exercised too
 
 
-def _closure_walk_lindex(sys):
+def _nullity(sys):
+    """nu = t - 1 minus the rank of the augmented differences f_a - f_0,
+    by Fraction elimination, independent of lf._echelon."""
+    f0 = sys.forms[0].functional()
+    rows = [[Fraction(x - y) for x, y in zip(f.functional(), f0)] for f in sys.forms[1:]]
+    rank = 0
+    for col in range(sys.d + 1):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in rows]
+        rank += 1
+    return sys.t - 1 - rank
+
+
+def _bound(t, codim, nu):
+    """The ratio no subspace of codim codim can pass: (t - 1) / codim, or
+    min(t - 1, codim + nu) / codim given the nullity nu."""
+    return Fraction(t - 1 if nu is None else min(t - 1, codim + nu), codim)
+
+
+def _closure_walk_lindex(sys, nu=None):
     """lindex as it was before subspaces carried their containing
     hyperplanes: partitions from _induced_atoms, and a closure walk that
-    adds every hyperplane row to every subspace it expands.  Returns the
+    adds every hyperplane row to every subspace it expands.  It prunes by
+    (t - 1) / codim, or, given nu, by the nullity bound.  Returns the
     result and the echelons it scored, in order."""
     t = sys.t
     hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
@@ -448,14 +493,14 @@ def _closure_walk_lindex(sys):
     for row in hyperplanes:
         evaluate(lf._echelon([row]))
     frontier = ([flat for flat, _ in _flat_echelons(hyperplanes)]
-                if Fraction(t - 1, 2) > best else [])
+                if _bound(t, 2, nu) > best else [])
     for flat in frontier:
         evaluate(flat)
     seen = set()
     while frontier:
         next_frontier = []
         for ech in frontier:
-            if Fraction(t - 1, len(ech) + 1) <= best:
+            if _bound(t, len(ech) + 1, nu) <= best:
                 continue
             for row in hyperplanes:
                 child = lf._echelon_add(ech, row)
@@ -469,16 +514,21 @@ def _closure_walk_lindex(sys):
 
 
 def test_lindex_matches_the_closure_walk_and_its_partitions():
+    # The walk with the nullity bound gives the exact count; the walk with
+    # (t - 1) / codim the same result from at least as many subspaces.
     rng = np.random.default_rng(17)
     systems = _benchmark_systems() + [
         _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
         for _ in range(300)]
+    systems += [_random_system(rng, 3, 5, homogeneous=True) for _ in range(150)]
     deeper = 0
     for i, sys in enumerate(systems):
         res = lf.lindex(sys)
         got = (res.value, res.witness, res.codim, res.subspaces_explored)
-        want, scored = _closure_walk_lindex(sys)
+        want, scored = _closure_walk_lindex(sys, _nullity(sys))
         assert got == want, (i, sys)
+        old = _closure_walk_lindex(sys)[0]
+        assert got[:3] == old[:3] and got[3] <= old[3], (i, sys)
         deeper += any(len(ech) > 2 for ech in scored)
         # The pairs of the hyperplanes containing a subspace give its
         # induced atoms on every subspace lindex scores.
@@ -495,30 +545,91 @@ def test_lindex_matches_the_closure_walk_and_its_partitions():
     assert deeper > 100   # the closure walk past codim 2 is exercised too
 
 
+# Seeded affine systems per (d, t): fewer where t = 7 or 8 and d >= 3, where
+# one lindex call takes 0.01-0.3 s and one closure walk 0.1-2.4 s.
+SWEEP_CELLS = {(d, t): 65 for d in (2, 3, 4, 5) for t in range(2, 7)}
+SWEEP_CELLS.update({(2, 7): 60, (3, 7): 30, (4, 7): 30, (5, 7): 60,
+                    (2, 8): 20, (3, 8): 10, (4, 8): 3, (5, 8): 3})
+SWEEP_FILE = Path(__file__).parent / "data" / "lindex_sweep.json"
+
+
+def _sweep_digest(results):
+    """sha256 of the (value, witness, codim) of each result, in order."""
+    h = hashlib.sha256()
+    for value, witness, codim, *_ in results:
+        h.update(f"{value} {witness and witness.atoms} {codim}\n".encode())
+    return h.hexdigest()
+
+
+def _sweep_systems():
+    rng = np.random.default_rng(1500)
+    return {f"{d},{t}": [_random_system(rng, d, t) for _ in range(n)]
+            for (d, t), n in SWEEP_CELLS.items()}
+
+
+def _record_sweep():
+    """Write SWEEP_FILE from the closure walk that prunes by (t - 1) / codim.
+    Takes about a minute: PYTHONPATH=src python tests/test_linforms.py"""
+    record = {}
+    for cell, systems in _sweep_systems().items():
+        results = [_closure_walk_lindex(sys)[0] for sys in systems]
+        record[cell] = {"digest": _sweep_digest(results),
+                        "explored": [r[3] for r in results]}
+    lines = [f"{json.dumps(cell)}: {json.dumps(v)}" for cell, v in record.items()]
+    SWEEP_FILE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def test_lindex_matches_the_recorded_closure_walk_sweep():
+    # 1,516 systems over d = 2..5 and t = 2..8: lindex, pruning by the
+    # nullity bound, gives the (t - 1) / codim walk's value, witness and
+    # codim on each, from no more subspaces.
+    assert sum(SWEEP_CELLS.values()) == 1516
+    recorded = json.loads(SWEEP_FILE.read_text())
+    fewer = 0
+    for cell, systems in _sweep_systems().items():
+        results = [lf.lindex(sys) for sys in systems]
+        got = [(r.value, r.witness, r.codim) for r in results]
+        assert _sweep_digest(got) == recorded[cell]["digest"], cell
+        for i, (r, old) in enumerate(zip(results, recorded[cell]["explored"])):
+            assert r.subspaces_explored <= old, (cell, i)
+            fewer += r.subspaces_explored < old
+    assert fewer > 500   # the bound prunes on many of them
+
+
 def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch):
-    # Every _eliminate call lindex makes returns the rows of one subspace:
+    # Every _eliminate call the walk makes returns the rows of one subspace:
     # a hyperplane's from a dict of raw rows, a child's from its parent's.
     # Each kept row must be the primitive reduction of its raw row by the
     # echelon of the hyperplanes containing that subspace, and each dropped
     # row must reduce to 0 (it contains the subspace) or 0 = nonzero (it
-    # misses it).
+    # misses it).  The recorder skips the calls made inside lindex's one
+    # _echelon, which reduces the form differences for the nullity bound.
     rng = np.random.default_rng(27)
     systems = _benchmark_systems() + [
         _random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 8)))
         for _ in range(200)]
-    eliminate = lf._eliminate
+    eliminate, echelon = lf._eliminate, lf._echelon
     deeper = 0
     for i, sys in enumerate(systems):
-        calls = []
+        calls, inside, built = [], [], []
 
         def record(carried, key):
             out = eliminate(carried, key)
-            calls.append((carried, key, out))
+            if not inside:
+                calls.append((carried, key, out))
             return out
+
+        def record_echelon(rows):
+            inside.append(True)
+            built.append(echelon(rows))
+            inside.pop()
+            return built[-1]
 
         with monkeypatch.context() as m:
             m.setattr(lf, "_eliminate", record)
+            m.setattr(lf, "_echelon", record_echelon)
             lf.lindex(sys)
+        assert len(built) == 1
         rows = list(lf._collision_hyperplanes(sys, math.inf))
         echelons = {}   # id of each returned dict, all kept alive in calls
         for carried, key, out in calls:
@@ -544,7 +655,7 @@ def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch):
     assert deeper > 1000   # expanded subspaces past codim 2
 
 
-def _big_system(rng, d, t):
+def _big_system(rng, d, t, homogeneous=False):
     """A seeded system whose coefficients and constants pass 2^63.
 
     A small random system is mapped by x -> M x with a big nonsingular M,
@@ -552,7 +663,7 @@ def _big_system(rng, d, t):
     Form differences are B times the old ones composed with M, so the
     collision lattice, and lindex, are the small system's.
     """
-    small = _random_system(rng, d, t)
+    small = _random_system(rng, d, t, homogeneous)
     big = random.Random(int(rng.integers(1 << 62)))
     while True:
         M = [[big.randrange(-1 << 40, 1 << 40) for _ in range(d)] for _ in range(d)]
@@ -569,18 +680,24 @@ def _big_system(rng, d, t):
 
 
 def test_lindex_on_coefficients_past_int64():
+    # The 5 homogeneous d = 3, t = 5 systems have nu >= 1.
     rng = np.random.default_rng(2063)
+    systems = [_big_system(rng, int(rng.integers(2, 5)), int(rng.integers(3, 8)))
+               for _ in range(40)]
+    systems += [_big_system(rng, 3, 5, homogeneous=True) for _ in range(5)]
     deeper = 0
-    for trial in range(40):
-        small, sys = _big_system(rng, int(rng.integers(2, 5)), int(rng.integers(3, 8)))
+    for trial, (small, sys) in enumerate(systems):
         assert max(abs(v) for f in sys.forms for v in f.functional()) > 1 << 63
         res = lf.lindex(sys)
         got = (res.value, res.witness, res.codim, res.subspaces_explored)
         assert res.value == lf.lindex_bruteforce(sys), (trial, small)
-        assert got == _closure_walk_lindex(sys)[0], (trial, small)
+        old = _closure_walk_lindex(sys)[0]
+        assert got[:3] == old[:3] and got[3] <= old[3], (trial, small)
         small_res = lf.lindex(small)
         assert got == (small_res.value, small_res.witness, small_res.codim,
                        small_res.subspaces_explored), (trial, small)
+        assert _nullity(sys) == _nullity(small)
+        assert got == _closure_walk_lindex(small, _nullity(small))[0], (trial, small)
         hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
         flats = list(lf._codim2_flats(hyperplanes, math.inf))
         deeper += res.subspaces_explored > len(hyperplanes) + len(flats)
@@ -661,7 +778,7 @@ def test_deviation_partitions_match_the_induced_atoms():
 def test_hyperplane_cap_leaves_explored_counts_alone():
     # The workload reports this total.
     systems = _benchmark_systems()
-    assert sum(lf.lindex(s).subspaces_explored for s in systems) == 4751
+    assert sum(lf.lindex(s).subspaces_explored for s in systems) == 2669
     assert lf.lindex(lf.first_family(3)).subspaces_explored == 384
 
 
@@ -830,3 +947,7 @@ def test_parse_errors():
         lf.parse_system("0; 1 2\n0; 1\n")
     with pytest.raises(DomainError):
         lf.parse_system("# only a comment\n")
+
+
+if __name__ == "__main__":
+    _record_sweep()
