@@ -18,7 +18,7 @@ import numpy as np
 
 from . import limits
 from .errors import DomainError, NumericError
-from .linforms import _codim2_flats, _collision_hyperplanes, _flat_gram_det, _joined
+from .linforms import _codim2_flats, _collision_hyperplanes, _flat_gram_det, _later_masks, _merged
 
 MC_BATCH = 1 << 18   # Monte Carlo samples drawn per batch
 EHRHART_MEMO = 4096   # (row, residue class) quasi-polynomial fits kept
@@ -451,10 +451,10 @@ class _DeviationEngine:
     inclusion-exclusion and the density approximation.  Flats come from
     the codim-2 reader as parent lists, and a covolume reads its flat's
     first two parent rows, so no echelon is built.  Subspaces with no
-    integer point are left out, and a partition joins the form pairs of
-    the hyperplanes containing the subspace, as lindex scores it.  Past
-    limits.MAX_DEVIATION_SUBSPACES hyperplanes plus flats it raises
-    ResourceError.
+    integer point are left out, a partition's size is t less the bits of
+    the OR of its parents' _later_masks, as lindex scores it, and one ratio
+    is built per (t - size, codim).  Past limits.MAX_DEVIATION_SUBSPACES
+    hyperplanes plus flats it raises ResourceError.
     """
 
     def __init__(self, sys):
@@ -470,7 +470,7 @@ class _DeviationEngine:
                 "no collision hyperplane of the system holds integer points, "
                 "so the random model has no deviation to measure"
             )
-        pairs = [arrangement[row] for row in self.rows]
+        later = _later_masks(arrangement[row] for row in self.rows)
         # Only flats with integer points meet the box either.  Every
         # hyperplane through such a flat holds its points, so it is a row
         # here and the flat's parents name all the hyperplanes containing it.
@@ -479,11 +479,11 @@ class _DeviationEngine:
             gram = _flat_gram_det(*(self.rows[p] for p in parents[:2]))
             if gram is not None:
                 self.flats.append((parents, math.sqrt(float(gram))))
-        self.entries = []
+        self.entries, ratio = [], functools.cache(Fraction)   # one per (t - size, codim)
         for codim, inside in ([(1, (i,)) for i in range(len(self.rows))]
                               + [(2, parents) for parents, _ in self.flats]):
-            size = _joined(self.t, (pairs[i] for i in inside))[0]
-            self.entries.append((codim, size, Fraction(self.t - size, codim)))
+            merges = _merged(later, inside).bit_count()
+            self.entries.append((codim, self.t - merges, ratio(merges, codim)))
         self.sizes = {size for _, size, _ in self.entries}
         # Count classes: x -> -x and x_i -> -x_i map the box to itself.
         self.classes = [(tuple(sorted(map(abs, row[:-1]))), abs(row[-1]))

@@ -163,10 +163,13 @@ def _factor_integral(spec, m, T):
     a = w * fourier_psi(spec, t) * (1.0 + 1j * t)
     if m == 1:
         return complex(np.sum(a))
-    pair = 2.0 + 1j * (t[:, None] + t[None, :])
-    if m == 2:
-        return complex(np.sum(a[:, None] * a[None, :] / pair))
-    P = 1.0 / pair
+    if m == 2:   # one n x n array, filled by blocks of rows with no n x n temporaries
+        terms = np.empty((t.size, t.size), dtype=complex)
+        for r in range(0, t.size, 64):
+            pair = 2.0 + 1j * (t[r:r + 64, None] + t[None, :])
+            np.divide(a[r:r + 64, None] * a[None, :], pair, out=terms[r:r + 64])
+        return complex(np.sum(terms))
+    P = 1.0 / (2.0 + 1j * (t[:, None] + t[None, :]))
     V = a[None, :] * P
     return complex(np.sum(a * (V.sum(1) ** 2 + (1.0 + 1j * t) * ((V @ P) * V).sum(1))))
 

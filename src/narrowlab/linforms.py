@@ -305,14 +305,26 @@ def _collision_hyperplanes(sys, cap):
     return rows
 
 
-def _joined(t, pair_lists):
-    """Partition size when the forms of every listed pair are joined, and
-    the atoms of two or more forms, as sets.
+def _later_masks(pair_lists):
+    """Per hyperplane, the bitmask of the forms j of its pairs (i, j), i < j.
 
-    Two forms agree on a nonempty subspace exactly when their collision
-    hyperplane contains it, so the pair lists of the hyperplanes that
-    contain a subspace give its induced partition.
-    """
+    The pairs of the hyperplanes containing a nonempty subspace are the form
+    pairs equal on it, already closed, so a form is the least of its atom
+    unless they pair it with a smaller one: |pi| = t - popcount(OR of masks)."""
+    return [sum(1 << j for j in {j for _, j in pairs}) for pairs in pair_lists]
+
+
+def _merged(later, parents):
+    """OR of the later masks of the hyperplanes parents."""
+    out = 0
+    for p in parents:
+        out |= later[p]
+    return out
+
+
+def _joined(t, pair_lists):
+    """Size and atoms, as sets, of the partition of range(t) that joins the
+    forms of every listed pair: lindex builds its witness from them."""
     atom = {}
     for pairs in pair_lists:
         for i, j in pairs:
@@ -333,7 +345,8 @@ def _joined(t, pair_lists):
                 for k in aj:
                     atom[k] = ai
     groups = list({id(a): a for a in atom.values()}.values())
-    return t - len(atom) + len(groups), groups
+    groups += [{i} for i in range(t) if i not in atom]
+    return len(groups), groups
 
 
 def _bits(mask):
@@ -414,9 +427,10 @@ def lindex(sys):
     ratio (integers cross-multiplied) are pruned: codim c scores at most
     min(t - 1, c + nu) / c, nu the nullity of the augmented differences
     f_a - f_0, and no subspace lies deeper than their coefficient rank.
-    Each subspace carries the bitmask of the hyperplanes containing it, and
-    its partition joins their form pairs.  Codim 2 is streamed from
-    _codim2_flats.  Past it no echelon is built: an expanded subspace
+    Each subspace carries the bitmask of the hyperplanes containing it and
+    the OR of their _later_masks, whose popcount is t - |pi|; only a new
+    best ratio joins their form pairs, for the witness.  Codim 2 is streamed
+    from _codim2_flats.  Past it no echelon is built: an expanded subspace
     carries the other rows reduced by it, one _eliminate step on its
     parent's (for a flat, its smallest parent's).  subspaces_explored
     counts the subspaces scored, the hyperplanes included; ResourceError
@@ -429,20 +443,17 @@ def lindex(sys):
     arrangement = _collision_hyperplanes(sys, cap)
     rows = list(arrangement)
     pairs = list(arrangement.values())
+    later = _later_masks(pairs)
     num, den = 0, 1   # the best ratio so far
     best_witness = None
 
-    def evaluate(codim, inside):
+    def evaluate(codim, merged, inside):
         # The subspace is cut out by collision hyperplanes whose form pairs
         # share atoms, so the partition's own subvariety is the subspace.
         nonlocal num, den, best_witness
-        size, groups = _joined(t, (pairs[i] for i in inside))
-        if (t - size) * den > num * codim:
-            num, den = t - size, codim
-            joined = set().union(*groups)
-            best_witness = FormPartition(
-                atoms=[tuple(g) for g in groups]
-                + [(i,) for i in range(t) if i not in joined])
+        if merged.bit_count() * den > num * codim:
+            num, den = merged.bit_count(), codim
+            best_witness = FormPartition(atoms=_joined(t, (pairs[i] for i in inside))[1])
 
     # A codim-c subspace's atoms have a spanning forest of rank c inside a
     # spanning tree of all forms; nullity grows with the set: merges <= c + nu.
@@ -455,30 +466,30 @@ def lindex(sys):
         return codim <= depth and min(t - 1, codim + nu) * den > num * codim
 
     for i in range(len(rows)):
-        evaluate(1, (i,))
+        evaluate(1, later[i], (i,))
     explored = len(rows)
-    # Frontier entries are (parent rows, key, inside): key cuts the subspace
-    # out of its parent, and inside, the bitmask of the rows whose
-    # hyperplanes contain it, names it.  Flats join while a child could win.
+    # Frontier entries are (parent rows, key, inside, merged): key cuts the
+    # subspace out of its parent, inside, the rows containing it, names it,
+    # and merged ORs their later masks.  Flats join while a child could win.
     frontier, cut = [], (None, None)
     # The codim-2 stage runs whole once a flat could beat the best ratio: a
     # flat that reaches the bound leaves the later ones nothing to win, so
     # the stream is not cut there.
     if can_beat(2):
         for parents in _codim2_flats(rows, cap):
-            evaluate(2, parents)
+            evaluate(2, _merged(later, parents), parents)
             explored += 1
             if can_beat(3):
                 i, j = parents[:2]
                 if cut[0] != i:   # flats come by smallest parent
                     cut = i, _eliminate(dict(enumerate(rows)), rows[i])
                 inside = sum(1 << p for p in parents)
-                frontier.append((cut[1], cut[1][j], inside))
+                frontier.append((cut[1], cut[1][j], inside, _merged(later, parents)))
     seen = set()
     codim = 2
     while frontier:
         next_frontier = []
-        for carried, key, inside in frontier:
+        for carried, key, inside, merged in frontier:
             # This also drops each child too deep to beat best, a round later.
             if not can_beat(codim + 1):
                 continue
@@ -491,8 +502,9 @@ def lindex(sys):
                 explored += 1
                 if explored > cap:
                     limits.check(explored, cap, "closure lattice: subspaces explored")
-                evaluate(codim + 1, _bits(child_inside))
-                next_frontier.append((carried, key, child_inside))
+                child_merged = merged | _merged(later, _bits(mask))
+                evaluate(codim + 1, child_merged, _bits(child_inside))
+                next_frontier.append((carried, key, child_inside, child_merged))
         frontier = next_frontier
         codim += 1
     return LindexResult(value=Fraction(num, den), witness=best_witness,
@@ -556,22 +568,22 @@ def min_distinct_on_codim(sys, c):
     _codim2_flats: any collision on a subspace forces it inside some
     difference kernel, so these candidate sets realize the minima.  The
     forms that stay distinct on a candidate are the atoms of its induced
-    partition, which joins the form pairs of the hyperplanes containing it
-    (a flat's parents).  The first minimal candidate is the witness; only
-    its echelon is built.  ResourceError past limits.MAX_SUBSPACES
-    hyperplanes and flats, counted as lindex counts them.
+    partition, t less the popcount of the OR of the _later_masks of the
+    hyperplanes containing it (a flat's parents).  The first minimal
+    candidate is the witness; only its echelon is built.  ResourceError
+    past limits.MAX_SUBSPACES hyperplanes and flats, as lindex counts them.
     """
     if c not in (1, 2):
         raise DomainError(f"codimension must be 1 or 2, got {c}")
     cap = limits.MAX_SUBSPACES
     arrangement = _collision_hyperplanes(sys, cap)
     rows = list(arrangement)
-    pairs = list(arrangement.values())
+    later = _later_masks(arrangement.values())
     candidates = (((i,) for i in range(len(rows))) if c == 1
                   else _codim2_flats(rows, cap))
 
     def count(parents):
-        return _joined(sys.t, (pairs[i] for i in parents))[0]
+        return sys.t - _merged(later, parents).bit_count()
 
     best = min(candidates, key=count, default=None)
     if best is None:

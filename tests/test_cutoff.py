@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,35 @@ def test_first_and_second_factors_pinned_exactly():
     for (kind, m), want in _PINNED_FACTORS.items():
         rep = co.sieve_factor_report(co.make_cutoff(kind), m)
         assert (rep.value, rep.imag_residual, rep.tail_estimate) == want, (kind, m)
+
+
+def _pair_sum(spec, T):
+    """The m = 2 quadrature sum as one expression over n x n arrays."""
+    t, w = co.gauss_panels(-T, T, co._panel_count(spec, 2, T), nodes=10)
+    a = w * co.fourier_psi(spec, t) * (1.0 + 1j * t)
+    return complex(np.sum(a[:, None] * a[None, :] / (2.0 + 1j * (t[:, None] + t[None, :]))))
+
+
+def test_second_factor_blocks_match_the_whole_array_sum():
+    # n = 240 at T = 37.5 is no multiple of the 64-row block.
+    for kind in co.KINDS:
+        spec = co.make_cutoff(kind)
+        for T in (co.DEFAULT_T[kind], co.DEFAULT_T[kind] / 2, 37.5):
+            assert co._factor_integral(spec, 2, T) == _pair_sum(spec, T), (kind, T)
+
+
+def test_second_factor_peaks_at_its_one_term_array():
+    # n = 1,280 at the default T: the terms take 16 n^2 bytes (26 MB), and
+    # the whole-array expression peaked at twice that.
+    spec = co.make_cutoff("cosine")
+    n = 10 * co._panel_count(spec, 2, co.DEFAULT_T["cosine"])
+    tracemalloc.start()
+    try:
+        co._factor_integral(spec, 2, co.DEFAULT_T["cosine"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16 * n * n
 
 
 def _triple_sum(spec, T):

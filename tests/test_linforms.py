@@ -531,16 +531,18 @@ def test_lindex_matches_the_closure_walk_and_its_partitions():
         assert got[:3] == old[:3] and got[3] <= old[3], (i, sys)
         deeper += any(len(ech) > 2 for ech in scored)
         # The pairs of the hyperplanes containing a subspace give its
-        # induced atoms on every subspace lindex scores.
+        # induced atoms on every subspace lindex scores, and the popcount
+        # of the OR of their later masks its size.
         arrangement = lf._collision_hyperplanes(sys, math.inf)
+        pairs = list(arrangement.values())
+        later = lf._later_masks(pairs)
         for ech in scored:
-            inside = [pairs for row, pairs in arrangement.items()
+            inside = [j for j, row in enumerate(arrangement)
                       if lf._echelon_add(ech, row) is ech]
-            size, groups = lf._joined(sys.t, inside)
-            atoms = [tuple(g) for g in groups]
-            atoms += [(j,) for j in range(sys.t) if all(j not in g for g in groups)]
+            size, atoms = lf._joined(sys.t, (pairs[j] for j in inside))
             want_atoms = _induced_atoms(sys, ech)
-            assert size == len(want_atoms), (i, ech)
+            merged = lf._merged(later, inside)
+            assert sys.t - merged.bit_count() == size == len(want_atoms), (i, ech)
             assert lf.FormPartition(atoms=atoms) == lf.FormPartition(atoms=want_atoms)
     assert deeper > 100   # the closure walk past codim 2 is exercised too
 
@@ -751,19 +753,37 @@ def _benchmark_systems():
     return systems
 
 
+def _joined_entries(sys, engine):
+    """The engine's (codim, size, ratio) entries with each size from
+    _joined over the form pairs of the subspace's parents."""
+    arrangement = lf._collision_hyperplanes(sys, math.inf)
+    pairs = [arrangement[row] for row in engine.rows]
+    entries = []
+    for codim, inside in ([(1, (i,)) for i in range(len(engine.rows))]
+                          + [(2, parents) for parents, _ in engine.flats]):
+        size = lf._joined(sys.t, (pairs[i] for i in inside))[0]
+        entries.append((codim, size, Fraction(sys.t - size, codim)))
+    return entries
+
+
 def test_deviation_partitions_match_the_induced_atoms():
-    # The engine joins the form pairs of a subspace's parents; the oracle
-    # reads the forms that agree on the subspace's echelon.
+    # The engine counts a subspace's partition from the later masks of its
+    # parents; the references join their form pairs and read the forms that
+    # agree on the subspace's echelon.  first(4)'s 36,454 flats are checked
+    # against the joined pairs only.
     rng = np.random.default_rng(20)
     systems = _benchmark_systems() + [
         _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
         for _ in range(100)]
+    engine = cd._DeviationEngine(lf.first_family(4))
+    assert engine.entries == _joined_entries(lf.first_family(4), engine)
     flats = 0
     for i, sys in enumerate(systems):
         try:
             engine = cd._DeviationEngine(sys)
         except DomainError:   # no collision hyperplane holds integer points
             continue
+        assert engine.entries == _joined_entries(sys, engine), i
         subspaces = [lf._echelon([row]) for row in engine.rows]
         subspaces += [lf._echelon([engine.rows[p] for p in parents[:2]])
                       for parents, _ in engine.flats]
@@ -823,6 +843,17 @@ def test_flat_gram_det_matches_kernel_on_family_flats(family):
     assert len(pairs) in (347, 362)
     for a, b in pairs:
         assert lf._flat_gram_det(a + (0,), b + (0,)) == _kernel_gram_det(a, b)
+
+
+def test_flat_gram_det_stays_exact_past_int64():
+    # The minor 3037000499^2 is just below 2^63 and its square is not: an
+    # int64 sum of the squared minors wraps to -1, and the engine's covolume
+    # sqrt then fails.
+    assert lf._flat_gram_det((3037000499, 1, 0, 0), (0, 1, 3037000499, 0)) \
+        == 3037000499 ** 2 + 2
+    sys = lf.parse_system("0; 3037000499 1 0\n0; 0 0 0\n0; 3037000499 0 -3037000499\n")
+    engine = cd._DeviationEngine(sys)
+    assert engine.flats == [([0, 1, 2], math.sqrt(3037000499 ** 2 + 2))]
 
 
 def test_flat_gram_det_matches_kernel_on_random_systems():
