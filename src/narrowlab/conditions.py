@@ -443,7 +443,7 @@ class DeviationReport:
 
 
 class _DeviationEngine:
-    """The collision arrangement of a system, tabulated once.
+    """The collision arrangement of a system, tabulated once and only read after.
 
     Holds, in term order (hyperplanes, then codim-2 flats), each collision
     subspace's (codim, partition size, ratio), each hyperplane's row for
@@ -453,7 +453,8 @@ class _DeviationEngine:
     first two parent rows, so no echelon is built.  Subspaces with no
     integer point are left out, a partition's size is t less the bits of
     the OR of its parents' _later_masks, as lindex scores it, and one ratio
-    is built per (t - size, codim).  Past limits.MAX_DEVIATION_SUBSPACES
+    is built per (t - size, codim).  Each (alpha, S) runs array operations
+    in a term loop's float order.  Past limits.MAX_DEVIATION_SUBSPACES
     hyperplanes plus flats it raises ResourceError.
     """
 
@@ -476,7 +477,7 @@ class _DeviationEngine:
         # here and the flat's parents name all the hyperplanes containing it.
         self.flats = []
         for parents in _codim2_flats(self.rows, cap):
-            gram = _flat_gram_det(*(self.rows[p] for p in parents[:2]))
+            gram = _flat_gram_det(self.rows[parents[0]], self.rows[parents[1]])
             if gram is not None:
                 self.flats.append((parents, math.sqrt(float(gram))))
         self.entries, ratio = [], functools.cache(Fraction)   # one per (t - size, codim)
@@ -484,45 +485,44 @@ class _DeviationEngine:
                               + [(2, parents) for parents, _ in self.flats]):
             merges = _merged(later, inside).bit_count()
             self.entries.append((codim, self.t - merges, ratio(merges, codim)))
-        self.sizes = {size for _, size, _ in self.entries}
+        self.sizes = sorted({size for _, size, _ in self.entries})
+        self.size_index = np.searchsorted(self.sizes, [size for _, size, _ in self.entries])
+        self.covol = np.array([covol for _, covol in self.flats])
+        # Each flat's parents in flat order, as inclusion-exclusion visits them.
+        self.parent_of = np.array([p for ps, _ in self.flats for p in ps], dtype=np.intp)
+        self.flat_of = np.repeat(np.arange(len(self.flats)), [len(p) for p, _ in self.flats])
         # Count classes: x -> -x and x_i -> -x_i map the box to itself.
         self.classes = [(tuple(sorted(map(abs, row[:-1]))), abs(row[-1]))
                         for row in self.rows]
-        self.fractions = {}   # S -> float64 box and exclusive fractions, free of alpha
 
-    def evaluate(self, alpha, S):
-        """Terms' box and exclusive fractions, contributions, and total."""
-        alpha = float(alpha)
-        if not 0.0 < alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-        S = int(S)
-        if S < 2:
-            raise DomainError(f"width S must be >= 2, got {S}")
-        if S not in self.fractions:
-            width = 2 * S + 1
-            box_total = width ** self.d
-            counts = {key: count_hyperplane_points(key[0], S, rhs=key[1])
-                      for key in set(self.classes)}
-            frac1 = [counts[key] / box_total for key in self.classes]
-            frac2 = [1.0 / (covol * width * width) for _, covol in self.flats]
-            excl = frac1 + frac2
-            for (parents, _), f2 in zip(self.flats, frac2):
-                for parent in parents:
-                    excl[parent] -= f2
-            self.fractions[S] = (np.array(frac1 + frac2), np.array(excl))
-        fracs, excl = (f.tolist() for f in self.fractions[S])
+    def fractions(self, S):
+        """Fresh arrays of the terms' box and exclusive fractions at width S."""
+        width = 2 * S + 1
+        box_total = width ** self.d   # can pass int64, so box fractions divide Python ints
+        counts = {key: count_hyperplane_points(key[0], S, rhs=key[1])
+                  for key in set(self.classes)}
+        frac2 = 1.0 / (self.covol * width * width)
+        fracs = np.concatenate(([counts[key] / box_total for key in self.classes], frac2))
+        excl = fracs.copy()
+        np.subtract.at(excl, self.parent_of, frac2[self.flat_of])
+        return fracs, excl
+
+    def contributions(self, alpha, excl):
+        """Each term's exclusive fraction times its excess alpha^(|pi| - t) - 1,
+        and their sum from the left, as a running total's float."""
         try:
-            gains = {size: alpha ** (size - self.t) - 1.0 for size in self.sizes}
+            gains = np.array([alpha ** (size - self.t) - 1.0 for size in self.sizes])
         except OverflowError:
             raise NumericError(f"alpha^(|pi| - t) overflows a float at "
                                f"alpha={alpha}, t={self.t}") from None
-        contributions = []
-        total = 0.0
-        for (_, size, _), ex in zip(self.entries, excl):
-            contribution = ex * gains[size]
-            total += contribution
-            contributions.append(contribution)
-        return fracs, excl, contributions, total
+        contributions = excl * gains[self.size_index]
+        return contributions, float(np.add.accumulate(contributions)[-1])
+
+    def evaluate(self, alpha, S):
+        """Terms' box and exclusive fractions, contributions, and total, as lists."""
+        fracs, excl = self.fractions(S)
+        contributions, total = self.contributions(alpha, excl)
+        return fracs.tolist(), excl.tolist(), contributions.tolist(), total
 
     def deviation(self, alpha, S):
         fracs, excl, contributions, total = self.evaluate(alpha, S)
@@ -532,6 +532,13 @@ class _DeviationEngine:
         dominant = max(terms, key=lambda term: term.contribution)
         return DeviationReport(total=total, terms=terms, dominant=dominant,
                                S=int(S), alpha=float(alpha))
+
+
+@functools.lru_cache(maxsize=1)
+def _engine(sys, cap):
+    """The last system's engine.  cap, limits.MAX_DEVIATION_SUBSPACES as the
+    caller read it, is in the key, so a changed cap builds and checks afresh."""
+    return _DeviationEngine(sys)
 
 
 def random_model_deviation(sys, alpha, S):
@@ -546,7 +553,13 @@ def random_model_deviation(sys, alpha, S):
     """
     if sys.t < 2:
         raise DomainError("deviation needs a system with t >= 2 forms")
-    return _DeviationEngine(sys).deviation(alpha, S)
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    S = int(S)
+    if S < 2:
+        raise DomainError(f"width S must be >= 2, got {S}")
+    return _engine(sys, limits.MAX_DEVIATION_SUBSPACES).deviation(alpha, S)
 
 
 @dataclass(frozen=True)
@@ -584,14 +597,15 @@ def width_threshold_fit(sys, alphas, target=1.0):
     target = float(target)
     if not (math.isfinite(target) and target > 0):
         raise DomainError(f"target must be positive and finite, got {target}")
-    engine = _DeviationEngine(sys)
+    engine = _engine(sys, limits.MAX_DEVIATION_SUBSPACES)
+    excl_at = functools.cache(lambda S: engine.fractions(S)[1])   # per width, for every alpha
 
     def log_between(lo, hi, frac):   # frac of the way from lo to hi in log S
         return math.exp(math.log(lo) + frac * (math.log(hi) - math.log(lo)))
 
     rows = []
     for alpha in alphas:
-        dev = functools.cache(lambda S, a=alpha: engine.evaluate(a, S)[-1])
+        dev = functools.cache(lambda S, a=alpha: engine.contributions(a, excl_at(S))[1])
         lo = 2
         if dev(lo) < target:
             s_star = float(lo)

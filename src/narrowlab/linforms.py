@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -655,22 +656,21 @@ def _flat_gram_det(a, b):
     None when the flat holds no integer point.
 
     a and b are rows (a_1, ..., a_d, alpha) with independent coefficient
-    parts.  With m_ij = a_i b_j - a_j b_i, Cauchy-Binet gives the row
-    lattice of the coefficient parts squared covolume sum m_ij^2; its index
-    in its saturation is g = gcd(m); and a primitive lattice and its
-    orthogonal complement in Z^d have equal covolumes.  So the determinant
-    of the flat's lattice {a . x = b . x = 0} is sum m_ij^2 / g^2.  By the
-    Smith normal form the flat holds an integer point exactly when g also
-    divides every minor a_i beta - alpha b_i of the rhs column.
+    parts.  Their row lattice has squared covolume sum m_ij^2 = |a|^2 |b|^2
+    - (a . b)^2 (Cauchy-Binet, Lagrange), m_ij = a_i b_j - a_j b_i, and index
+    g = gcd(m) in its saturation, formed until g reaches 1.  The saturation's
+    orthogonal complement {a . x = b . x = 0} has equal covolume, so Gram
+    determinant sum m_ij^2 / g^2.  By the Smith normal form the flat holds an
+    integer point exactly when g also divides each a_i beta - alpha b_i.
     """
-    *a, alpha = a
-    *b, beta = b
-    minors = [a[i] * b[j] - a[j] * b[i]
-              for i, j in itertools.combinations(range(len(a)), 2)]
-    g = math.gcd(*minors)
+    (*a, alpha), (*b, beta) = a, b
+    g = 0
+    for i, j in itertools.combinations(range(len(a)), 2):
+        if (g := math.gcd(g, a[i] * b[j] - a[j] * b[i])) == 1:
+            break
     if any((x * beta - alpha * y) % g for x, y in zip(a, b)):
         return None
-    return sum(m * m for m in minors) // (g * g)
+    return (sum(map(mul, a, a)) * sum(map(mul, b, b)) - sum(map(mul, a, b)) ** 2) // (g * g)
 
 
 def solution_lattice(sys, pi):

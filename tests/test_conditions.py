@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -720,6 +721,109 @@ def test_engine_counts_each_class_once_and_keeps_fractions_per_width():
             assert (again, excl_again) == engine.evaluate(0.3, S)[:2]
             assert again[0] != -1.0 and excl_again[0] != -1.0
     assert merged >= 100 and affine >= 100
+
+
+def _loop_evaluate(engine, alpha, S):
+    """The engine's evaluation as one float loop over its terms, the
+    reference that its array evaluation must match float for float."""
+    width = 2 * S + 1
+    box_total = width ** engine.d
+    counts = {key: cd.count_hyperplane_points(key[0], S, rhs=key[1])
+              for key in set(engine.classes)}
+    frac1 = [counts[key] / box_total for key in engine.classes]
+    frac2 = [1.0 / (covol * width * width) for _, covol in engine.flats]
+    excl = frac1 + frac2
+    for (parents, _), f2 in zip(engine.flats, frac2):
+        for parent in parents:
+            excl[parent] -= f2
+    gains = {size: alpha ** (size - engine.t) - 1.0 for _, size, _ in engine.entries}
+    contributions = []
+    total = 0.0
+    for (_, size, _), ex in zip(engine.entries, excl):
+        contribution = ex * gains[size]
+        total += contribution
+        contributions.append(contribution)
+    return frac1 + frac2, excl, contributions, total
+
+
+def test_engine_arrays_match_the_term_loop():
+    rng = np.random.default_rng(3434)
+    checked = flats = 0
+    for homogeneous in (False, True):
+        for _ in range(10):
+            sys = _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(4, 9)),
+                                 homogeneous=homogeneous)
+            try:
+                engine = cd._DeviationEngine(sys)
+            except DomainError:   # no collision hyperplane holds integer points
+                continue
+            for alpha in (0.3, 0.05):
+                for S in (2, 7, 40, 10 ** 5):
+                    got = engine.evaluate(alpha, S)
+                    assert got == _loop_evaluate(engine, alpha, S), (sys, alpha, S)
+                    assert type(got[-1]) is float
+            checked += 1
+            flats += len(engine.flats)
+    assert checked >= 18 and flats >= 1200
+
+
+def test_deviation_checks_alpha_and_width_before_building_an_engine(monkeypatch):
+    # first(4) is past a cap of 10 and took 0.5 s to build before a bad
+    # alpha or width was seen.
+    monkeypatch.setattr(limits, "MAX_DEVIATION_SUBSPACES", 10)
+    cd._engine.cache_clear()
+    for alpha, S in ((2.0, 10), (0.0, 10), (math.nan, 10), (0.5, 1)):
+        with pytest.raises(DomainError, match="^(alpha|width)"):
+            cd.random_model_deviation(lf.first_family(4), alpha, S)
+    info = cd._engine.cache_info()
+    assert (info.misses, info.currsize) == (0, 0)
+
+
+def test_engine_cache_keeps_the_last_system():
+    cd._engine.cache_clear()
+    first = cd.random_model_deviation(lf.first_family(3), 0.1, 1000)
+    again = cd.random_model_deviation(lf.first_family(3), 0.1, 1000)   # an equal system
+    assert again == first
+    assert cd._engine.cache_info()[:2] == (1, 1)   # hits, misses
+    cd.random_model_deviation(lf.second_family(2), 0.1, 1000)
+    cd.random_model_deviation(lf.first_family(3), 0.1, 1000)
+    assert cd._engine.cache_info()[:2] == (1, 3)
+
+
+def test_patched_cap_misses_the_engine_cache(monkeypatch):
+    # first(3) has 37 hyperplanes and 347 flats.
+    sys = lf.first_family(3)
+    calls = [lambda: cd.random_model_deviation(sys, 0.5, 100),
+             lambda: cd.width_threshold_fit(sys, (0.2, 0.1, 0.05))]
+    messages = {}
+    for cached in (False, True):
+        cd._engine.cache_clear()
+        if cached:
+            for call in calls:
+                call()
+        for cap in (10, 100):
+            with monkeypatch.context() as patch:
+                patch.setattr(limits, "MAX_DEVIATION_SUBSPACES", cap)
+                for i, call in enumerate(calls):
+                    with pytest.raises(ResourceError) as err:
+                        call()
+                    messages.setdefault((cap, i), set()).add(str(err.value))
+    assert messages == {
+        (cap, i): {f"{stage} {cap + 1} is past the cap of {cap}"}
+        for cap, stage in ((10, "collision hyperplanes"),
+                           (100, "codim-2 lattice: hyperplanes plus flats"))
+        for i in range(2)}
+
+
+def test_threshold_fit_leaves_the_cached_engine_unchanged():
+    sys = lf.third_family(3, 1)
+    cd._engine.cache_clear()
+    engine = cd._engine(sys, limits.MAX_DEVIATION_SUBSPACES)
+    before = pickle.dumps(vars(engine))
+    cd.width_threshold_fit(sys, [0.2, 0.1, 0.05])
+    cd.random_model_deviation(sys, 0.1, 50)
+    assert cd._engine(sys, limits.MAX_DEVIATION_SUBSPACES) is engine
+    assert pickle.dumps(vars(engine)) == before
 
 
 def test_threshold_fit_slopes_and_dominant_ratios():
