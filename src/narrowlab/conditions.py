@@ -18,7 +18,7 @@ import numpy as np
 
 from . import limits
 from .errors import DomainError, NumericError
-from .linforms import _codim2_flats, _collision_hyperplanes, _flat_gram_det, _later_masks, _merged
+from .linforms import _collision_hyperplanes, _flat_gram_det, _lattice
 
 MC_BATCH = 1 << 18   # Monte Carlo samples drawn per batch
 EHRHART_MEMO = 4096   # (row, residue class) quasi-polynomial fits kept
@@ -445,17 +445,16 @@ class DeviationReport:
 class _DeviationEngine:
     """The collision arrangement of a system, tabulated once and only read after.
 
-    Holds, in term order (hyperplanes, then codim-2 flats), each collision
-    subspace's (codim, partition size, ratio), each hyperplane's row for
-    the exact box counts, and each flat's parents and lattice covolume for
-    inclusion-exclusion and the density approximation.  Flats come from
-    the codim-2 reader as parent lists, and a covolume reads its flat's
-    first two parent rows, so no echelon is built.  Subspaces with no
-    integer point are left out, a partition's size is t less the bits of
-    the OR of its parents' _later_masks, as lindex scores it, and one ratio
-    is built per (t - size, codim).  Each (alpha, S) runs array operations
-    in a term loop's float order.  Past limits.MAX_DEVIATION_SUBSPACES
-    hyperplanes plus flats it raises ResourceError.
+    Holds, in term order (hyperplanes, then codim-2 flats, as _lattice
+    yields them), each collision subspace's (codim, partition size, ratio),
+    each hyperplane's row for the exact box counts, and each flat's parents
+    and lattice covolume for inclusion-exclusion and the density
+    approximation.  Subspaces with no integer point are left out; a
+    covolume reads its flat's first two parent rows, so no echelon is built,
+    and one ratio is built per (t - size, codim).  Each (alpha, S) runs
+    array operations in a term loop's float order.  Past
+    limits.MAX_DEVIATION_SUBSPACES hyperplanes plus flats it raises
+    ResourceError.
     """
 
     def __init__(self, sys):
@@ -463,27 +462,24 @@ class _DeviationEngine:
         self.d = sys.d
         cap = limits.MAX_DEVIATION_SUBSPACES
         # Only hyperplanes with integer points (gcd(a) | rhs) meet the box.
-        arrangement = _collision_hyperplanes(sys, cap)
-        self.rows = [row for row in arrangement
-                     if row[-1] % math.gcd(*row[:-1]) == 0]
+        # Every hyperplane through a flat with integer points holds them, so
+        # it is a row here and the flat's parents name all that contain it.
+        arrangement = {row: pairs for row, pairs in _collision_hyperplanes(sys, cap).items()
+                       if row[-1] % math.gcd(*row[:-1]) == 0}
+        self.rows = list(arrangement)
         if not self.rows:
             raise DomainError(
                 "no collision hyperplane of the system holds integer points, "
                 "so the random model has no deviation to measure"
             )
-        later = _later_masks(arrangement[row] for row in self.rows)
-        # Only flats with integer points meet the box either.  Every
-        # hyperplane through such a flat holds its points, so it is a row
-        # here and the flat's parents name all the hyperplanes containing it.
-        self.flats = []
-        for parents in _codim2_flats(self.rows, cap):
-            gram = _flat_gram_det(self.rows[parents[0]], self.rows[parents[1]])
-            if gram is not None:
+        self.flats, self.entries, ratio = [], [], functools.cache(Fraction)
+        for codim, parents, merged in _lattice(arrangement, cap, lambda c: c <= 2):
+            if codim == 2:   # only flats with integer points meet the box either
+                gram = _flat_gram_det(self.rows[parents[0]], self.rows[parents[1]])
+                if gram is None:
+                    continue
                 self.flats.append((parents, math.sqrt(float(gram))))
-        self.entries, ratio = [], functools.cache(Fraction)   # one per (t - size, codim)
-        for codim, inside in ([(1, (i,)) for i in range(len(self.rows))]
-                              + [(2, parents) for parents, _ in self.flats]):
-            merges = _merged(later, inside).bit_count()
+            merges = merged.bit_count()
             self.entries.append((codim, self.t - merges, ratio(merges, codim)))
         self.sizes = sorted({size for _, size, _ in self.entries})
         self.size_index = np.searchsorted(self.sizes, [size for _, size, _ in self.entries])
@@ -582,15 +578,16 @@ class ThresholdFit:
 
 
 def width_threshold_fit(sys, alphas, target=1.0):
-    """Solve deviation(S) = target per alpha and fit log S* vs log(1/alpha).
+    """Solve deviation(S) = target per alpha and fit log S* vs log(1/alpha),
+    over at least 3 distinct alphas.
 
     The deviation decreases in S; the crossing is bracketed by doubling
     and refined by log-log interpolation.  The fitted slope estimates the
     collision index of the system.
     """
     alphas = [float(a) for a in alphas]
-    if len(alphas) < 3:
-        raise DomainError(f"need at least 3 alpha values, got {len(alphas)}")
+    if len(set(alphas)) < 3:
+        raise DomainError(f"need at least 3 distinct alpha values, got {len(set(alphas))}")
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {a}")

@@ -418,99 +418,98 @@ def _codim2_flats(rows, cap):
             yield parents
 
 
+def _lattice(arrangement, cap, deeper):
+    """Each nonempty collision subspace once, as (codim, parents, merged).
+
+    arrangement is a dict from rows to form pairs, as _collision_hyperplanes
+    gives it; parents are the ascending indices of the rows containing the
+    subspace and merged the OR of their _later_masks, so the subspace's
+    induced partition has t - popcount(merged) atoms.  The rows come first,
+    then, if deeper(2), the flats of _codim2_flats, then the closure walk
+    level by level.  deeper(c) is asked again after each flat for c = 3 and
+    before each codim-(c-1) subspace is expanded: a caller that scores the
+    yields can prune on its best so far.  Past codim 2 no echelon is built:
+    an expanded subspace carries the other rows reduced by it, one
+    _eliminate step on its parent's (for a flat, its smallest parent's).
+    ResourceError once more than cap subspaces are found.
+    """
+    rows = list(arrangement)
+    later = _later_masks(arrangement.values())
+    for i, mask in enumerate(later):
+        yield 1, (i,), mask
+    if not deeper(2):
+        return
+    # Frontier entries are (parent rows, key, inside, merged): key cuts the
+    # subspace out of its parent, and inside, the rows containing it, names it.
+    # deeper(2) is asked once: a walk that enters codim 2 yields every flat.
+    frontier, cut, found = [], (None, None), len(rows)
+    for found, parents in enumerate(_codim2_flats(rows, cap), found + 1):
+        merged = _merged(later, parents)
+        yield 2, parents, merged
+        if deeper(3):
+            i, j = parents[:2]
+            if cut[0] != i:   # flats come by smallest parent
+                cut = i, _eliminate(dict(enumerate(rows)), rows[i])
+            frontier.append((cut[1], cut[1][j], sum(1 << p for p in parents), merged))
+    seen, codim = set(), 2
+    while frontier:
+        next_frontier = []
+        for carried, key, inside, merged in frontier:
+            # This also drops each child too deep to go on, a round later.
+            if not deeper(codim + 1):
+                continue
+            carried = _eliminate(carried, key)
+            for key, mask in _children(carried).items():
+                child = inside | mask
+                if child in seen:
+                    continue
+                seen.add(child)
+                found += 1
+                if found > cap:
+                    limits.check(found, cap, "closure lattice: subspaces explored")
+                child_merged = merged | _merged(later, _bits(mask))
+                yield codim + 1, list(_bits(child)), child_merged
+                next_frontier.append((carried, key, child, child_merged))
+        frontier = next_frontier
+        codim += 1
+
+
 def lindex(sys):
     """Collision index of the system with a maximizing partition.
 
-    Searches the closure lattice generated by intersecting kernels of
-    pairwise form differences.  Each subspace's induced partition (forms
-    equal as functions there) is scored as (t - |pi|) / codim of the
-    partition's own subvariety, and subspaces too deep to beat the best
-    ratio (integers cross-multiplied) are pruned: codim c scores at most
-    min(t - 1, c + nu) / c, nu the nullity of the augmented differences
-    f_a - f_0, and no subspace lies deeper than their coefficient rank.
-    Each subspace carries the bitmask of the hyperplanes containing it and
-    the OR of their _later_masks, whose popcount is t - |pi|; only a new
-    best ratio joins their form pairs, for the witness.  Codim 2 is streamed
-    from _codim2_flats.  Past it no echelon is built: an expanded subspace
-    carries the other rows reduced by it, one _eliminate step on its
-    parent's (for a flat, its smallest parent's).  subspaces_explored
-    counts the subspaces scored, the hyperplanes included; ResourceError
-    once more than limits.MAX_SUBSPACES of them are found.
+    Scores each subspace of _lattice, the closure lattice of the pairwise
+    form-difference kernels, as (t - |pi|) / codim, pi its induced partition
+    (forms equal as functions there, whose own subvariety is the subspace),
+    and prunes what is too deep to beat the best ratio (integers
+    cross-multiplied): codim c scores at most min(t - 1, c + nu) / c, nu the
+    nullity of the augmented differences f_a - f_0, and no subspace lies
+    deeper than their coefficient rank.  Only a new best ratio joins its
+    parents' form pairs, for the witness.  subspaces_explored counts the
+    subspaces scored, the hyperplanes included; ResourceError once more
+    than limits.MAX_SUBSPACES of them are found.
     """
     t = sys.t
     if t < 2:
         raise DomainError(f"collision index needs t >= 2 forms, got t={t}")
     cap = limits.MAX_SUBSPACES
     arrangement = _collision_hyperplanes(sys, cap)
-    rows = list(arrangement)
     pairs = list(arrangement.values())
-    later = _later_masks(pairs)
-    num, den = 0, 1   # the best ratio so far
-    best_witness = None
-
-    def evaluate(codim, merged, inside):
-        # The subspace is cut out by collision hyperplanes whose form pairs
-        # share atoms, so the partition's own subvariety is the subspace.
-        nonlocal num, den, best_witness
-        if merged.bit_count() * den > num * codim:
-            num, den = merged.bit_count(), codim
-            best_witness = FormPartition(atoms=_joined(t, (pairs[i] for i in inside))[1])
-
     # A codim-c subspace's atoms have a spanning forest of rank c inside a
     # spanning tree of all forms; nullity grows with the set: merges <= c + nu.
     f0 = sys.forms[0].functional()
     ech = _echelon([x - y for x, y in zip(f.functional(), f0)] for f in sys.forms[1:])
     nu = t - 1 - len(ech)
     depth = len(ech) - (not _feasible(ech))
-
-    def can_beat(codim):
-        return codim <= depth and min(t - 1, codim + nu) * den > num * codim
-
-    for i in range(len(rows)):
-        evaluate(1, later[i], (i,))
-    explored = len(rows)
-    # Frontier entries are (parent rows, key, inside, merged): key cuts the
-    # subspace out of its parent, inside, the rows containing it, names it,
-    # and merged ORs their later masks.  Flats join while a child could win.
-    frontier, cut = [], (None, None)
-    # The codim-2 stage runs whole once a flat could beat the best ratio: a
-    # flat that reaches the bound leaves the later ones nothing to win, so
-    # the stream is not cut there.
-    if can_beat(2):
-        for parents in _codim2_flats(rows, cap):
-            evaluate(2, _merged(later, parents), parents)
-            explored += 1
-            if can_beat(3):
-                i, j = parents[:2]
-                if cut[0] != i:   # flats come by smallest parent
-                    cut = i, _eliminate(dict(enumerate(rows)), rows[i])
-                inside = sum(1 << p for p in parents)
-                frontier.append((cut[1], cut[1][j], inside, _merged(later, parents)))
-    seen = set()
-    codim = 2
-    while frontier:
-        next_frontier = []
-        for carried, key, inside, merged in frontier:
-            # This also drops each child too deep to beat best, a round later.
-            if not can_beat(codim + 1):
-                continue
-            carried = _eliminate(carried, key)
-            for key, mask in _children(carried).items():
-                child_inside = inside | mask
-                if child_inside in seen:
-                    continue
-                seen.add(child_inside)
-                explored += 1
-                if explored > cap:
-                    limits.check(explored, cap, "closure lattice: subspaces explored")
-                child_merged = merged | _merged(later, _bits(mask))
-                evaluate(codim + 1, child_merged, _bits(child_inside))
-                next_frontier.append((carried, key, child_inside, child_merged))
-        frontier = next_frontier
-        codim += 1
-    return LindexResult(value=Fraction(num, den), witness=best_witness,
-                        codim=den if best_witness else 0,
-                        subspaces_explored=explored)
+    num, den, witness, explored = 0, 1, None, 0   # the best ratio so far is num / den
+    # deeper reads num and den as they stand each time the walk asks.
+    walk = _lattice(arrangement, cap,
+                    lambda c: c <= depth and min(t - 1, c + nu) * den > num * c)
+    for explored, (codim, parents, merged) in enumerate(walk, 1):
+        if merged.bit_count() * den > num * codim:
+            num, den = merged.bit_count(), codim
+            witness = FormPartition(atoms=_joined(t, (pairs[i] for i in parents))[1])
+    return LindexResult(value=Fraction(num, den), witness=witness,
+                        codim=den if witness else 0, subspaces_explored=explored)
 
 
 def iter_partitions(t):
@@ -564,33 +563,27 @@ class MinDistinctResult:
 def min_distinct_on_codim(sys, c):
     """Minimum count of distinct restricted forms over codim-c subspaces.
 
-    Candidates are kernels of pairwise form differences (c = 1) and their
-    pairwise intersections of codimension exactly 2 (c = 2), streamed from
-    _codim2_flats: any collision on a subspace forces it inside some
-    difference kernel, so these candidate sets realize the minima.  The
-    forms that stay distinct on a candidate are the atoms of its induced
-    partition, t less the popcount of the OR of the _later_masks of the
-    hyperplanes containing it (a flat's parents).  The first minimal
-    candidate is the witness; only its echelon is built.  ResourceError
-    past limits.MAX_SUBSPACES hyperplanes and flats, as lindex counts them.
+    Candidates are the codim-c subspaces of _lattice, walked no deeper:
+    difference kernels (c = 1) or their codim-2 intersections (c = 2).  Any
+    collision on a subspace forces it inside some difference kernel, so
+    these realize the minima.  The forms that stay distinct on a candidate
+    are the atoms of its induced partition, t - popcount(merged).  The
+    first minimal candidate is the witness; only its echelon is built.
+    ResourceError past limits.MAX_SUBSPACES hyperplanes and flats, as lindex
+    counts them.
     """
     if c not in (1, 2):
         raise DomainError(f"codimension must be 1 or 2, got {c}")
     cap = limits.MAX_SUBSPACES
     arrangement = _collision_hyperplanes(sys, cap)
-    rows = list(arrangement)
-    later = _later_masks(arrangement.values())
-    candidates = (((i,) for i in range(len(rows))) if c == 1
-                  else _codim2_flats(rows, cap))
-
-    def count(parents):
-        return sys.t - _merged(later, parents).bit_count()
-
-    best = min(candidates, key=count, default=None)
-    if best is None:
+    candidates = ((sys.t - merged.bit_count(), parents) for codim, parents, merged
+                  in _lattice(arrangement, cap, lambda codim: codim <= c) if codim == c)
+    count, parents = min(candidates, key=lambda item: item[0], default=(None, None))
+    if parents is None:
         raise DomainError(f"system has no feasible codim-{c} collision subspaces")
-    witness = _echelon(rows[p] for p in best[:2])
-    return MinDistinctResult(count=count(best), witness=_as_subspace(witness))
+    rows = list(arrangement)
+    witness = _echelon(rows[p] for p in parents[:2])
+    return MinDistinctResult(count=count, witness=_as_subspace(witness))
 
 
 # ----------------------------------------------------------- integer lattice

@@ -589,6 +589,13 @@ def test_threshold_csv(capsys, tmp_path):
     assert body[1].split(",")[3] == "2/1"
 
 
+def test_threshold_repeated_alphas_is_usage_error(capsys):
+    code, _, err = run(capsys, "threshold", "--family", "third", "--k", "3",
+                       "--alphas", "0.3,0.3,0.3")
+    assert code == 2
+    assert "error:" in err and "distinct" in err
+
+
 def test_lambda_d_json(capsys, tmp_path):
     out = tmp_path / "lam.json"
     code, text, _ = run(capsys, "lambda-d", "--N", "10007",

@@ -867,6 +867,16 @@ def test_threshold_fit_validation():
         cd.width_threshold_fit(lf.second_family(2), [0.2, 0.1, 1.5])
 
 
+@pytest.mark.parametrize("alphas, distinct", [((0.3, 0.3, 0.3), 1),
+                                               ((0.3, 0.2, 0.3, 0.2), 2)])
+def test_threshold_fit_needs_three_distinct_alphas(alphas, distinct):
+    # A fit through repeated alphas has fewer than 3 x values: (0.3,) * 3
+    # once gave slope 1.1778 from np.polyfit on a single point.
+    with pytest.raises(DomainError,
+                       match=f"^need at least 3 distinct alpha values, got {distinct}$"):
+        cd.width_threshold_fit(lf.third_family(3, 1), alphas)
+
+
 @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0])
 def test_threshold_fit_rejects_bad_target(target):
     with pytest.raises(DomainError, match="target"):

@@ -730,6 +730,64 @@ def test_lindex_cap_counts_hyperplanes_and_flats(monkeypatch):
         lf.lindex(lf.first_family(3))
 
 
+def test_caps_hold_at_the_codim_1_boundary(monkeypatch):
+    # first(2)'s lindex and min_distinct_on_codim(first(3), 1) read their
+    # hyperplanes and no flat, so a cap of exactly the hyperplanes passes.
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 6)
+    assert lf.lindex(lf.first_family(2)).subspaces_explored == 6
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 5)
+    with pytest.raises(ResourceError,
+                       match="^collision hyperplanes 6 is past the cap of 5$"):
+        lf.lindex(lf.first_family(2))
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 37)
+    assert lf.min_distinct_on_codim(lf.first_family(3), 1).count == 8
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 36)
+    with pytest.raises(ResourceError,
+                       match="^collision hyperplanes 37 is past the cap of 36$"):
+        lf.min_distinct_on_codim(lf.first_family(3), 1)
+
+
+def test_unpruned_lattice_is_every_collision_subspace_once():
+    # Asked to go deeper everywhere, _lattice yields each nonempty
+    # intersection of collision hyperplanes once, with every hyperplane
+    # containing it as its parents and t - |pi| bits in merged.
+    rng = np.random.default_rng(35)
+    systems = _benchmark_systems() + [
+        _random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 7)))
+        for _ in range(150)]
+    systems += [_random_system(rng, 3, 5, homogeneous=True) for _ in range(50)]
+    deeper = 0
+    for i, sys in enumerate(systems):
+        arrangement = lf._collision_hyperplanes(sys, math.inf)
+        rows = list(arrangement)
+        # _pair_walk_lindex's walk with its pruning line removed, noting
+        # the rows that add nothing to each subspace: those containing it.
+        containing = {}
+        frontier = [lf._echelon([row]) for row in rows]
+        seen = set(frontier)
+        while frontier:
+            next_frontier = []
+            for ech in frontier:
+                containing[ech] = []
+                for j, row in enumerate(rows):
+                    child = lf._echelon_add(ech, row)
+                    if child is ech:
+                        containing[ech].append(j)
+                    elif lf._feasible(child) and child not in seen:
+                        seen.add(child)
+                        next_frontier.append(child)
+            frontier = next_frontier
+        got = []
+        for codim, parents, merged in lf._lattice(arrangement, math.inf, lambda c: True):
+            ech = lf._echelon(rows[p] for p in parents)
+            assert codim == len(ech) and list(parents) == containing[ech], (i, parents)
+            assert sys.t - merged.bit_count() == len(_induced_atoms(sys, ech)), (i, ech)
+            got.append(ech)
+        assert len(got) == len(set(got)) == len(containing), (i, sys)
+        deeper += any(len(ech) > 2 for ech in got)
+    assert deeper > 100   # the walk past codim 2 is exercised
+
+
 def test_hyperplane_cap_stops_the_pair_loop(monkeypatch):
     # first(10) has 5,120 forms and about 1.3e7 form pairs; the cap must
     # stop the hyperplane enumeration long before it has seen them all.
