@@ -439,7 +439,7 @@ def _cmd_threshold(params):
         _family_system(params), params["alphas"], target=params["target"],
     )
     for r in fit.rows:
-        print(f"alpha = {r.alpha}: S* = {r.S_star:.1f}, dominant codim "
+        print(f"alpha = {r.alpha}: S* = {r.S_star:.6g}, dominant codim "
               f"{r.dominant_codim}, ratio {r.dominant_ratio}")
     print(f"fitted slope of log S* vs log(1/alpha): {fit.slope:.4f}")
     rows = [dataclasses.astuple(r) for r in fit.rows]

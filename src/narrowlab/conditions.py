@@ -514,21 +514,6 @@ class _DeviationEngine:
         contributions = excl * gains[self.size_index]
         return contributions, float(np.add.accumulate(contributions)[-1])
 
-    def evaluate(self, alpha, S):
-        """Terms' box and exclusive fractions, contributions, and total, as lists."""
-        fracs, excl = self.fractions(S)
-        contributions, total = self.contributions(alpha, excl)
-        return fracs.tolist(), excl.tolist(), contributions.tolist(), total
-
-    def deviation(self, alpha, S):
-        fracs, excl, contributions, total = self.evaluate(alpha, S)
-        terms = tuple(SubspaceTerm(codim, size, ratio, f, ex, c, codim == 2)
-                      for (codim, size, ratio), f, ex, c
-                      in zip(self.entries, fracs, excl, contributions))
-        dominant = max(terms, key=lambda term: term.contribution)
-        return DeviationReport(total=total, terms=terms, dominant=dominant,
-                               S=int(S), alpha=float(alpha))
-
 
 @functools.lru_cache(maxsize=1)
 def _engine(sys, cap):
@@ -545,7 +530,8 @@ def random_model_deviation(sys, alpha, S):
     they occupy times the excess alpha^(|pi| - t) - 1 of the collision
     pattern.  Codimension-1 fractions use exact point counts; codimension-2
     fractions use the lattice density approximation (terms flagged
-    approximate).
+    approximate).  The dominant term is the first with the largest
+    contribution.
     """
     if sys.t < 2:
         raise DomainError("deviation needs a system with t >= 2 forms")
@@ -555,7 +541,14 @@ def random_model_deviation(sys, alpha, S):
     S = int(S)
     if S < 2:
         raise DomainError(f"width S must be >= 2, got {S}")
-    return _engine(sys, limits.MAX_DEVIATION_SUBSPACES).deviation(alpha, S)
+    engine = _engine(sys, limits.MAX_DEVIATION_SUBSPACES)
+    fracs, excl = engine.fractions(S)
+    contributions, total = engine.contributions(alpha, excl)
+    terms = tuple(SubspaceTerm(codim, size, ratio, f, ex, c, codim == 2)
+                  for (codim, size, ratio), f, ex, c
+                  in zip(engine.entries, fracs.tolist(), excl.tolist(), contributions.tolist()))
+    return DeviationReport(total=total, terms=terms, dominant=terms[np.argmax(contributions)],
+                           S=S, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -581,9 +574,12 @@ def width_threshold_fit(sys, alphas, target=1.0):
     """Solve deviation(S) = target per alpha and fit log S* vs log(1/alpha),
     over at least 3 distinct alphas.
 
-    The deviation decreases in S; the crossing is bracketed by doubling
-    and refined by log-log interpolation.  The fitted slope estimates the
-    collision index of the system.
+    The deviation decreases in S; the crossing is bracketed by doubling,
+    no wider than the box whose codim-2 densities stay in float range
+    (NumericError past it), and refined by log-log interpolation.  Each
+    row's deviation and dominant term are random_model_deviation's at
+    S = max(2, round(S*)), read from the engine's arrays.  The fitted
+    slope estimates the collision index of the system.
     """
     alphas = [float(a) for a in alphas]
     if len(set(alphas)) < 3:
@@ -596,6 +592,8 @@ def width_threshold_fit(sys, alphas, target=1.0):
         raise DomainError(f"target must be positive and finite, got {target}")
     engine = _engine(sys, limits.MAX_DEVIATION_SUBSPACES)
     excl_at = functools.cache(lambda S: engine.fractions(S)[1])   # per width, for every alpha
+    # The widest 2S + 1 whose flat densities 1 / (covol (2S+1)^2) stay in float range.
+    widest = math.isqrt(int(np.finfo(float).max / engine.covol.max(initial=1.0)))
 
     def log_between(lo, hi, frac):   # frac of the way from lo to hi in log S
         return math.exp(math.log(lo) + frac * (math.log(hi) - math.log(lo)))
@@ -611,7 +609,7 @@ def width_threshold_fit(sys, alphas, target=1.0):
             while dev(hi) >= target:
                 prev = hi
                 hi *= 2
-                if hi > 1 << 40:
+                if 2 * hi + 1 > widest:
                     raise NumericError(
                         f"deviation never fell below {target} up to S={prev}"
                     )
@@ -645,13 +643,10 @@ def width_threshold_fit(sys, alphas, target=1.0):
                 s_star = log_between(lo, hi, frac)
             else:
                 s_star = float(lo)
-        report = engine.deviation(alpha, max(2, int(round(s_star))))
-        rows.append(ThresholdRow(
-            alpha=alpha, S_star=s_star,
-            dominant_codim=report.dominant.codim,
-            dominant_ratio=report.dominant.ratio,
-            deviation=report.total,
-        ))
+        contributions, total = engine.contributions(alpha, excl_at(max(2, int(round(s_star)))))
+        codim, _, ratio = engine.entries[np.argmax(contributions)]
+        rows.append(ThresholdRow(alpha=alpha, S_star=s_star, dominant_codim=codim,
+                                 dominant_ratio=ratio, deviation=total))
     xs = np.log([1.0 / r.alpha for r in rows])
     ys = np.log([r.S_star for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])

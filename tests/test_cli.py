@@ -589,6 +589,22 @@ def test_threshold_csv(capsys, tmp_path):
     assert body[1].split(",")[3] == "2/1"
 
 
+def test_threshold_first4_default_alphas(capsys, tmp_path):
+    # S* passes 2^40 at alpha = 0.05; the summary prints it in 6 digits.
+    out = tmp_path / "f4.csv"
+    code, text, _ = run(capsys, "threshold", "--family", "first", "--k", "4",
+                        "--out", str(out))
+    assert code == 0
+    lines = out.read_text().splitlines()
+    slope = [float(ln.split(":")[1]) for ln in lines if ln.startswith("# slope:")]
+    assert slope == [pytest.approx(12, abs=0.01)]
+    body = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    assert [row[3] for row in body] == ["12/1"] * 3
+    printed = [ln.split("S* = ")[1].split(",")[0] for ln in text.splitlines() if "S* =" in ln]
+    assert printed == [f"{float(row[1]):.6g}" for row in body]
+    assert float(body[-1][1]) > 2 ** 40
+
+
 def test_threshold_repeated_alphas_is_usage_error(capsys):
     code, _, err = run(capsys, "threshold", "--family", "third", "--k", "3",
                        "--alphas", "0.3,0.3,0.3")

@@ -4,6 +4,7 @@ import math
 import pickle
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from narrowlab import conditions as cd
 from narrowlab import limits
 from narrowlab import linforms as lf
-from narrowlab.errors import DomainError, ResourceError
+from narrowlab.errors import DomainError, NumericError, ResourceError
 from test_linforms import _random_system
 
 
@@ -683,7 +684,7 @@ def test_deviation_is_exact_at_d2_once_the_box_holds_the_point_flats():
             assert x % det == 0 and y % det == 0
             assert abs(x // det) <= S and abs(y // det) <= S
         affected += len(list(lf._codim2_flats(rows, math.inf))) > len(engine.flats)
-        got = engine.deviation(alpha, S).total
+        got = engine.contributions(alpha, engine.fractions(S)[1])[1]
         want = cd.lfc_average_exact(model, sys, None, box) - 1.0
         assert got == pytest.approx(want, rel=1e-12, abs=0), (checked, sys)
         checked += 1
@@ -711,14 +712,16 @@ def test_engine_counts_each_class_once_and_keeps_fractions_per_width():
         merged += len(engine.rows) - len(set(engine.classes))
         affine += sum(1 for row in engine.rows if row[-1])
         for S in (2, 7, 40):
-            fracs, excl, _, _ = engine.evaluate(0.3, S)
-            assert fracs[:len(engine.rows)] == [
+            fracs, excl = engine.fractions(S)
+            assert fracs[:len(engine.rows)].tolist() == [
                 cd.count_hyperplane_points(row[:-1], S, rhs=row[-1]) / (2 * S + 1) ** sys.d
                 for row in engine.rows]
-            # Fractions do not depend on alpha, and a caller's edit stays its own.
+            # Contributions leave the fractions alone, and a caller's edit stays its own.
             fracs[0] = excl[0] = -1.0
-            again, excl_again, _, _ = engine.evaluate(0.05, S)
-            assert (again, excl_again) == engine.evaluate(0.3, S)[:2]
+            again, excl_again = engine.fractions(S)
+            engine.contributions(0.05, excl_again)
+            assert ([again.tolist(), excl_again.tolist()]
+                    == [f.tolist() for f in engine.fractions(S)])
             assert again[0] != -1.0 and excl_again[0] != -1.0
     assert merged >= 100 and affine >= 100
 
@@ -759,9 +762,11 @@ def test_engine_arrays_match_the_term_loop():
                 continue
             for alpha in (0.3, 0.05):
                 for S in (2, 7, 40, 10 ** 5):
-                    got = engine.evaluate(alpha, S)
+                    fracs, excl = engine.fractions(S)
+                    contributions, total = engine.contributions(alpha, excl)
+                    got = fracs.tolist(), excl.tolist(), contributions.tolist(), total
                     assert got == _loop_evaluate(engine, alpha, S), (sys, alpha, S)
-                    assert type(got[-1]) is float
+                    assert type(total) is float
             checked += 1
             flats += len(engine.flats)
     assert checked >= 18 and flats >= 1200
@@ -858,6 +863,67 @@ def test_threshold_fit_reaches_first4():
         (3769534.3892842997, 1.0000001034068442),
     ]
     assert all((2 * int(row.S_star) + 1) ** 5 >= 1 << 63 for row in fit.rows)
+
+
+def test_threshold_rows_are_the_deviation_reports_at_their_width():
+    # Each row reads the engine's arrays at S = max(2, round(S*)); its total
+    # and first largest term must be random_model_deviation's there.
+    rng = np.random.default_rng(3636)
+    systems = [lf.third_family(3, 1), lf.third_family(3, 2), lf.second_family(2),
+               lf.first_family(3)]
+    while len(systems) < 104:
+        sys = _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(3, 7)))
+        try:
+            cd._DeviationEngine(sys)
+        except DomainError:   # no collision hyperplane holds integer points
+            continue
+        systems.append(sys)
+    for sys in systems:
+        for row in cd.width_threshold_fit(sys, (0.3, 0.2, 0.1)).rows:
+            report = cd.random_model_deviation(sys, row.alpha, max(2, round(row.S_star)))
+            assert (row.deviation, row.dominant_codim, row.dominant_ratio) == (
+                report.total, report.dominant.codim, report.dominant.ratio), sys
+
+
+def test_threshold_fit_builds_no_report(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the fit built a report object")
+    monkeypatch.setattr(cd, "SubspaceTerm", forbidden)
+    monkeypatch.setattr(cd, "DeviationReport", forbidden)
+    fit = cd.width_threshold_fit(lf.first_family(3), (0.3, 0.2, 0.1))
+    assert all(row.dominant_ratio == 4 for row in fit.rows)
+
+
+@pytest.mark.parametrize("family, args", [("first", (2,)), ("first", (3,)), ("second", (2,)),
+                                          ("second", (3,)), ("third", (3, 1)),
+                                          ("third", (3, 2))])
+def test_threshold_slope_converges_to_the_collision_index(family, args):
+    # At small alpha S* runs far past 2^40 (to about 4 * 10^18), and the
+    # engine's asymptote is the exact index.
+    sys = getattr(lf, f"{family}_family")(*args)
+    fit = cd.width_threshold_fit(sys, (1e-4, 5e-5, 2.5e-5))
+    assert fit.slope == pytest.approx(float(lf.lindex(sys).value), abs=1e-3)
+
+
+def test_threshold_bracket_stops_inside_the_float_range():
+    # The deviation never reaches 1e-300, so the bracket doubles to the
+    # widest box whose flat densities are floats and stops there: one
+    # doubling more would overflow covol * (2S+1)^2.
+    sys = lf.first_family(2)
+    engine = cd._DeviationEngine(sys)
+    top = Fraction(max(float(engine.covol.max()), 1.0))
+    widest = 4
+    while top * (2 * (2 * widest) + 1) ** 2 <= Fraction(np.finfo(float).max):
+        widest *= 2
+    assert widest > 1 << 500
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError,
+                           match=f"^deviation never fell below 1e-300 up to S={widest}$"):
+            cd.width_threshold_fit(sys, (0.3, 0.2, 0.1), target=1e-300)
+        assert np.all(engine.fractions(widest)[0] > 0)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            engine.fractions(2 * widest)
 
 
 def test_threshold_fit_validation():
