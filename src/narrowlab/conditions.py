@@ -578,8 +578,9 @@ def width_threshold_fit(sys, alphas, target=1.0):
     no wider than the box whose codim-2 densities stay in float range
     (NumericError past it), and refined by log-log interpolation.  Each
     row's deviation and dominant term are random_model_deviation's at
-    S = max(2, round(S*)), read from the engine's arrays.  The fitted
-    slope estimates the collision index of the system.
+    S = max(2, round(S*)), read from the engine's arrays; per width the fit
+    keeps only each alpha's total and dominant entry.  The fitted slope
+    estimates the collision index of the system.
     """
     alphas = [float(a) for a in alphas]
     if len(set(alphas)) < 3:
@@ -591,7 +592,28 @@ def width_threshold_fit(sys, alphas, target=1.0):
     if not (math.isfinite(target) and target > 0):
         raise DomainError(f"target must be positive and finite, got {target}")
     engine = _engine(sys, limits.MAX_DEVIATION_SUBSPACES)
-    excl_at = functools.cache(lambda S: engine.fractions(S)[1])   # per width, for every alpha
+
+    @functools.cache
+    def at(S):
+        """Per alpha, its total at width S and the entry of its first largest
+        contribution, or the NumericError it raises: numbers, not arrays."""
+        excl = engine.fractions(S)[1]
+        out = []
+        for a in alphas:
+            try:
+                contributions, total = engine.contributions(a, excl)
+            except NumericError as exc:
+                out.append(exc)
+            else:
+                out.append((total, int(np.argmax(contributions))))
+        return out
+
+    def read(j, S):   # alpha j's error is raised when alpha j reads it
+        got = at(S)[j]
+        if isinstance(got, NumericError):
+            raise got
+        return got
+
     # The widest 2S + 1 whose flat densities 1 / (covol (2S+1)^2) stay in float range.
     widest = math.isqrt(int(np.finfo(float).max / engine.covol.max(initial=1.0)))
 
@@ -599,8 +621,8 @@ def width_threshold_fit(sys, alphas, target=1.0):
         return math.exp(math.log(lo) + frac * (math.log(hi) - math.log(lo)))
 
     rows = []
-    for alpha in alphas:
-        dev = functools.cache(lambda S, a=alpha: engine.contributions(a, excl_at(S))[1])
+    for j, alpha in enumerate(alphas):
+        dev = lambda S, j=j: read(j, S)[0]
         lo = 2
         if dev(lo) < target:
             s_star = float(lo)
@@ -643,8 +665,8 @@ def width_threshold_fit(sys, alphas, target=1.0):
                 s_star = log_between(lo, hi, frac)
             else:
                 s_star = float(lo)
-        contributions, total = engine.contributions(alpha, excl_at(max(2, int(round(s_star)))))
-        codim, _, ratio = engine.entries[np.argmax(contributions)]
+        total, entry = read(j, max(2, int(round(s_star))))
+        codim, _, ratio = engine.entries[entry]
         rows.append(ThresholdRow(alpha=alpha, S_star=s_star, dominant_codim=codim,
                                  dominant_ratio=ratio, deviation=total))
     xs = np.log([1.0 / r.alpha for r in rows])

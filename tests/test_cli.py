@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from narrowlab import __version__, cli
 from narrowlab import linforms as lf
 from narrowlab import numtheory as nt
 from narrowlab import singular as sg
-from test_majorant import _hostile_headers
 
 
 def run(capsys, *argv):
@@ -472,7 +472,7 @@ def test_correlate_rejects_headers_no_build_writes(capsys, tmp_path):
     good = tmp_path / "good.bin"
     assert run(capsys, "majorant", "--N", "10007", "--out", str(good))[0] == 0
     bad = tmp_path / "bad.bin"
-    for name, blob in _hostile_headers(good.read_bytes()).items():
+    for name, blob in oracles.hostile_majorant_headers(good.read_bytes()).items():
         bad.write_bytes(blob)
         code, _, err = run(capsys, "correlate", "--table", str(bad),
                            "--h", "6", "--out", str(tmp_path / "c.csv"))

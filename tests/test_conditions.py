@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from narrowlab import conditions as cd
 from narrowlab import limits
 from narrowlab import linforms as lf
 from narrowlab.errors import DomainError, NumericError, ResourceError
-from test_linforms import _random_system
 
 
 def test_box_region_basics():
@@ -334,11 +334,7 @@ def test_hyperplane_counts_match_bruteforce():
         S = int(rng.integers(2, 7))
         rhs = int(rng.integers(-4, 5))
         cnt = cd.count_hyperplane_points(coeffs.tolist(), S, rhs=rhs)
-        brute = sum(
-            1
-            for x in itertools.product(range(-S, S + 1), repeat=d)
-            if int(np.dot(coeffs, x)) == rhs
-        )
+        brute = oracles.hyperplane_points(coeffs.tolist(), S, rhs)
         assert cnt == brute, (coeffs.tolist(), S, rhs, cnt, brute)
         checked += 1
     with pytest.raises(DomainError):
@@ -369,17 +365,6 @@ def test_hyperplane_count_exact_past_double_precision():
         cd.count_hyperplane_points([1, 1, 1, -1, -1], S, rhs=1)
 
 
-def _brute_count(a, S):
-    """Points of [-S, S]^t on a . x = 0: enumerate t-1 coordinates, solve
-    for the last."""
-    *head, last = a
-    total = 0
-    for x in itertools.product(range(-S, S + 1), repeat=len(head)):
-        q, r = divmod(-sum(u * v for u, v in zip(head, x)), last)
-        total += r == 0 and abs(q) <= S
-    return total
-
-
 def test_hyperplane_quasi_polynomial_matches_boxcar_and_brute():
     rng = np.random.default_rng(12)
     brute_on_fit = 0
@@ -392,7 +377,7 @@ def test_hyperplane_quasi_polynomial_matches_boxcar_and_brute():
             got = cd.count_hyperplane_points(a, S)
             assert got == cd._boxcar_count(a, S, 0), (a, S)
             if (2 * S + 1) ** (t - 1) <= 20000:
-                assert got == _brute_count(a, S), (a, S)
+                assert got == oracles.hyperplane_points(a, S), (a, S)
                 brute_on_fit += S >= t * p + S % p
     assert brute_on_fit >= 50
 
@@ -417,7 +402,7 @@ def test_large_period_row_at_small_width_stays_on_boxcar():
     got = cd.count_hyperplane_points(a, 60)
     assert time.perf_counter() - start < 2.0
     assert cd._ehrhart_differences.cache_info().misses == misses
-    assert got == _brute_count(a, 60)
+    assert got == oracles.hyperplane_points(a, 60)
 
 
 def test_two_coordinate_rows_keep_their_closed_form_counts():
@@ -475,8 +460,7 @@ def test_boxcar_cap_counts_its_longest_array(monkeypatch, a, S, rhs):
         cd._boxcar_count(a, S, rhs)
     assert spy.longest == 0
     monkeypatch.undo()
-    assert want == sum(1 for x in itertools.product(range(-S, S + 1), repeat=len(a))
-                       if sum(c * v for c, v in zip(a, x)) == rhs)
+    assert want == oracles.hyperplane_points(a, S, rhs)
 
 
 def _boxcar_convolve_reference(pmf, step, S):
@@ -577,10 +561,8 @@ def test_hyperplane_count_is_zero_when_gcd_misses_rhs():
     assert cd.count_hyperplane_points([2, 4, 6, 8, 10], 10 ** 6, rhs=1) == 0
     assert time.perf_counter() - start < 1.0
     assert cd.count_hyperplane_points([0, 3, -6], 5, rhs=4) == 0
-    assert cd.count_hyperplane_points([0, 3, -6], 5, rhs=3) == 11 * sum(
-        1 for x, y in itertools.product(range(-5, 6), repeat=2)
-        if 3 * x - 6 * y == 3
-    )
+    assert cd.count_hyperplane_points([0, 3, -6], 5, rhs=3) == oracles.hyperplane_points(
+        [0, 3, -6], 5, 3)
 
 
 def test_deviation_frozen_value_first_family():
@@ -671,7 +653,7 @@ def test_deviation_is_exact_at_d2_once_the_box_holds_the_point_flats():
     box = cd.symmetric_box(2, S)
     checked = affected = 0
     while checked < 40:
-        sys = _random_system(rng, 2, int(rng.integers(3, 6)))
+        sys = oracles.random_system(rng, 2, int(rng.integers(3, 6)))
         try:
             engine = cd._DeviationEngine(sys)
         except DomainError:   # no collision hyperplane holds integer points
@@ -700,7 +682,7 @@ def test_engine_counts_each_class_once_and_keeps_fractions_per_width():
     rng = np.random.default_rng(3131)
     merged = affine = 0
     for _ in range(20):
-        base = _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+        base = oracles.random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
         forms = {(f.coeffs, f.constant) for f in base.forms}
         forms |= {((-a[0],) + a[1:], -b) for a, b in forms}
         sys = lf.LinearSystem(d=base.d, forms=tuple(
@@ -754,7 +736,7 @@ def test_engine_arrays_match_the_term_loop():
     checked = flats = 0
     for homogeneous in (False, True):
         for _ in range(10):
-            sys = _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(4, 9)),
+            sys = oracles.random_system(rng, int(rng.integers(2, 5)), int(rng.integers(4, 9)),
                                  homogeneous=homogeneous)
             try:
                 engine = cd._DeviationEngine(sys)
@@ -872,7 +854,7 @@ def test_threshold_rows_are_the_deviation_reports_at_their_width():
     systems = [lf.third_family(3, 1), lf.third_family(3, 2), lf.second_family(2),
                lf.first_family(3)]
     while len(systems) < 104:
-        sys = _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(3, 7)))
+        sys = oracles.random_system(rng, int(rng.integers(2, 5)), int(rng.integers(3, 7)))
         try:
             cd._DeviationEngine(sys)
         except DomainError:   # no collision hyperplane holds integer points
@@ -924,6 +906,22 @@ def test_threshold_bracket_stops_inside_the_float_range():
         assert np.all(engine.fractions(widest)[0] > 0)
         with pytest.raises(RuntimeWarning, match="overflow"):
             engine.fractions(2 * widest)
+
+
+def test_threshold_fit_keeps_numbers_per_width():
+    # A refused fit brackets about 500 widths; it keeps each alpha's total
+    # and dominant entry per width, not the width's fractions (first(3)
+    # peaked at 1.65 MB when it kept them, first(4) at 144 MB).
+    sys = lf.first_family(3)
+    cd._engine(sys, limits.MAX_DEVIATION_SUBSPACES)   # built outside the trace
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericError, match="^deviation never fell below 1e-300"):
+            cd.width_threshold_fit(sys, (0.3, 0.2, 0.1), target=1e-300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2 ** 20
 
 
 def test_threshold_fit_validation():

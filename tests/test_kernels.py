@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from narrowlab import aplab as ap
 from narrowlab import numtheory as nt
 
@@ -13,36 +14,6 @@ def _packed_ap_count(flags, k, d):
     """packed_ap_count over the words of flags: n with flags[n + j*d] set
     for all j in [0, k), no wraparound."""
     return ap.packed_ap_count(nt.pack_bits(flags), len(flags) - (k - 1) * d, k, d)
-
-
-def _direct_ap_count(flags, k, d):
-    return sum(
-        1
-        for start in range(len(flags) - (k - 1) * d)
-        if all(flags[start + j * d] for j in range(k))
-    )
-
-
-def _brute_cyclic_count(sets, D):
-    n = len(sets[0])
-    return sum(
-        1
-        for d in range(1, D + 1)
-        for start in range(n)
-        if all(s[(start + j * d) % n] for j, s in enumerate(sets))
-    )
-
-
-def _brute_lambda(fs, D):
-    n = len(fs[0])
-    total = 0.0
-    for d in range(1, D + 1):
-        for start in range(n):
-            prod = 1.0
-            for j, f in enumerate(fs):
-                prod *= f[(start + j * d) % n]
-            total += prod
-    return total / (n * D)
 
 
 # Word-boundary lengths for the packed kernels, then seeded random ones.
@@ -61,7 +32,7 @@ def test_cyclic_count_matches_brute_force():
             sets = [rng.random(n) < 0.7 for _ in range(k)]
             for D in _differences(n):
                 got = ap.cyclic_ap_count(sets, D)
-                assert got == _brute_cyclic_count(sets, D), (n, k, D)
+                assert got == oracles.cyclic_ap_count(sets, D), (n, k, D)
 
 
 def test_cyclic_count_composite_moduli_matches_brute_force():
@@ -73,7 +44,7 @@ def test_cyclic_count_composite_moduli_matches_brute_force():
             sets = [rng.random(n) < 0.75 for _ in range(k)]
             for D in (1, 63, 64, 65, n - 1):
                 got = ap.cyclic_ap_count(sets, D)
-                assert got == _brute_cyclic_count(sets, D), (n, k, D)
+                assert got == oracles.cyclic_ap_count(sets, D), (n, k, D)
             sets[0] = np.zeros(n, dtype=bool)
             assert ap.cyclic_ap_count(sets, 65) == 0, (n, k)
 
@@ -84,13 +55,7 @@ def test_cyclic_count_matches_rolled_sets():
     n, D = 10007, 2000
     for k in (3, 4):
         sets = [rng.random(n) < 0.3 for _ in range(k)]
-        want = 0
-        for d in range(1, D + 1):
-            v = sets[0].copy()
-            for j in range(1, k):
-                v &= np.roll(sets[j], -j * d)
-            want += int(v.sum())
-        assert ap.cyclic_ap_count(sets, D) == want, k
+        assert ap.cyclic_ap_count(sets, D) == oracles.cyclic_ap_count(sets, D), k
 
 
 def test_lambda_sweep_over_many_blocks_matches_brute_force(monkeypatch):
@@ -104,7 +69,7 @@ def test_lambda_sweep_over_many_blocks_matches_brute_force(monkeypatch):
     for k in (1, 2, 3, 4):
         fs = [rng.uniform(-1.0, 1.0, n) for _ in range(k)]
         got = ap.lambda_sweep(np.vstack(fs), D)
-        assert got == pytest.approx(_brute_lambda(fs, D), rel=1e-12, abs=1e-15), k
+        assert got == pytest.approx(oracles.lambda_D(fs, D), rel=1e-12, abs=1e-15), k
     # NaN and inf are not scaled indicators: lambda_D sweeps them densely.
     # At k >= 5 f_0 and f_2 are folded into one operand before the sum.
     base = rng.uniform(0.5, 1.0, n)
@@ -115,7 +80,7 @@ def test_lambda_sweep_over_many_blocks_matches_brute_force(monkeypatch):
             fs = [base] * k
             fs[at] = f
             got = ap.lambda_D(fs, D)
-            assert want(got) and want(_brute_lambda(fs, D)), (bad, k, at)
+            assert want(got) and want(oracles.lambda_D(fs, D)), (bad, k, at)
 
 
 def test_lambda_sweep_infinite_pivot_entry_matches_brute_force():
@@ -135,7 +100,7 @@ def test_lambda_sweep_infinite_pivot_entry_matches_brute_force():
             for first, want in firsts:
                 fs = [first, pivot] + [positive] * (k - 2)
                 got = ap.lambda_sweep(np.vstack(fs), D)
-                brute = _brute_lambda(fs, D)
+                brute = oracles.lambda_D(fs, D)
                 assert want(got) and want(brute), k
                 assert math.isnan(got) or got == brute, k
 
@@ -158,7 +123,7 @@ def test_lambda_d_non_finite_pivot_past_the_first_block(monkeypatch):
                 for k in (3, 5):
                     for first in firsts:
                         fs = [first, pivot] + [positive] * (k - 2)
-                        got, brute = ap.lambda_D(fs, D), _brute_lambda(fs, D)
+                        got, brute = ap.lambda_D(fs, D), oracles.lambda_D(fs, D)
                         assert not math.isfinite(brute), (bad, at, k)
                         assert got == brute or math.isnan(got) and math.isnan(brute), \
                             (bad, at, k, got, brute)
@@ -186,7 +151,7 @@ def test_lambda_sweep_matches_brute_force_at_every_block_size(monkeypatch):
         for k in range(1, 7):
             fs = [rng.uniform(-1.0, 1.0, n) for _ in range(k)]
             for D in _differences(n):
-                want = _brute_lambda(fs, D)
+                want = oracles.lambda_D(fs, D)
                 for entries in (D // 2, D, 7 * D, 302 * D):
                     monkeypatch.setattr(ap, "SWEEP_ENTRIES", entries)
                     got = ap.lambda_sweep(np.vstack(fs), D)
@@ -207,7 +172,7 @@ def test_lambda_d_scaled_indicators_bitset_dense_brute():
                 for D in _differences(n):
                     got = ap.lambda_D(fs, D)
                     dense = ap.lambda_sweep(np.vstack(fs), D)
-                    brute = _brute_lambda(fs, D)
+                    brute = oracles.lambda_D(fs, D)
                     assert got == pytest.approx(dense, rel=1e-12, abs=1e-15), (n, k, D)
                     assert got == pytest.approx(brute, rel=1e-12, abs=1e-15), (n, k, D)
                     if zero:   # +0.0 as the dense sweep gives, even with negative scales
@@ -260,16 +225,7 @@ def test_ap_count_across_word_boundaries():
                 d = int(rng.integers(1, 70))
                 flags = rng.random(starts + (k - 1) * d) < 0.8
                 got = _packed_ap_count(flags, k, d)
-                assert got == _direct_ap_count(flags, k, d), (k, starts, d)
-
-
-def _trial_spf(n):
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 1
-    return 0
+                assert got == oracles.ap_count(flags, k, d), (k, starts, d)
 
 
 def test_ap_count_matches_direct_enumeration():
@@ -279,7 +235,7 @@ def test_ap_count_matches_direct_enumeration():
             flags = rng.random(int(rng.integers(1, 600))) < rng.uniform(0.2, 0.9)
             d = int(rng.integers(1, 80))
             got = _packed_ap_count(flags, k, d)
-            assert got == _direct_ap_count(flags, k, d), (k, trial, d, len(flags))
+            assert got == oracles.ap_count(flags, k, d), (k, trial, d, len(flags))
 
 
 def test_ap_count_paths_agree():
@@ -289,7 +245,7 @@ def test_ap_count_paths_agree():
     flags = rng.random(5000) < 0.2
     for k in (2, 3, 4):
         for d in (1, 6, 30):
-            assert _packed_ap_count(flags, k, d) == _direct_ap_count(flags, k, d), (k, d)
+            assert _packed_ap_count(flags, k, d) == oracles.ap_count(flags, k, d), (k, d)
 
 
 def test_spf_segment_matches_trial_division():
@@ -303,29 +259,17 @@ def test_spf_segment_matches_trial_division():
         base = nt._bootstrap_primes(int(hi ** 0.5) + 1)
         seg = np.full(size, 12345, dtype=np.uint32)
         nt.spf_segment(seg, lo, base)
-        want = [_trial_spf(n) or n for n in range(lo, hi)]
-        assert seg.tolist() == want, (trial, lo, size)
+        assert np.array_equal(seg, oracles.trial_spf(lo, hi)), (trial, lo, size)
 
 
-def _trial_spf_array(limit):
-    """spf[0..limit] by trial division by every p >= 2: each n's least
-    divisor above 1, stored last; 0 and 1 stay themselves."""
-    n = np.arange(limit + 1)
-    spf = n.copy()
-    for p in range(math.isqrt(limit), 1, -1):
-        spf[(n % p == 0) & (n > p)] = p
-    return spf
-
-
-def test_spf_segment_at_wheel_period_edges_matches_trial_division():
+def test_spf_segment_at_wheel_period_edges_matches_trial_division(spf_table):
     # Starts at, one past and one before a period edge put the wheel at
     # offsets 0, 1 and WHEEL - 1; lengths below one period leave no whole
     # row, two periods leave no tail, and two periods + 1 both.
-    want = _trial_spf_array(4 * nt.WHEEL + 2)
     for lo in (0, 1, nt.WHEEL - 1, nt.WHEEL, 2 * nt.WHEEL + 1):
         for size in (1, 7, nt.WHEEL - 1, 2 * nt.WHEEL, 2 * nt.WHEEL + 1):
             hi = lo + size
             base = nt._bootstrap_primes(math.isqrt(hi - 1))
             seg = np.full(size, 12345, dtype=np.uint32)
             nt.spf_segment(seg, lo, base)
-            assert np.array_equal(seg, want[lo:hi]), (lo, size)
+            assert np.array_equal(seg, spf_table[lo:hi]), (lo, size)

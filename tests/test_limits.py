@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from narrowlab import conditions as cd
 from narrowlab import limits
 from narrowlab import linforms as lf
 from narrowlab.errors import ResourceError
-from test_linforms import _random_system
 
 SRC = pathlib.Path(limits.__file__).parent
 
@@ -97,7 +97,7 @@ def test_closure_walk_cap_counts_explored_subspaces(monkeypatch):
     # 15 hyperplanes and 65 codim-2 flats, then the walk goes deeper: the
     # 5 form differences have rank 4, so the nullity bound leaves codim 3
     # open.
-    sys = _random_system(np.random.default_rng(5), 3, 6)
+    sys = oracles.random_system(np.random.default_rng(5), 3, 6)
     assert lf.lindex(sys).subspaces_explored == 166
     monkeypatch.setattr(limits, "MAX_SUBSPACES", 166)
     assert lf.lindex(sys).subspaces_explored == 166

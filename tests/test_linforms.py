@@ -1,66 +1,17 @@
-import hashlib
 import itertools
-import json
 import math
-import random
 import time
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from narrowlab import conditions as cd
 from narrowlab import limits
 from narrowlab import linforms as lf
 from narrowlab.errors import DomainError, ResourceError, UnsupportedError
-
-
-def _random_system(rng, d, t, homogeneous=False):
-    forms = set()
-    while len(forms) < t:
-        coeffs = tuple(int(v) for v in rng.integers(-3, 4, size=d))
-        constant = 0 if homogeneous else int(rng.integers(-2, 3))
-        forms.add((coeffs, constant))
-    return lf.LinearSystem(
-        d=d,
-        forms=tuple(lf.LinearForm(coeffs=c, constant=b) for c, b in sorted(forms)),
-    )
-
-
-def _induced_atoms(sys, ech):
-    """Canonical atoms of the forms that agree as functions on the echelon.
-
-    The oracle that the form-pair partitions of lindex, min_distinct_on_codim
-    and the deviation engine are checked against.  Forms are grouped by
-    their residue modulo the functionals (a, -rhs) of the rows: den * v
-    minus, per row, v at the row's pivot times den / pivot entry times the
-    functional, where den is the lcm of the pivot entries.  Each row has
-    zeros in the other pivot columns, so the residue vanishes in every
-    pivot column but the rhs one.  Columns are computed over all forms at
-    once.
-    """
-    den = math.lcm(*(r[p] for p, r in ech))
-    cols = list(zip(*(f.functional() for f in sys.forms)))
-    last = len(cols) - 1
-    zero = {p for p, r in ech} - {last}
-    keys = []
-    for c, col in enumerate(cols):
-        if c in zero:
-            continue
-        res = [den * v for v in col]
-        for p, r in ech:
-            w = r[c] * (den // r[p])
-            if w:
-                if c == last:
-                    w = -w
-                res = [x - w * y for x, y in zip(res, cols[p])]
-        keys.append(res)
-    groups = {}
-    for idx, key in enumerate(zip(*keys)):
-        groups.setdefault(key, []).append(idx)
-    return tuple(tuple(g) for g in groups.values())
 
 
 def test_linear_form_basics():
@@ -146,7 +97,7 @@ def test_subspace_and_induced_partition():
     pi = lf.FormPartition(atoms=((0, 1), (2,), (3,)))
     ech = lf._echelon(lf._constraint_rows(sys2, pi))
     assert lf._feasible(ech) and len(ech) == 1
-    assert (0, 1) in _induced_atoms(sys2, ech)
+    assert (0, 1) in oracles.induced_atoms(sys2, ech)
 
 
 def test_induced_partition_of_empty_subspace_keeps_constants_apart():
@@ -158,7 +109,7 @@ def test_induced_partition_of_empty_subspace_keeps_constants_apart():
     )
     ech = lf._echelon(lf._constraint_rows(shifted, lf.FormPartition(atoms=((0, 1),))))
     assert not lf._feasible(ech) and ech == ((1, (0, 1)),)
-    assert _induced_atoms(shifted, ech) == ((0,), (1,))
+    assert oracles.induced_atoms(shifted, ech) == ((0,), (1,))
 
 
 def test_lindex_family_values():
@@ -178,7 +129,7 @@ def test_lindex_family_values():
 
 def test_lindex_witness_is_consistent():
     rng = np.random.default_rng(7)
-    randoms = [_random_system(rng, 3, 6) for _ in range(10)]
+    randoms = [oracles.random_system(rng, 3, 6) for _ in range(10)]
     for sys in (lf.first_family(2), lf.first_family(3), lf.third_family(3, 1),
                 *randoms):
         res = lf.lindex(sys)
@@ -214,7 +165,7 @@ def test_lindex_matches_bruteforce_on_random_systems():
     for trial in range(25):
         d = int(rng.integers(2, 5))
         t = int(rng.integers(3, 7))
-        sys = _random_system(rng, d, t)
+        sys = oracles.random_system(rng, d, t)
         assert lf.lindex(sys).value == lf.lindex_bruteforce(sys), (trial, sys)
 
 
@@ -279,7 +230,7 @@ def test_min_distinct_witness_keeps_the_constant_sign():
 def test_min_distinct_witness_realizes_count_with_constants():
     rng = np.random.default_rng(1509)
     for trial in range(20):
-        sys = _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(3, 7)))
+        sys = oracles.random_system(rng, int(rng.integers(2, 5)), int(rng.integers(3, 7)))
         for c in (1, 2):
             res = lf.min_distinct_on_codim(sys, c)
             assert res.witness.codim == c
@@ -287,41 +238,18 @@ def test_min_distinct_witness_realizes_count_with_constants():
             assert _distinct_values(sys, x) == res.count, (trial, c, sys)
 
 
-def _pairwise_codim2_flats(hyperplanes):
-    """The codim-2 reader as it was before it streamed: every pair of
-    hyperplanes meets by _echelon_add, and one dict holds every flat's
-    echelon with its ascending parents, in the order the pairs first
-    produce the flat."""
-    lines = [lf._echelon([row]) for row in hyperplanes]
-    flats = {}
-    for (i, hi), (j, hj) in itertools.combinations(enumerate(lines), 2):
-        ech = lf._echelon_add(hi, hj[0][1])
-        if len(ech) == 2 and lf._feasible(ech):
-            parents = flats.setdefault(ech, [i])
-            if parents[0] == i:
-                parents.append(j)
-    return list(flats.items())
-
-
-def _flat_echelons(hyperplanes):
-    """(echelon, parents) of each flat the codim-2 reader yields."""
-    rows = list(hyperplanes)
-    return [(lf._echelon(rows[p] for p in parents[:2]), parents)
-            for parents in lf._codim2_flats(rows, math.inf)]
-
-
-def test_codim2_reader_matches_the_pairwise_flats():
+def test_codim2_reader_matches_the_pairwise_flats(benchmark_systems):
     rng = np.random.default_rng(26)
     systems = [lf.first_family(k) for k in (2, 3, 4)]
     systems += [lf.second_family(k) for k in (2, 3, 4)]
     systems += [lf.third_family(k, j) for k in (3, 4) for j in range(1, k + 1)]
-    systems += _benchmark_systems()
-    systems += [_random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 8)))
+    systems += benchmark_systems
+    systems += [oracles.random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 8)))
                 for _ in range(300)]
     multi = 0
     for i, sys in enumerate(systems):
         rows = list(lf._collision_hyperplanes(sys, math.inf))
-        want = _pairwise_codim2_flats(rows)
+        want = oracles.pairwise_flats(rows)
         got = list(lf._codim2_flats(rows, math.inf))
         assert got == [parents for _, parents in want], (i, sys)
         for parents, (flat, _) in zip(got, want):
@@ -358,14 +286,15 @@ def test_min_distinct_cap_counts_hyperplanes_and_flats(monkeypatch):
 
 
 def test_codim2_flat_parents_are_the_containing_hyperplanes():
-    mixed = _random_system(np.random.default_rng(3), 3, 6)
+    mixed = oracles.random_system(np.random.default_rng(3), 3, 6)
     assert any(row[-1] % math.gcd(*row[:-1])
                for row in lf._collision_hyperplanes(mixed, math.inf))
     for sys in (lf.first_family(3), mixed):
-        hyperplanes = lf._collision_hyperplanes(sys, math.inf)
+        hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
         for row in hyperplanes:
             assert math.gcd(*row) == 1 and next(v for v in row if v) > 0
-        flats = _flat_echelons(hyperplanes)
+        flats = [(lf._echelon(hyperplanes[p] for p in parents[:2]), parents)
+                 for parents in lf._codim2_flats(hyperplanes, math.inf)]
         assert len({flat for flat, parents in flats}) == len(flats) > 0
         for flat, parents in flats:
             assert len(flat) == 2 and len(parents) >= 2
@@ -382,11 +311,11 @@ def test_lindex_first2_is_certified_at_codim_1():
     # nu = 0 and no subspace of codim c merges more than c forms: the 6
     # hyperplanes reach ratio 1 and no flat is explored.
     sys = lf.first_family(2)
-    assert _nullity(sys) == 0
+    assert oracles.nullity(sys) == 0
     res = lf.lindex(sys)
     assert (res.value, res.codim, res.subspaces_explored) == (1, 1, 6)
     assert len(lf._collision_hyperplanes(sys, math.inf)) == 6
-    assert _closure_walk_lindex(sys)[0][3] == 13   # 6 hyperplanes, 7 flats
+    assert oracles.closure_walk(sys, "t-1")[0][3] == 13   # 6 hyperplanes, 7 flats
 
 
 def test_lindex_first4_anchor():
@@ -395,210 +324,78 @@ def test_lindex_first4_anchor():
     assert res.subspaces_explored == 36770
 
 
-def _pair_walk_lindex(sys):
-    """lindex as it walked codim 2 before reading _codim2_flats: every
-    hyperplane meets every row, against a set of the subspaces seen."""
-    t = sys.t
-    hyperplanes = lf._collision_hyperplanes(sys, math.inf)
-    generators = [lf._echelon([row]) for row in hyperplanes]
-    best, witness, codim = Fraction(0), None, 0
-    seen = set(generators)
-
-    def evaluate(ech):
-        nonlocal best, witness, codim
-        atoms = _induced_atoms(sys, ech)
-        if len(atoms) < t and Fraction(t - len(atoms), len(ech)) > best:
-            best = Fraction(t - len(atoms), len(ech))
-            witness, codim = lf.FormPartition(atoms=atoms), len(ech)
-
-    for g in generators:
-        evaluate(g)
-    frontier = generators
-    while frontier:
-        next_frontier = []
-        for ech in frontier:
-            if Fraction(t - 1, len(ech) + 1) <= best:
-                continue
-            for row in hyperplanes:
-                child = lf._echelon_add(ech, row)
-                if lf._feasible(child) and child not in seen:
-                    seen.add(child)
-                    evaluate(child)
-                    next_frontier.append(child)
-        frontier = next_frontier
-    return best, witness, codim, len(seen)
+def _fewer_than_recorded(results, recorded, cell):
+    """Check lindex's results against one cell of the recorded (t - 1) /
+    codim walk: the same value, witness and codim on each system, from no
+    more subspaces.  Returns how many took fewer."""
+    got = [(r.value, r.witness, r.codim) for r in results]
+    assert oracles.walk_digest(got) == recorded["digest"], cell
+    assert len(recorded["explored"]) == len(results), cell
+    fewer = 0
+    for i, (r, old) in enumerate(zip(results, recorded["explored"])):
+        assert r.subspaces_explored <= old, (cell, i)
+        fewer += r.subspaces_explored < old
+    return fewer
 
 
-def test_lindex_matches_the_pair_walk_on_random_systems():
-    # The pair walk prunes by (t - 1) / codim, so it explores at least as
-    # many subspaces as lindex.  The homogeneous d = 3, t = 5 systems have
-    # nu >= 1, so their walks can pass codim 2.
-    rng = np.random.default_rng(16)
-    systems = [_random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
-               for _ in range(300)]
-    systems += [_random_system(rng, 3, 5, homogeneous=True) for _ in range(70)]
+def test_lindex_matches_the_closure_walks_on_random_systems(recorded_walks):
+    # The closure walk that prunes by the nullity bound scores exactly the
+    # subspaces lindex does; the one that prunes by (t - 1) / codim, as
+    # recorded, gives the same result from at least as many.  The
+    # homogeneous d = 3, t = 5 systems have nu >= 1, so their walks can
+    # pass codim 2.
+    results = []
     deeper = 0
-    for trial, sys in enumerate(systems):
+    for trial, sys in enumerate(oracles.random_corpus()):
         res = lf.lindex(sys)
-        *want, explored = _pair_walk_lindex(sys)
-        assert [res.value, res.witness, res.codim] == want, (trial, sys)
-        assert res.subspaces_explored <= explored, (trial, sys)
-        hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
-        flats = list(lf._codim2_flats(hyperplanes, math.inf))
-        deeper += res.subspaces_explored > len(hyperplanes) + len(flats)
+        want, scored = oracles.closure_walk(sys, "nullity")
+        assert (res.value, res.witness, res.codim, res.subspaces_explored) == want, (trial, sys)
+        results.append(res)
+        deeper += any(len(ech) > 2 for ech, _, _ in scored)
+    _fewer_than_recorded(results, recorded_walks["random"], "random")
     assert deeper > 50   # the closure walk past codim 2 is exercised too
 
 
-def _nullity(sys):
-    """nu = t - 1 minus the rank of the augmented differences f_a - f_0,
-    by Fraction elimination, independent of lf._echelon."""
-    f0 = sys.forms[0].functional()
-    rows = [[Fraction(x - y) for x, y in zip(f.functional(), f0)] for f in sys.forms[1:]]
-    rank = 0
-    for col in range(sys.d + 1):
-        pivot = next((r for r in rows if r[col]), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in rows]
-        rank += 1
-    return sys.t - 1 - rank
-
-
-def _bound(t, codim, nu):
-    """The ratio no subspace of codim codim can pass: (t - 1) / codim, or
-    min(t - 1, codim + nu) / codim given the nullity nu."""
-    return Fraction(t - 1 if nu is None else min(t - 1, codim + nu), codim)
-
-
-def _closure_walk_lindex(sys, nu=None):
-    """lindex as it was before subspaces carried their containing
-    hyperplanes: partitions from _induced_atoms, and a closure walk that
-    adds every hyperplane row to every subspace it expands.  It prunes by
-    (t - 1) / codim, or, given nu, by the nullity bound.  Returns the
-    result and the echelons it scored, in order."""
-    t = sys.t
-    hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
-    best, witness, codim = Fraction(0), None, 0
-    scored = []
-
-    def evaluate(ech):
-        nonlocal best, witness, codim
-        scored.append(ech)
-        atoms = _induced_atoms(sys, ech)
-        if len(atoms) < t and Fraction(t - len(atoms), len(ech)) > best:
-            best = Fraction(t - len(atoms), len(ech))
-            witness, codim = lf.FormPartition(atoms=atoms), len(ech)
-
-    for row in hyperplanes:
-        evaluate(lf._echelon([row]))
-    frontier = ([flat for flat, _ in _flat_echelons(hyperplanes)]
-                if _bound(t, 2, nu) > best else [])
-    for flat in frontier:
-        evaluate(flat)
-    seen = set()
-    while frontier:
-        next_frontier = []
-        for ech in frontier:
-            if _bound(t, len(ech) + 1, nu) <= best:
-                continue
-            for row in hyperplanes:
-                child = lf._echelon_add(ech, row)
-                if child is ech or not lf._feasible(child) or child in seen:
-                    continue
-                seen.add(child)
-                evaluate(child)
-                next_frontier.append(child)
-        frontier = next_frontier
-    return (best, witness, codim, len(scored)), scored
-
-
-def test_lindex_matches_the_closure_walk_and_its_partitions():
+def test_lindex_matches_the_closure_walk_and_its_partitions(recorded_walks):
     # The walk with the nullity bound gives the exact count; the walk with
-    # (t - 1) / codim the same result from at least as many subspaces.
-    rng = np.random.default_rng(17)
-    systems = _benchmark_systems() + [
-        _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
-        for _ in range(300)]
-    systems += [_random_system(rng, 3, 5, homogeneous=True) for _ in range(150)]
+    # (t - 1) / codim, as recorded, the same result from at least as many
+    # subspaces.
+    results = []
     deeper = 0
-    for i, sys in enumerate(systems):
+    for i, sys in enumerate(oracles.partitions_corpus()):
         res = lf.lindex(sys)
         got = (res.value, res.witness, res.codim, res.subspaces_explored)
-        want, scored = _closure_walk_lindex(sys, _nullity(sys))
+        want, scored = oracles.closure_walk(sys, "nullity")
         assert got == want, (i, sys)
-        old = _closure_walk_lindex(sys)[0]
-        assert got[:3] == old[:3] and got[3] <= old[3], (i, sys)
-        deeper += any(len(ech) > 2 for ech in scored)
+        results.append(res)
+        deeper += any(len(ech) > 2 for ech, _, _ in scored)
         # The pairs of the hyperplanes containing a subspace give its
         # induced atoms on every subspace lindex scores, and the popcount
         # of the OR of their later masks its size.
-        arrangement = lf._collision_hyperplanes(sys, math.inf)
-        pairs = list(arrangement.values())
+        pairs = list(lf._collision_hyperplanes(sys, math.inf).values())
         later = lf._later_masks(pairs)
-        for ech in scored:
-            inside = [j for j, row in enumerate(arrangement)
-                      if lf._echelon_add(ech, row) is ech]
+        for ech, inside, want_atoms in scored:
             size, atoms = lf._joined(sys.t, (pairs[j] for j in inside))
-            want_atoms = _induced_atoms(sys, ech)
             merged = lf._merged(later, inside)
             assert sys.t - merged.bit_count() == size == len(want_atoms), (i, ech)
             assert lf.FormPartition(atoms=atoms) == lf.FormPartition(atoms=want_atoms)
+    _fewer_than_recorded(results, recorded_walks["partitions"], "partitions")
     assert deeper > 100   # the closure walk past codim 2 is exercised too
 
 
-# Seeded affine systems per (d, t): fewer where t = 7 or 8 and d >= 3, where
-# one lindex call takes 0.01-0.3 s and one closure walk 0.1-2.4 s.
-SWEEP_CELLS = {(d, t): 65 for d in (2, 3, 4, 5) for t in range(2, 7)}
-SWEEP_CELLS.update({(2, 7): 60, (3, 7): 30, (4, 7): 30, (5, 7): 60,
-                    (2, 8): 20, (3, 8): 10, (4, 8): 3, (5, 8): 3})
-SWEEP_FILE = Path(__file__).parent / "data" / "lindex_sweep.json"
-
-
-def _sweep_digest(results):
-    """sha256 of the (value, witness, codim) of each result, in order."""
-    h = hashlib.sha256()
-    for value, witness, codim, *_ in results:
-        h.update(f"{value} {witness and witness.atoms} {codim}\n".encode())
-    return h.hexdigest()
-
-
-def _sweep_systems():
-    rng = np.random.default_rng(1500)
-    return {f"{d},{t}": [_random_system(rng, d, t) for _ in range(n)]
-            for (d, t), n in SWEEP_CELLS.items()}
-
-
-def _record_sweep():
-    """Write SWEEP_FILE from the closure walk that prunes by (t - 1) / codim.
-    Takes about a minute: PYTHONPATH=src python tests/test_linforms.py"""
-    record = {}
-    for cell, systems in _sweep_systems().items():
-        results = [_closure_walk_lindex(sys)[0] for sys in systems]
-        record[cell] = {"digest": _sweep_digest(results),
-                        "explored": [r[3] for r in results]}
-    lines = [f"{json.dumps(cell)}: {json.dumps(v)}" for cell, v in record.items()]
-    SWEEP_FILE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-
-
-def test_lindex_matches_the_recorded_closure_walk_sweep():
+def test_lindex_matches_the_recorded_closure_walk_sweep(recorded_walks):
     # 1,516 systems over d = 2..5 and t = 2..8: lindex, pruning by the
     # nullity bound, gives the (t - 1) / codim walk's value, witness and
     # codim on each, from no more subspaces.
-    assert sum(SWEEP_CELLS.values()) == 1516
-    recorded = json.loads(SWEEP_FILE.read_text())
+    assert sum(oracles.SWEEP_CELLS.values()) == 1516
     fewer = 0
-    for cell, systems in _sweep_systems().items():
-        results = [lf.lindex(sys) for sys in systems]
-        got = [(r.value, r.witness, r.codim) for r in results]
-        assert _sweep_digest(got) == recorded[cell]["digest"], cell
-        for i, (r, old) in enumerate(zip(results, recorded[cell]["explored"])):
-            assert r.subspaces_explored <= old, (cell, i)
-            fewer += r.subspaces_explored < old
+    for cell, systems in oracles.sweep_corpus().items():
+        fewer += _fewer_than_recorded([lf.lindex(sys) for sys in systems],
+                                      recorded_walks[cell], cell)
     assert fewer > 500   # the bound prunes on many of them
 
 
-def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch):
+def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch, benchmark_systems):
     # Every _eliminate call the walk makes returns the rows of one subspace:
     # a hyperplane's from a dict of raw rows, a child's from its parent's.
     # Each kept row must be the primitive reduction of its raw row by the
@@ -607,8 +404,8 @@ def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch):
     # misses it).  The recorder skips the calls made inside lindex's one
     # _echelon, which reduces the form differences for the nullity bound.
     rng = np.random.default_rng(27)
-    systems = _benchmark_systems() + [
-        _random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 8)))
+    systems = list(benchmark_systems) + [
+        oracles.random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 8)))
         for _ in range(200)]
     eliminate, echelon = lf._eliminate, lf._echelon
     deeper = 0
@@ -657,67 +454,38 @@ def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch):
     assert deeper > 1000   # expanded subspaces past codim 2
 
 
-def _big_system(rng, d, t, homogeneous=False):
-    """A seeded system whose coefficients and constants pass 2^63.
-
-    A small random system is mapped by x -> M x with a big nonsingular M,
-    scaled by B > 2^64 and shifted by one big form g added to every form.
-    Form differences are B times the old ones composed with M, so the
-    collision lattice, and lindex, are the small system's.
-    """
-    small = _random_system(rng, d, t, homogeneous)
-    big = random.Random(int(rng.integers(1 << 62)))
-    while True:
-        M = [[big.randrange(-1 << 40, 1 << 40) for _ in range(d)] for _ in range(d)]
-        if lf._int_det(M):
-            break
-    B = (1 << 64) + big.randrange(1 << 20)
-    g = [big.randrange(-1 << 80, 1 << 80) for _ in range(d + 1)]
-    forms = []
-    for f in small.forms:
-        coeffs = [B * sum(f.coeffs[i] * M[i][k] for i in range(d)) + g[k]
-                  for k in range(d)]
-        forms.append(lf.LinearForm(coeffs=coeffs, constant=B * f.constant + g[d]))
-    return small, lf.LinearSystem(d=d, forms=tuple(forms))
-
-
-def test_lindex_on_coefficients_past_int64():
+def test_lindex_on_coefficients_past_int64(recorded_walks):
     # The 5 homogeneous d = 3, t = 5 systems have nu >= 1.
-    rng = np.random.default_rng(2063)
-    systems = [_big_system(rng, int(rng.integers(2, 5)), int(rng.integers(3, 8)))
-               for _ in range(40)]
-    systems += [_big_system(rng, 3, 5, homogeneous=True) for _ in range(5)]
+    results = []
     deeper = 0
-    for trial, (small, sys) in enumerate(systems):
+    for trial, (small, sys) in enumerate(oracles.past_int64_corpus()):
         assert max(abs(v) for f in sys.forms for v in f.functional()) > 1 << 63
         res = lf.lindex(sys)
         got = (res.value, res.witness, res.codim, res.subspaces_explored)
         assert res.value == lf.lindex_bruteforce(sys), (trial, small)
-        old = _closure_walk_lindex(sys)[0]
-        assert got[:3] == old[:3] and got[3] <= old[3], (trial, small)
         small_res = lf.lindex(small)
         assert got == (small_res.value, small_res.witness, small_res.codim,
                        small_res.subspaces_explored), (trial, small)
-        assert _nullity(sys) == _nullity(small)
-        assert got == _closure_walk_lindex(small, _nullity(small))[0], (trial, small)
-        hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
-        flats = list(lf._codim2_flats(hyperplanes, math.inf))
-        deeper += res.subspaces_explored > len(hyperplanes) + len(flats)
+        assert oracles.nullity(sys) == oracles.nullity(small)
+        want, scored = oracles.closure_walk(small, "nullity")
+        assert got == want, (trial, small)
+        results.append(res)
+        deeper += any(len(ech) > 2 for ech, _, _ in scored)
+    _fewer_than_recorded(results, recorded_walks["past-int64"], "past-int64")
     assert deeper > 10   # the closure walk past codim 2 runs on big rows too
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_min_distinct_matches_the_induced_atoms_on_first_family(k):
     sys = lf.first_family(k)
-    hyperplanes = list(lf._collision_hyperplanes(sys, math.inf))
-    for c, candidates in (
-            (1, [lf._echelon([row]) for row in hyperplanes]),
-            (2, [flat for flat, _ in _flat_echelons(hyperplanes)])):
-        counts = [len(_induced_atoms(sys, ech)) for ech in candidates]
+    scored = oracles.closure_walk(sys, depth=2)[1]
+    for c in (1, 2):
+        candidates = [(ech, atoms) for ech, _, atoms in scored if len(ech) == c]
+        counts = [len(atoms) for _, atoms in candidates]
         best = counts.index(min(counts))
         res = lf.min_distinct_on_codim(sys, c)
         assert res.count == counts[best]
-        assert res.witness == lf._as_subspace(candidates[best])
+        assert res.witness == lf._as_subspace(candidates[best][0])
 
 
 def test_lindex_cap_counts_hyperplanes_and_flats(monkeypatch):
@@ -747,43 +515,29 @@ def test_caps_hold_at_the_codim_1_boundary(monkeypatch):
         lf.min_distinct_on_codim(lf.first_family(3), 1)
 
 
-def test_unpruned_lattice_is_every_collision_subspace_once():
+def test_unpruned_lattice_is_every_collision_subspace_once(benchmark_systems):
     # Asked to go deeper everywhere, _lattice yields each nonempty
     # intersection of collision hyperplanes once, with every hyperplane
-    # containing it as its parents and t - |pi| bits in merged.
+    # containing it as its parents and t - |pi| bits in merged: the
+    # subspaces the closure walk scores when nothing prunes it.
     rng = np.random.default_rng(35)
-    systems = _benchmark_systems() + [
-        _random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 7)))
+    systems = list(benchmark_systems) + [
+        oracles.random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 7)))
         for _ in range(150)]
-    systems += [_random_system(rng, 3, 5, homogeneous=True) for _ in range(50)]
+    systems += [oracles.random_system(rng, 3, 5, homogeneous=True) for _ in range(50)]
     deeper = 0
     for i, sys in enumerate(systems):
         arrangement = lf._collision_hyperplanes(sys, math.inf)
         rows = list(arrangement)
-        # _pair_walk_lindex's walk with its pruning line removed, noting
-        # the rows that add nothing to each subspace: those containing it.
-        containing = {}
-        frontier = [lf._echelon([row]) for row in rows]
-        seen = set(frontier)
-        while frontier:
-            next_frontier = []
-            for ech in frontier:
-                containing[ech] = []
-                for j, row in enumerate(rows):
-                    child = lf._echelon_add(ech, row)
-                    if child is ech:
-                        containing[ech].append(j)
-                    elif lf._feasible(child) and child not in seen:
-                        seen.add(child)
-                        next_frontier.append(child)
-            frontier = next_frontier
+        walk = {ech: (inside, atoms) for ech, inside, atoms in oracles.closure_walk(sys)[1]}
         got = []
         for codim, parents, merged in lf._lattice(arrangement, math.inf, lambda c: True):
             ech = lf._echelon(rows[p] for p in parents)
-            assert codim == len(ech) and list(parents) == containing[ech], (i, parents)
-            assert sys.t - merged.bit_count() == len(_induced_atoms(sys, ech)), (i, ech)
+            inside, atoms = walk[ech]
+            assert codim == len(ech) and list(parents) == inside, (i, parents)
+            assert sys.t - merged.bit_count() == len(atoms), (i, ech)
             got.append(ech)
-        assert len(got) == len(set(got)) == len(containing), (i, sys)
+        assert len(got) == len(set(got)) == len(walk), (i, sys)
         deeper += any(len(ech) > 2 for ech in got)
     assert deeper > 100   # the walk past codim 2 is exercised
 
@@ -799,18 +553,6 @@ def test_hyperplane_cap_stops_the_pair_loop(monkeypatch):
     assert time.perf_counter() - start < 2.0
 
 
-def _benchmark_systems():
-    """The families and the 105 seeded random systems of the benchmark's
-    collision-threshold workload."""
-    systems = [lf.first_family(k) for k in (2, 3)]
-    systems += [lf.second_family(k) for k in (2, 3, 4)]
-    systems += [lf.third_family(k, j) for k in (3, 4) for j in range(1, k + 1)]
-    rng = np.random.default_rng(1509)
-    systems += [_random_system(rng, d, t) for d in (2, 3, 4) for t in (2, 3, 4, 5, 6)
-                for _ in range(7)]
-    return systems
-
-
 def _joined_entries(sys, engine):
     """The engine's (codim, size, ratio) entries with each size from
     _joined over the form pairs of the subspace's parents."""
@@ -824,14 +566,14 @@ def _joined_entries(sys, engine):
     return entries
 
 
-def test_deviation_partitions_match_the_induced_atoms():
+def test_deviation_partitions_match_the_induced_atoms(benchmark_systems):
     # The engine counts a subspace's partition from the later masks of its
     # parents; the references join their form pairs and read the forms that
     # agree on the subspace's echelon.  first(4)'s 36,454 flats are checked
     # against the joined pairs only.
     rng = np.random.default_rng(20)
-    systems = _benchmark_systems() + [
-        _random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
+    systems = list(benchmark_systems) + [
+        oracles.random_system(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
         for _ in range(100)]
     engine = cd._DeviationEngine(lf.first_family(4))
     assert engine.entries == _joined_entries(lf.first_family(4), engine)
@@ -848,15 +590,14 @@ def test_deviation_partitions_match_the_induced_atoms():
         assert len(subspaces) == len(engine.entries)
         for ech, (codim, size, _) in zip(subspaces, engine.entries):
             assert codim == len(ech) and lf._feasible(ech)
-            assert size == len(_induced_atoms(sys, ech)), (i, ech)
+            assert size == len(oracles.induced_atoms(sys, ech)), (i, ech)
         flats += len(engine.flats)
     assert flats > 1000
 
 
-def test_hyperplane_cap_leaves_explored_counts_alone():
+def test_hyperplane_cap_leaves_explored_counts_alone(benchmark_systems):
     # The workload reports this total.
-    systems = _benchmark_systems()
-    assert sum(lf.lindex(s).subspaces_explored for s in systems) == 2669
+    assert sum(lf.lindex(s).subspaces_explored for s in benchmark_systems) == 2669
     assert lf.lindex(lf.first_family(3)).subspaces_explored == 384
 
 
@@ -918,7 +659,7 @@ def test_flat_gram_det_matches_kernel_on_random_systems():
     rng = np.random.default_rng(13)
     systems = []
     while len(systems) < 20:
-        sys = _random_system(rng, int(rng.integers(3, 6)), 5)
+        sys = oracles.random_system(rng, int(rng.integers(3, 6)), 5)
         pairs = _flat_row_pairs(sys)
         if any(_minors_gcd(a, b) > 1 for a, b in pairs):
             systems.append(pairs)
@@ -954,7 +695,7 @@ def test_flat_integer_point_test_matches_column_reduction():
     rng = np.random.default_rng(20)
     outcomes = []
     for _ in range(60):
-        sys = _random_system(rng, int(rng.integers(2, 6)), 5)
+        sys = oracles.random_system(rng, int(rng.integers(2, 6)), 5)
         rows = list(lf._collision_hyperplanes(sys, math.inf))
         for p, q, *_ in lf._codim2_flats(rows, math.inf):
             a, b = rows[p], rows[q]
@@ -1037,6 +778,3 @@ def test_parse_errors():
     with pytest.raises(DomainError):
         lf.parse_system("# only a comment\n")
 
-
-if __name__ == "__main__":
-    _record_sweep()

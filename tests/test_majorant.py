@@ -1,10 +1,10 @@
 import hashlib
 import math
-import struct
 
 import numpy as np
 import pytest
 
+import oracles
 from narrowlab import cutoff as co
 from narrowlab import majorant as mj
 from narrowlab import numtheory as nt
@@ -292,8 +292,9 @@ def test_rejected_majorant_files_are_never_mapped(table, tmp_path, monkeypatch):
     mj.save_majorant(table, str(path))
     blob = path.read_bytes()
     monkeypatch.setattr(nt.mmap, "mmap", refuse)
-    bad = [blob[:20], blob[:-8], b"NOPEV1" + blob[6:], _with_header(blob, W=10),
-           *_hostile_headers(blob).values()]
+    bad = [blob[:20], blob[:-8], b"NOPEV1" + blob[6:],
+           oracles.with_majorant_header(blob, W=10),
+           *oracles.hostile_majorant_headers(blob).values()]
     for data in bad:
         path.write_bytes(data)
         with pytest.raises(FormatError):
@@ -309,29 +310,11 @@ def test_majorant_file_bytes_are_pinned(table, tmp_path):
     assert digest == "e51f4a059e2116349f045edd8f4cc681"
 
 
-def _with_header(blob, **fields):
-    """The bytes of a NAPMV1 file with header fields N, W, b or R replaced."""
-    head = dict(zip("NWbR", struct.unpack_from("<3Qd", blob, 6)))
-    head.update(fields)
-    return blob[:6] + struct.pack("<3Qd", *head.values()) + blob[38:]
-
-
-def _hostile_headers(blob):
-    """Variants of a NAPMV1 file (W = 6) whose header no build writes."""
-    N, W, b, _ = struct.unpack_from("<3Qd", blob, 6)
-    past_top = math.nextafter(math.sqrt(W * N + b), math.inf)
-    return {
-        **{f"b={v}": _with_header(blob, b=v) for v in (0, 3, 9)},
-        **{f"R={v}": _with_header(blob, R=v)
-           for v in (1.0, -2.0, past_top, math.nan, math.inf, -math.inf)},
-    }
-
-
 def test_load_rejects_headers_no_build_writes(table, tmp_path):
     path = tmp_path / "m.bin"
     mj.save_majorant(table, str(path))
     blob = path.read_bytes()
-    for bad in _hostile_headers(blob).values():
+    for bad in oracles.hostile_majorant_headers(blob).values():
         path.write_bytes(bad)
         with pytest.raises(FormatError, match="majorant header"):
             mj.load_majorant(str(path))
@@ -339,7 +322,7 @@ def test_load_rejects_headers_no_build_writes(table, tmp_path):
     top = table.context.W * NPRIME + 7
     for b, R in ((7, table.R), (1, math.sqrt(top - 6)),
                  (5, math.nextafter(1.0, 2.0))):
-        path.write_bytes(_with_header(blob, b=b, R=R))
+        path.write_bytes(oracles.with_majorant_header(blob, b=b, R=R))
         back = mj.load_majorant(str(path))
         assert (back.context.b, back.R) == (b, R)
 

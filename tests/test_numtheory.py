@@ -14,11 +14,9 @@ def test_spf_small_table():
     assert sieve.spf.tolist() == [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2]
 
 
-def test_spf_matches_trial_division():
+def test_spf_matches_trial_division(spf_table):
     sieve = nt.build_factor_sieve(5000)
-    for n in range(2, 5001):
-        p = next(q for q in range(2, n + 1) if n % q == 0)
-        assert int(sieve.spf[n]) == p
+    assert np.array_equal(sieve.spf, spf_table[:5001])
 
 
 def test_segmented_matches_unsegmented(monkeypatch):
@@ -28,39 +26,29 @@ def test_segmented_matches_unsegmented(monkeypatch):
     assert np.array_equal(whole.spf, pieces.spf)
 
 
-def _trial_spf_table(limit):
-    """spf[0..limit] by trial division: 0, 1, then each n's least divisor > 1."""
-    table = [0, 1]
-    for n in range(2, limit + 1):
-        p = 2 if n % 2 == 0 else next(
-            (q for q in range(3, math.isqrt(n) + 1, 2) if n % q == 0), n)
-        table.append(p)
-    return table
-
-
 @pytest.mark.parametrize("segment", [7, 999, 1000])
-def test_segment_sizes_match_trial_division(monkeypatch, segment):
+def test_segment_sizes_match_trial_division(monkeypatch, spf_table, segment):
     # Odd segment sizes flip the parity of each segment's start, which
     # moves the even store and every odd prime's first odd multiple.
-    want = _trial_spf_table(10 ** 5)
+    want = spf_table[:10 ** 5 + 1].tolist()
     monkeypatch.setattr(nt, "SEGMENT_SIZE", segment)
     for limit in range(2, 201):
         assert nt.build_factor_sieve(limit).spf.tolist() == want[:limit + 1], limit
     assert nt.build_factor_sieve(10 ** 5).spf.tolist() == want
 
 
-def test_spf_at_every_small_limit_matches_trial_division():
-    want = _trial_spf_table(64)
+def test_spf_at_every_small_limit_matches_trial_division(spf_table):
+    want = spf_table[:65].tolist()
     for limit in range(2, 65):
         assert nt.build_factor_sieve(limit).spf.tolist() == want[:limit + 1], limit
 
 
 @pytest.mark.parametrize("segment", [None, 1 << 10, 40001, 30029])
-def test_spf_at_wheel_period_edges_matches_trial_division(monkeypatch, segment):
+def test_spf_at_wheel_period_edges_matches_trial_division(monkeypatch, spf_table, segment):
     # Limits one below, at and one past each multiple of the wheel's
     # period, at the default segment size and at sizes that put segment
     # edges off the period: 2^10, an odd size past it and one below it.
-    want = _trial_spf_table(3 * nt.WHEEL + 1)
+    want = spf_table[:3 * nt.WHEEL + 2].tolist()
     if segment is not None:
         monkeypatch.setattr(nt, "SEGMENT_SIZE", segment)
     for j in (1, 2, 3):

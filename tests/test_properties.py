@@ -5,7 +5,6 @@ They need hypothesis and are skipped without it.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,9 +19,10 @@ except ImportError:
     st = mock.MagicMock()
     given = settings = lambda *_, **__: pytest.mark.skip(reason="needs hypothesis")
 
+import oracles
 from narrowlab import aplab as ap
 from narrowlab import linforms as lf
-from test_kernels import _brute_lambda, _direct_ap_count, _packed_ap_count
+from narrowlab import numtheory as nt
 
 SCALES = (0.0, 1.0, -1.0, 2.5, -0.375, math.log(10007))
 
@@ -45,7 +45,7 @@ def test_lambda_d_bitset_equals_dense_equals_brute(case):
     fs, D = case
     got = ap.lambda_D(fs, D)
     assert got == pytest.approx(ap.lambda_sweep(np.vstack(fs), D), rel=1e-12, abs=1e-15)
-    assert got == pytest.approx(_brute_lambda(fs, D), rel=1e-12, abs=1e-15)
+    assert got == pytest.approx(oracles.lambda_D(fs, D), rel=1e-12, abs=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
@@ -53,27 +53,8 @@ def test_lambda_d_bitset_equals_dense_equals_brute(case):
        st.integers(1, 4), st.integers(1, 90))
 def test_packed_ap_count_equals_enumeration(bits, k, d):
     flags = np.array(bits, dtype=bool)
-    assert _packed_ap_count(flags, k, d) == _direct_ap_count(flags, k, d)
-
-
-def _fraction_rref(rows):
-    """Reduced row echelon form over Fraction, with its feasibility."""
-    mat = [[Fraction(v) for v in r] for r in rows]
-    width = len(mat[0])
-    r = 0
-    pivots = []
-    for col in range(width):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        mat[r] = [v / mat[r][col] for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                mat[i] = [a - mat[i][col] * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return tuple(tuple(row) for row in mat[:r]), not pivots or pivots[-1] != width - 1
+    got = ap.packed_ap_count(nt.pack_bits(flags), len(flags) - (k - 1) * d, k, d)
+    assert got == oracles.ap_count(flags, k, d)
 
 
 @st.composite
@@ -89,7 +70,7 @@ def augmented_matrices(draw):
 def test_integer_echelon_equals_fraction_rref(case):
     rows, order = case
     ech = lf._echelon(rows)
-    want, feasible = _fraction_rref(rows)
+    want, feasible = oracles.fraction_rref(rows)
     assert lf._as_subspace(ech).rows == want
     for p, r in ech:
         assert r[p] > 0 and math.gcd(*r) == 1
