@@ -205,6 +205,11 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     hi = np.array([iv[1] for iv in box.intervals], dtype=np.int64)
     if len(set(box.intervals)) == 1:   # scalar bounds draw the same stream, faster
         lo, hi = box.intervals[0]
+    # numpy draws a bounded integer below 2^32 by one 32-bit path for either
+    # dtype, so int32 draws give the int64 values in half the memory; the
+    # form values are summed in int64 all the same.
+    reach = max(modulus - 1, *(abs(v) for iv in box.intervals for v in iv))
+    draw = np.int32 if reach < 1 << 31 else np.int64
     # Each form's nonzero coefficients, so a value column costs one pass per term.
     terms = [[(j, a) for j, a in enumerate(row) if a] for row in A.tolist()]
     consts = c.tolist()
@@ -220,20 +225,22 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
         while left > 0:
             m = min(MC_BATCH, left)
             left -= m
-            x = rng.integers(lo, hi + 1, size=(m, d))
-            n = rng.integers(0, modulus, size=m)
+            x = rng.integers(lo, hi + 1, size=(m, d), dtype=draw)
+            n = rng.integers(0, modulus, size=m, dtype=draw)
             phi, term, vals, looked = (buf[:m] for buf in scratch)
             vals.fill(1.0)
             for i, (row, b) in enumerate(zip(terms if model.kind != "one" else [], consts)):
                 base = n
                 for j, a in row:
                     if a in (1, -1):
-                        (np.add if a == 1 else np.subtract)(base, x[:, j], out=phi)
+                        (np.add if a == 1 else np.subtract)(base, x[:, j], out=phi,
+                                                            dtype=np.int64)
                     else:
-                        np.add(base, np.multiply(x[:, j], a, out=term), out=phi)
+                        np.add(base, np.multiply(x[:, j], a, out=term, dtype=np.int64),
+                               out=phi)
                     base = phi
                 if b or base is n:   # the constant; n alone for a constant form
-                    np.add(base, b, out=phi)
+                    np.add(base, b, out=phi, dtype=np.int64)
                 # np.take's wrap mode steps one modulus at a time, so
                 # values more than a modulus away are reduced first.
                 if span >= modulus:

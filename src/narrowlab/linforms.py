@@ -425,10 +425,12 @@ def _lattice(arrangement, cap, deeper):
     gives it; parents are the ascending indices of the rows containing the
     subspace and merged the OR of their _later_masks, so the subspace's
     induced partition has t - popcount(merged) atoms.  The rows come first,
-    then, if deeper(2), the flats of _codim2_flats, then the closure walk
-    level by level.  deeper(c) is asked again after each flat for c = 3 and
-    before each codim-(c-1) subspace is expanded: a caller that scores the
-    yields can prune on its best so far.  Past codim 2 no echelon is built:
+    then, while deeper(2), the flats of _codim2_flats, then the closure walk
+    level by level.  deeper(c) says whether a subspace of codim c or more may
+    still matter, so a false deeper(c) must stay false for every larger c.
+    It is asked after each flat for c = 2 and 3, and before each
+    codim-(c-1) subspace is expanded: a caller that scores the yields can
+    prune on its best so far.  Past codim 2 no echelon is built:
     an expanded subspace carries the other rows reduced by it, one
     _eliminate step on its parent's (for a flat, its smallest parent's).
     ResourceError once more than cap subspaces are found.
@@ -441,11 +443,12 @@ def _lattice(arrangement, cap, deeper):
         return
     # Frontier entries are (parent rows, key, inside, merged): key cuts the
     # subspace out of its parent, and inside, the rows containing it, names it.
-    # deeper(2) is asked once: a walk that enters codim 2 yields every flat.
     frontier, cut, found = [], (None, None), len(rows)
     for found, parents in enumerate(_codim2_flats(rows, cap), found + 1):
         merged = _merged(later, parents)
         yield 2, parents, merged
+        if not deeper(2):   # no later flat, and nothing deeper, can matter
+            return
         if deeper(3):
             i, j = parents[:2]
             if cut[0] != i:   # flats come by smallest parent
@@ -474,6 +477,33 @@ def _lattice(arrangement, cap, deeper):
         codim += 1
 
 
+def _lone_dependency_codim(diffs):
+    """s - 2 for differences f_a - f_0 (a = 1, ..., t-1) of nullity 1 whose
+    one dependency lambda, sum lambda_a f_a = 0 with sum lambda_a = 0 over
+    all t forms, has a support of s forms no proper nonempty part of which
+    has lambda-sum 0; else 0.
+
+    lambda comes from the integer echelon of the differences' columns, so no
+    Fraction is built.  A zero-sum part, or its complement, misses the
+    support's first form; past 2^16 distinct part sums the test gives up and
+    returns 0, which only keeps the weaker bound.
+    """
+    cols = _echelon(zip(*diffs))
+    pivots = {p for p, _ in cols}
+    free = next(j for j in range(len(diffs)) if j not in pivots)
+    scale = math.lcm(*(r[p] for p, r in cols))
+    mu = [scale if j == free else 0 for j in range(len(diffs))]
+    for p, r in cols:
+        mu[p] = -r[free] * (scale // r[p])
+    support = [v for v in (-sum(mu), *mu) if v]
+    sums = set()
+    for v in support[1:]:
+        sums |= {v, *(x + v for x in sums)}
+        if 0 in sums or len(sums) > 1 << 16:
+            return 0
+    return len(support) - 2
+
+
 def lindex(sys):
     """Collision index of the system with a maximizing partition.
 
@@ -481,12 +511,19 @@ def lindex(sys):
     form-difference kernels, as (t - |pi|) / codim, pi its induced partition
     (forms equal as functions there, whose own subvariety is the subspace),
     and prunes what is too deep to beat the best ratio (integers
-    cross-multiplied): codim c scores at most min(t - 1, c + nu) / c, nu the
-    nullity of the augmented differences f_a - f_0, and no subspace lies
-    deeper than their coefficient rank.  Only a new best ratio joins its
-    parents' form pairs, for the witness.  subspaces_explored counts the
-    subspaces scored, the hyperplanes included; ResourceError once more
-    than limits.MAX_SUBSPACES of them are found.
+    cross-multiplied).  A codim-c subspace merges c + r forms, r the
+    dimension of the dependencies of the forms (as functionals with their
+    constants) that sum to 0 on every atom, so it scores at most
+    min(t - 1, c + nu) / c, nu the nullity of the augmented differences
+    f_a - f_0.  With nu = 1 and a dependency of support s with no zero-sum
+    proper part, r = 1 only when one atom holds the whole support: a
+    subspace of codim < s - 2 scores at most 1.  That bound rises again at
+    s - 2, so the walk goes deeper while the largest bound of any codim
+    from c to the deepest, the differences' coefficient rank, beats the
+    best.  Only a new best ratio joins its parents' form pairs, for the
+    witness.  subspaces_explored counts the subspaces scored, the
+    hyperplanes included; ResourceError once more than limits.MAX_SUBSPACES
+    of them are found.
     """
     t = sys.t
     if t < 2:
@@ -494,16 +531,24 @@ def lindex(sys):
     cap = limits.MAX_SUBSPACES
     arrangement = _collision_hyperplanes(sys, cap)
     pairs = list(arrangement.values())
-    # A codim-c subspace's atoms have a spanning forest of rank c inside a
-    # spanning tree of all forms; nullity grows with the set: merges <= c + nu.
     f0 = sys.forms[0].functional()
-    ech = _echelon([x - y for x, y in zip(f.functional(), f0)] for f in sys.forms[1:])
+    diffs = [[x - y for x, y in zip(f.functional(), f0)] for f in sys.forms[1:]]
+    ech = _echelon(diffs)
     nu = t - 1 - len(ech)
     depth = len(ech) - (not _feasible(ech))
+    low = _lone_dependency_codim(diffs) if nu == 1 else 0
+    # top[c - 1] is the largest bound (merges, e) of the codims e in [c, depth].
+    top, bound = [], (0, 1)
+    for e in range(depth, 0, -1):
+        merges = min(t - 1, e + nu) if e >= low else e
+        if merges * bound[1] > bound[0] * e:
+            bound = merges, e
+        top.append(bound)
+    top.reverse()
     num, den, witness, explored = 0, 1, None, 0   # the best ratio so far is num / den
     # deeper reads num and den as they stand each time the walk asks.
-    walk = _lattice(arrangement, cap,
-                    lambda c: c <= depth and min(t - 1, c + nu) * den > num * c)
+    walk = _lattice(arrangement, cap, lambda c: c <= depth
+                    and top[c - 1][0] * den > num * top[c - 1][1])
     for explored, (codim, parents, merged) in enumerate(walk, 1):
         if merged.bit_count() * den > num * codim:
             num, den = merged.bit_count(), codim

@@ -4,8 +4,9 @@ seeded inputs they share.
 Every fast path in narrowlab is checked against one of these: a trial
 division for the factor table, brute-force AP counts and Lambda_D, point
 counts of a hyperplane by enumeration, a Fraction row reduction, and the
-echelon-closure walk of the collision lattice.  They read nothing from
-the code they check beyond the integer echelon and the collision rows.
+echelon-closure walk of the collision lattice, with the forms'
+dependencies by exact rank.  They read nothing from the code they check
+beyond the integer echelon and the collision rows.
 
 The (t - 1) / codim closure walk is too slow to run on every corpus each
 session, so its results are recorded in tests/data/lindex_sweep.json, one
@@ -42,6 +43,18 @@ def random_system(rng, d, t, homogeneous=False):
         d=d,
         forms=tuple(lf.LinearForm(coeffs=c, constant=b) for c, b in sorted(forms)),
     )
+
+
+def drawn_until(rng, count, shapes, keep):
+    """The first count systems random_system(rng, d, t, homogeneous) that
+    keep accepts, the shapes (d, t, homogeneous) taken in turn."""
+    systems = []
+    for d, t, homogeneous in itertools.cycle(shapes):
+        sys = random_system(rng, d, t, homogeneous)
+        if keep(sys):
+            systems.append(sys)
+            if len(systems) == count:
+                return systems
 
 
 def big_system(rng, d, t, homogeneous=False):
@@ -175,6 +188,56 @@ def nullity(sys):
     return sys.t - 1 - len(fraction_rref(diffs)[0])
 
 
+def coefficient_rank(sys):
+    """The rank of the coefficient parts of the differences f_a - f_0."""
+    c0 = sys.forms[0].coeffs
+    return len(fraction_rref([[x - y for x, y in zip(f.coeffs, c0)]
+                              for f in sys.forms])[0])
+
+
+def dependencies(sys):
+    """A Fraction basis of the dependencies lambda of the forms, sum_a
+    lambda_a (coeffs_a, constant_a, 1) = 0: the nullspace of the matrix
+    whose columns are the forms, read off its reduced row echelon form."""
+    rref = fraction_rref(list(zip(*(f.functional() + (1,) for f in sys.forms))))[0]
+    pivots = [next(i for i, v in enumerate(r) if v) for r in rref]
+    basis = []
+    for free in (j for j in range(sys.t) if j not in pivots):
+        lam = [Fraction(j == free) for j in range(sys.t)]
+        for p, r in zip(pivots, rref):
+            lam[p] = -r[free]
+        basis.append(lam)
+    return basis
+
+
+def dependency_rank(sys, atoms):
+    """r(pi) = dim(K0 meet M_pi) by exact ranks: K0 the dependencies, M_pi
+    the vectors e_i - e_j with i and j in one atom, which sum to 0 on every
+    atom.  A subspace of codim c whose partition is pi merges c + r(pi)
+    forms: its constraints are the images of M_pi, K0 meet M_pi the kernel."""
+    K = dependencies(sys)
+    M = [[Fraction((j == i) - (j == a[0])) for j in range(sys.t)]
+         for a in atoms for i in a[1:]]
+    if not K or not M:
+        return 0
+    return len(K) + len(M) - len(fraction_rref(K + M)[0])
+
+
+def dependency_floor(sys):
+    """The codim below which no collision subspace merges more forms than
+    its codim, by the one-dependency rule: s - 2 when nu = 1 and no proper
+    nonempty part of the support of the one dependency, s forms, sums to 0
+    (every part is tried); 0 otherwise."""
+    basis = dependencies(sys)
+    if len(basis) != 1:
+        return 0
+    support = [v for v in basis[0] if v]
+    if any(sum(part) == 0 for size in range(1, len(support))
+           for part in itertools.combinations(support, size)):
+        return 0
+    return len(support) - 2
+
+
 # The collision lattice
 
 def induced_atoms(sys, ech):
@@ -231,20 +294,28 @@ def closure_walk(sys, bound=None, depth=math.inf):
     every pairwise flat, then adds every row to every subspace it expands,
     level by level, each new nonempty subspace once.  A subspace's
     partition is its induced_atoms and its score (t - |pi|) / codim.  A
-    subspace is expanded while codim + 1 <= depth and the bound of codim + 1
-    beats the best score so far: bound None never prunes, "t-1" bounds codim
-    c by (t - 1) / c, and "nullity" by min(t - 1, c + nu) / c.  Returns
-    (value, witness, codim, explored) and, in the order scored, each
-    subspace's (echelon, ascending rows containing it, atoms).
+    subspace is expanded while codim + 1 <= depth and the bound of some
+    codim from codim + 1 to the coefficient rank beats the best score so
+    far: bound None never prunes, "t-1" bounds codim c by (t - 1) / c,
+    "nullity" by min(t - 1, c + nu) / c, and "dependency" by 1 below
+    dependency_floor and as "nullity" from there on; the "dependency" walk
+    also stops scoring flats as soon as no subspace of codim 2 or more can
+    beat the best, as lindex does.  Returns (value,
+    witness, codim, explored) and, in the order scored, each subspace's
+    (echelon, ascending rows containing it, atoms).
     """
     t = sys.t
     rows = list(lf._collision_hyperplanes(sys, math.inf))
-    nu = nullity(sys) if bound == "nullity" else t
+    nu = t if bound == "t-1" else nullity(sys)
+    low = dependency_floor(sys) if bound == "dependency" else 0
+    rank = coefficient_rank(sys)
     best, witness, codim = Fraction(0), None, 0
     scored = []
 
-    def beats(c):   # whether a codim-c subspace may still score more than best
-        return c <= depth and (bound is None or Fraction(min(t - 1, c + nu), c) > best)
+    def beats(c):   # whether a subspace of codim c or more may score more than best
+        return c <= depth and (bound is None or any(
+            Fraction(min(t - 1, e + nu) if e >= low else e, e) > best
+            for e in range(c, rank + 1)))
 
     def children(ech, inside):
         """The nonempty subspaces the rows cut out of ech, in order, each with
@@ -271,6 +342,8 @@ def closure_walk(sys, bound=None, depth=math.inf):
         for ech, parents in pairwise_flats(rows):
             score(ech, parents)
             frontier.append((ech, parents))
+            if bound == "dependency" and not beats(2):
+                break
     seen = set()
     while frontier:
         next_frontier = []

@@ -267,6 +267,28 @@ def test_mc_batch_matches_the_modulo_reference_bit_for_bit():
         assert (got.estimate, got.stderr) == want, (seed, workers)
 
 
+def test_mc_int32_draws_match_the_int64_reference_at_their_edge():
+    # Box bounds within 2^31 - 1 and a modulus up to 2^31 are drawn as int32,
+    # which numpy fills from the same 32-bit stream as int64; one past either
+    # is drawn as int64.  3 x reaches 3 (2^31 - 1), past int32, so the form
+    # values must be summed in int64.
+    model = cd.WeightModel.random(0.3, 5, 10007)
+    forms = [lf.LinearForm((1, 2), 7), lf.LinearForm((-1, 1), 0), lf.LinearForm((3, 0), -2)]
+    edge = 2 ** 31 - 1
+    cases = [
+        (model, cd.symmetric_box(2, edge), 20000, 13, 1),
+        (model, cd.symmetric_box(2, edge + 1), 20000, 13, 1),
+        (model, cd.BoxRegion(((-edge, 0), (5, edge))), 20000, 14, 2),
+        (cd.WeightModel.constant_one(2 ** 31), cd.symmetric_box(2, 3), 5000, 15, 1),
+        (cd.WeightModel.constant_one(2 ** 31 + 1), cd.symmetric_box(2, 3), 5000, 15, 1),
+    ]
+    for model, box, samples, seed, workers in cases:
+        got = cd.lfc_average_mc(model, forms, None, box, samples, seed=seed,
+                                workers=workers)
+        want = _mc_reference(model, forms, None, box, samples, seed, workers)
+        assert (got.estimate, got.stderr) == want, (seed, box)
+
+
 @pytest.mark.parametrize("form", [
     lf.LinearForm(coeffs=(2 ** 63, 1)),
     lf.LinearForm(coeffs=(-2 ** 63, 1)),

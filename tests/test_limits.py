@@ -95,13 +95,14 @@ def test_patched_subspace_caps_reach_every_walk(monkeypatch):
 
 def test_closure_walk_cap_counts_explored_subspaces(monkeypatch):
     # 15 hyperplanes and 65 codim-2 flats, then the walk goes deeper: the
-    # 5 form differences have rank 4, so the nullity bound leaves codim 3
-    # open.
-    sys = oracles.random_system(np.random.default_rng(5), 3, 6)
-    assert lf.lindex(sys).subspaces_explored == 166
-    monkeypatch.setattr(limits, "MAX_SUBSPACES", 166)
-    assert lf.lindex(sys).subspaces_explored == 166
-    monkeypatch.setattr(limits, "MAX_SUBSPACES", 165)
+    # 5 form differences have rank 4, and the one dependency of the 6 forms
+    # has a zero-sum split, so the nullity bound leaves codim 3 open.
+    sys = oracles.random_system(np.random.default_rng(6), 3, 6)
+    assert (oracles.nullity(sys), oracles.dependency_floor(sys)) == (1, 0)
+    assert lf.lindex(sys).subspaces_explored == 108
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 108)
+    assert lf.lindex(sys).subspaces_explored == 108
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 107)
     with pytest.raises(ResourceError, match="^closure lattice: subspaces "
-                       "explored 166 is past the cap of 165$"):
+                       "explored 108 is past the cap of 107$"):
         lf.lindex(sys)

@@ -338,18 +338,29 @@ def _fewer_than_recorded(results, recorded, cell):
     return fewer
 
 
+def _matches_the_walks(res, sys, label):
+    """Check lindex's result against the closure walks: the nullity walk's
+    value, witness and codim from no more subspaces, and exactly the walk
+    that prunes by the independently computed dependency bound.  Returns
+    the nullity walk's scored subspaces."""
+    got = (res.value, res.witness, res.codim, res.subspaces_explored)
+    want, scored = oracles.closure_walk(sys, "nullity")
+    assert got[:3] == want[:3] and got[3] <= want[3], label
+    assert got == oracles.closure_walk(sys, "dependency")[0], label
+    return scored
+
+
 def test_lindex_matches_the_closure_walks_on_random_systems(recorded_walks):
-    # The closure walk that prunes by the nullity bound scores exactly the
-    # subspaces lindex does; the one that prunes by (t - 1) / codim, as
-    # recorded, gives the same result from at least as many.  The
-    # homogeneous d = 3, t = 5 systems have nu >= 1, so their walks can
-    # pass codim 2.
+    # The closure walk that prunes by the dependency bound scores exactly
+    # the subspaces lindex does; the ones that prune by the nullity bound
+    # and, as recorded, by (t - 1) / codim give the same result from at
+    # least as many.  The homogeneous d = 3, t = 5 systems have nu >= 1, so
+    # their walks can pass codim 2.
     results = []
     deeper = 0
     for trial, sys in enumerate(oracles.random_corpus()):
         res = lf.lindex(sys)
-        want, scored = oracles.closure_walk(sys, "nullity")
-        assert (res.value, res.witness, res.codim, res.subspaces_explored) == want, (trial, sys)
+        scored = _matches_the_walks(res, sys, (trial, sys))
         results.append(res)
         deeper += any(len(ech) > 2 for ech, _, _ in scored)
     _fewer_than_recorded(results, recorded_walks["random"], "random")
@@ -357,16 +368,14 @@ def test_lindex_matches_the_closure_walks_on_random_systems(recorded_walks):
 
 
 def test_lindex_matches_the_closure_walk_and_its_partitions(recorded_walks):
-    # The walk with the nullity bound gives the exact count; the walk with
-    # (t - 1) / codim, as recorded, the same result from at least as many
-    # subspaces.
+    # The walk with the dependency bound gives the exact count; the walks
+    # with the nullity bound and, as recorded, (t - 1) / codim the same
+    # result from at least as many subspaces.
     results = []
     deeper = 0
     for i, sys in enumerate(oracles.partitions_corpus()):
         res = lf.lindex(sys)
-        got = (res.value, res.witness, res.codim, res.subspaces_explored)
-        want, scored = oracles.closure_walk(sys, "nullity")
-        assert got == want, (i, sys)
+        scored = _matches_the_walks(res, sys, (i, sys))
         results.append(res)
         deeper += any(len(ech) > 2 for ech, _, _ in scored)
         # The pairs of the hyperplanes containing a subspace give its
@@ -401,12 +410,20 @@ def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch, benchmark_
     # Each kept row must be the primitive reduction of its raw row by the
     # echelon of the hyperplanes containing that subspace, and each dropped
     # row must reduce to 0 (it contains the subspace) or 0 = nonzero (it
-    # misses it).  The recorder skips the calls made inside lindex's one
-    # _echelon, which reduces the form differences for the nullity bound.
+    # misses it).  The recorder skips the calls made inside lindex's
+    # _echelon of the form differences, for the bounds, and, when nu = 1,
+    # of their columns, for the dependency.  The dependency bound stops the
+    # walk at codim 2 on the benchmark and random systems, so two affine
+    # d = 4, t = 8 systems (nu = 2) and four whose one dependency has a
+    # zero-sum split carry the walk past codim 3.
     rng = np.random.default_rng(27)
     systems = list(benchmark_systems) + [
         oracles.random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 8)))
         for _ in range(200)]
+    systems += [oracles.random_system(rng, 4, 8) for _ in range(2)]
+    systems += oracles.drawn_until(
+        rng, 4, [(4, 7, False), (5, 7, True)],
+        lambda s: oracles.nullity(s) == 1 and oracles.dependency_floor(s) == 0)
     eliminate, echelon = lf._eliminate, lf._echelon
     deeper = 0
     for i, sys in enumerate(systems):
@@ -428,7 +445,7 @@ def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch, benchmark_
             m.setattr(lf, "_eliminate", record)
             m.setattr(lf, "_echelon", record_echelon)
             lf.lindex(sys)
-        assert len(built) == 1
+        assert len(built) == 1 + (oracles.nullity(sys) == 1)
         rows = list(lf._collision_hyperplanes(sys, math.inf))
         echelons = {}   # id of each returned dict, all kept alive in calls
         for carried, key, out in calls:
@@ -467,12 +484,74 @@ def test_lindex_on_coefficients_past_int64(recorded_walks):
         assert got == (small_res.value, small_res.witness, small_res.codim,
                        small_res.subspaces_explored), (trial, small)
         assert oracles.nullity(sys) == oracles.nullity(small)
-        want, scored = oracles.closure_walk(small, "nullity")
-        assert got == want, (trial, small)
+        assert oracles.dependency_floor(sys) == oracles.dependency_floor(small)
+        scored = _matches_the_walks(small_res, small, (trial, small))
         results.append(res)
         deeper += any(len(ech) > 2 for ech, _, _ in scored)
     _fewer_than_recorded(results, recorded_walks["past-int64"], "past-int64")
     assert deeper > 10   # the closure walk past codim 2 runs on big rows too
+
+
+def _dependency_classes():
+    """Seeded systems by their forms' dependencies: nu = 0; nu = 1 with no
+    zero-sum split of the dependency's support; nu = 1 with one; nu = 2."""
+    rng = np.random.default_rng(39)
+    nu = oracles.nullity
+    floor = oracles.dependency_floor
+    return {
+        "nu=0": oracles.drawn_until(rng, 3, [(4, 5, False), (3, 4, False)],
+                                    lambda s: nu(s) == 0),
+        "lone": oracles.drawn_until(rng, 4, [(3, 6, False), (3, 5, True), (4, 6, True)],
+                                    lambda s: nu(s) == 1 and floor(s) > 0),
+        "split": oracles.drawn_until(rng, 3, [(3, 6, False), (4, 6, True)],
+                                     lambda s: nu(s) == 1 and floor(s) == 0),
+        "nu=2": oracles.drawn_until(rng, 3, [(2, 6, False), (3, 6, True)],
+                                    lambda s: nu(s) == 2),
+    }
+
+
+def test_dependency_bound_holds_on_every_collision_subspace():
+    # On every subspace of the unpruned lattice, merges = codim + r(pi), with
+    # r(pi) the dimension of the forms' dependencies that sum to 0 on every
+    # atom of its partition pi, taken by exact rank over all partitions.  So
+    # r <= nu, and with nu = 1 and no zero-sum split of the dependency's
+    # support (s forms), r = 1 only where one atom holds the support: no
+    # subspace of codim below s - 2 merges more than its codim.  lindex,
+    # which prunes by that bound, finds the unpruned walk's value, witness
+    # and codim, and scores exactly the subspaces of the oracle walk that
+    # prunes by the bound computed here.
+    deep = {}
+    for cls, systems in _dependency_classes().items():
+        for i, sys in enumerate(systems):
+            label = (cls, i, sys)
+            nu, low = oracles.nullity(sys), oracles.dependency_floor(sys)
+            basis = oracles.dependencies(sys)
+            assert len(basis) == nu, label
+            f0 = sys.forms[0].functional()
+            diffs = [[x - y for x, y in zip(f.functional(), f0)] for f in sys.forms[1:]]
+            if nu == 1:
+                assert lf._lone_dependency_codim(diffs) == low, label
+            support = {j for j, v in enumerate(basis[0]) if v} if nu == 1 else set()
+            ranks = {}
+            for atoms in lf.iter_partitions(sys.t):
+                r = oracles.dependency_rank(sys, atoms)
+                assert r <= nu, label
+                if low and r:
+                    assert any(support <= set(a) for a in atoms), (label, atoms)
+                ranks[lf.FormPartition(atoms=atoms).atoms] = r
+            arrangement = lf._collision_hyperplanes(sys, math.inf)
+            rows = list(arrangement)
+            for codim, parents, merged in lf._lattice(arrangement, math.inf, lambda c: True):
+                atoms = oracles.induced_atoms(sys, lf._echelon(rows[p] for p in parents))
+                r = ranks[lf.FormPartition(atoms=atoms).atoms]
+                assert merged.bit_count() == codim + r, (label, parents)
+                assert codim >= low or r == 0, (label, parents)
+                deep[cls] = deep.get(cls, 0) + (codim > 2)
+            res = lf.lindex(sys)
+            got = (res.value, res.witness, res.codim, res.subspaces_explored)
+            assert got[:3] == oracles.closure_walk(sys)[0][:3], label
+            assert got == oracles.closure_walk(sys, "dependency")[0], label
+    assert all(deep.get(cls, 0) > 0 for cls in ("lone", "split", "nu=2")), deep
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -597,7 +676,7 @@ def test_deviation_partitions_match_the_induced_atoms(benchmark_systems):
 
 def test_hyperplane_cap_leaves_explored_counts_alone(benchmark_systems):
     # The workload reports this total.
-    assert sum(lf.lindex(s).subspaces_explored for s in benchmark_systems) == 2669
+    assert sum(lf.lindex(s).subspaces_explored for s in benchmark_systems) == 1753
     assert lf.lindex(lf.first_family(3)).subspaces_explored == 384
 
 
