@@ -21,6 +21,11 @@ from .errors import DomainError, NumericError
 from .linforms import _collision_hyperplanes, _flat_gram_det, _lattice
 
 MC_BATCH = 1 << 18   # Monte Carlo samples drawn per batch
+# Samples whose form values are built at once: a block's draws, coordinate
+# columns, value, term and lookup columns and its slice of the products,
+# about 1 MB at 2^14 and d = 4, stay in a 2 MB L2 cache, where a whole
+# batch's would take 13 MB.
+MC_BLOCK = 1 << 14
 EHRHART_MEMO = 4096   # (row, residue class) quasi-polynomial fits kept
 
 
@@ -178,9 +183,10 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     """Monte Carlo average of prod nu(n + psi_i(x))^{e_i} over the box.
 
     Samples (n, x) uniformly with n in Z/N'Z and x an integer point of the
-    box, MC_BATCH at a time.  The seed is split deterministically into
-    `workers` seed streams, which run one after another in this process,
-    so the result depends only on (seed, workers).  More than
+    box, MC_BATCH at a time, and builds their form values MC_BLOCK at a
+    time.  The seed is split deterministically into `workers` seed streams,
+    which run one after another in this process, so the result depends
+    only on (seed, workers).  More than
     limits.MAX_MC_SAMPLES samples, more workers than samples, or a batch
     that looks up more than limits.MAX_ARRAY_ENTRIES form values (one
     form's column at a time) raise ResourceError before any stream is spawned.
@@ -206,16 +212,27 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
     if len(set(box.intervals)) == 1:   # scalar bounds draw the same stream, faster
         lo, hi = box.intervals[0]
     # numpy draws a bounded integer below 2^32 by one 32-bit path for either
-    # dtype, so int32 draws give the int64 values in half the memory; the
-    # form values are summed in int64 all the same.
+    # dtype, so int32 draws give the int64 values in half the memory.
     reach = max(modulus - 1, *(abs(v) for iv in box.intervals for v in iv))
     draw = np.int32 if reach < 1 << 31 else np.int64
+    # A partial sum of a form value is at most modulus - 1 + span in size, so
+    # form values are built in int32 when that fits and every coefficient
+    # does (a box of the origin alone leaves coefficients out of span).
+    top = int(np.abs(A).max(initial=0))
+    value = np.int32 if modulus - 1 + max(span, top) < 1 << 31 else np.int64
     # Each form's nonzero coefficients, so a value column costs one pass per term.
-    terms = [[(j, a) for j, a in enumerate(row) if a] for row in A.tolist()]
-    consts = c.tolist()
-    # One batch's form values, product term, product and lookup, reused.
-    scratch = [np.empty(min(MC_BATCH, quota + (rem > 0)), dtype=dtype)
-               for dtype in (np.int64, np.int64, np.float64, np.float64)]
+    forms = [([(j, a) for j, a in enumerate(row) if a], b)
+             for row, b in zip(A.tolist(), c.tolist())] if model.kind != "one" else []
+    # A batch's products, and one block's coordinates by column (a strided
+    # column of the draws is several times slower to read), form values,
+    # product term and lookup.
+    vals_all = np.empty(min(MC_BATCH, quota + (rem > 0)))
+    block = min(MC_BLOCK, len(vals_all))
+    cols_all = np.empty((d, block), dtype=draw)
+    phi_all, term_all = np.empty(block, dtype=value), np.empty(block, dtype=value)
+    looked_all = np.empty(block)
+    if not forms:
+        vals_all.fill(1.0)
     streams = np.random.SeedSequence(seed).spawn(workers)
     total = 0.0
     total_sq = 0.0
@@ -227,28 +244,35 @@ def lfc_average_mc(model, sys, e, box, samples, seed=0, workers=1):
             left -= m
             x = rng.integers(lo, hi + 1, size=(m, d), dtype=draw)
             n = rng.integers(0, modulus, size=m, dtype=draw)
-            phi, term, vals, looked = (buf[:m] for buf in scratch)
-            vals.fill(1.0)
-            for i, (row, b) in enumerate(zip(terms if model.kind != "one" else [], consts)):
-                base = n
-                for j, a in row:
-                    if a in (1, -1):
-                        (np.add if a == 1 else np.subtract)(base, x[:, j], out=phi,
-                                                            dtype=np.int64)
-                    else:
-                        np.add(base, np.multiply(x[:, j], a, out=term, dtype=np.int64),
-                               out=phi)
-                    base = phi
-                if b or base is n:   # the constant; n alone for a constant form
-                    np.add(base, b, out=phi, dtype=np.int64)
-                # np.take's wrap mode steps one modulus at a time, so
-                # values more than a modulus away are reduced first.
-                if span >= modulus:
-                    phi %= modulus
-                # prod's order, form by form
-                np.take(model.values, phi, mode="wrap", out=looked if i else vals)
-                if i:
-                    vals *= looked
+            vals = vals_all[:m]
+            for s in range(0, m if forms else 0, MC_BLOCK):
+                base0, out = n[s:s + MC_BLOCK], vals[s:s + MC_BLOCK]
+                k = len(base0)
+                phi, term, looked = phi_all[:k], term_all[:k], looked_all[:k]
+                cols = cols_all[:, :k]
+                np.copyto(cols, x[s:s + k].T)
+                for i, (row, b) in enumerate(forms):
+                    base = base0
+                    for j, a in row:
+                        if a in (1, -1):
+                            (np.add if a == 1 else np.subtract)(base, cols[j], out=phi,
+                                                                dtype=value)
+                        else:
+                            np.add(base, np.multiply(cols[j], a, out=term, dtype=value),
+                                   out=phi)
+                        base = phi
+                    if b or base is base0:   # the constant; n alone for a constant form
+                        np.add(base, b, out=phi, dtype=value)
+                    # np.take's wrap mode steps one modulus at a time, so
+                    # values more than a modulus away are reduced first.
+                    if span >= modulus:
+                        phi %= modulus
+                    # prod's order, form by form
+                    np.take(model.values, phi, mode="wrap", out=looked if i else out)
+                    if i:
+                        out *= looked
+            # The sums run over the whole batch, so the estimate does not
+            # depend on the block length.
             total += float(vals.sum())
             vals *= vals
             total_sq += float(vals.sum())

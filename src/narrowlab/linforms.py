@@ -515,25 +515,42 @@ def lindex(sys):
     dimension of the dependencies of the forms (as functionals with their
     constants) that sum to 0 on every atom, so it scores at most
     min(t - 1, c + nu) / c, nu the nullity of the augmented differences
-    f_a - f_0.  With nu = 1 and a dependency of support s with no zero-sum
-    proper part, r = 1 only when one atom holds the whole support: a
-    subspace of codim < s - 2 scores at most 1.  That bound rises again at
-    s - 2, so the walk goes deeper while the largest bound of any codim
-    from c to the deepest, the differences' coefficient rank, beats the
-    best.  Only a new best ratio joins its parents' form pairs, for the
-    witness.  subspaces_explored counts the subspaces scored, the
-    hyperplanes included; ResourceError once more than limits.MAX_SUBSPACES
-    of them are found.
+    f_a - f_0.  With nu = 0 every subspace scores 1 and each hyperplane
+    holds one form pair, so the hyperplane of the first pair whose
+    coefficients differ is the answer, with 1 subspace explored and no
+    arrangement built (0 and no witness when there is no such pair).  With
+    nu = 1 and a dependency of support s with no zero-sum proper part, r = 1
+    only when one atom holds the whole support: a subspace of codim < s - 2
+    scores at most 1.  That bound rises again at s - 2, so the walk goes
+    deeper while the largest bound of any codim from c to the deepest, the
+    differences' coefficient rank, beats the best.  Only a new best ratio
+    joins its parents' form pairs, for the witness.  subspaces_explored
+    counts the subspaces scored, the hyperplanes included; ResourceError
+    once more than limits.MAX_SUBSPACES of them are found.
     """
     t = sys.t
     if t < 2:
         raise DomainError(f"collision index needs t >= 2 forms, got t={t}")
+    f0 = sys.forms[0].functional()
+    diffs = [[x - y for x, y in zip(f.functional(), f0)] for f in sys.forms[1:]]
+    # The t - 1 differences, in d + 1 coordinates, can be independent only
+    # when t <= d + 2; a larger system meets the hyperplane cap before they
+    # are reduced.
+    ech = _echelon(diffs) if t <= sys.d + 2 else None
+    if ech is not None and len(ech) == t - 1:   # nu = 0: the first pair settles it
+        pair = next(((i, j) for (i, fi), (j, fj) in itertools.combinations(
+            enumerate(sys.forms), 2) if fi.coeffs != fj.coeffs), None)
+        if pair is None:
+            return LindexResult(value=Fraction(0), witness=None, codim=0,
+                                subspaces_explored=0)
+        atoms = [pair] + [(i,) for i in range(t) if i not in pair]
+        return LindexResult(value=Fraction(1), witness=FormPartition(atoms=atoms),
+                            codim=1, subspaces_explored=1)
     cap = limits.MAX_SUBSPACES
     arrangement = _collision_hyperplanes(sys, cap)
     pairs = list(arrangement.values())
-    f0 = sys.forms[0].functional()
-    diffs = [[x - y for x, y in zip(f.functional(), f0)] for f in sys.forms[1:]]
-    ech = _echelon(diffs)
+    if ech is None:
+        ech = _echelon(diffs)
     nu = t - 1 - len(ech)
     depth = len(ech) - (not _feasible(ech))
     low = _lone_dependency_codim(diffs) if nu == 1 else 0
@@ -699,14 +716,15 @@ def _flat_gram_det(a, b):
     g = gcd(m) in its saturation, formed until g reaches 1.  The saturation's
     orthogonal complement {a . x = b . x = 0} has equal covolume, so Gram
     determinant sum m_ij^2 / g^2.  By the Smith normal form the flat holds an
-    integer point exactly when g also divides each a_i beta - alpha b_i.
+    integer point exactly when g also divides each a_i beta - alpha b_i,
+    which a homogeneous flat (alpha = beta = 0) passes at the origin.
     """
     (*a, alpha), (*b, beta) = a, b
     g = 0
     for i, j in itertools.combinations(range(len(a)), 2):
         if (g := math.gcd(g, a[i] * b[j] - a[j] * b[i])) == 1:
             break
-    if any((x * beta - alpha * y) % g for x, y in zip(a, b)):
+    if (alpha or beta) and any((x * beta - alpha * y) % g for x, y in zip(a, b)):
         return None
     return (sum(map(mul, a, a)) * sum(map(mul, b, b)) - sum(map(mul, a, b)) ** 2) // (g * g)
 

@@ -45,12 +45,12 @@ def random_system(rng, d, t, homogeneous=False):
     )
 
 
-def drawn_until(rng, count, shapes, keep):
-    """The first count systems random_system(rng, d, t, homogeneous) that
-    keep accepts, the shapes (d, t, homogeneous) taken in turn."""
+def drawn_until(rng, count, shapes, keep, draw=random_system):
+    """The first count systems draw(rng, d, t, homogeneous) that keep
+    accepts, the shapes (d, t, homogeneous) taken in turn."""
     systems = []
     for d, t, homogeneous in itertools.cycle(shapes):
-        sys = random_system(rng, d, t, homogeneous)
+        sys = draw(rng, d, t, homogeneous)
         if keep(sys):
             systems.append(sys)
             if len(systems) == count:
@@ -300,7 +300,8 @@ def closure_walk(sys, bound=None, depth=math.inf):
     "nullity" by min(t - 1, c + nu) / c, and "dependency" by 1 below
     dependency_floor and as "nullity" from there on; the "dependency" walk
     also stops scoring flats as soon as no subspace of codim 2 or more can
-    beat the best, as lindex does.  Returns (value,
+    beat the best, as lindex does, and with nu = 0, where every subspace
+    scores 1, scores the first hyperplane alone.  Returns (value,
     witness, codim, explored) and, in the order scored, each subspace's
     (echelon, ascending rows containing it, atoms).
     """
@@ -337,6 +338,8 @@ def closure_walk(sys, bound=None, depth=math.inf):
 
     for i, row in enumerate(rows):
         score(lf._echelon([row]), [i])
+        if bound == "dependency" and nu == 0:
+            break
     frontier = []
     if beats(2):
         for ech, parents in pairwise_flats(rows):
@@ -398,12 +401,21 @@ def partitions_corpus():
 
 
 def past_int64_corpus():
-    """40 seeded (small, big) pairs over d = 2..4 and t = 3..7, and 5
-    homogeneous d = 3, t = 5 ones, which have nu >= 1."""
+    """40 seeded (small, big) pairs over d = 2..4 and t = 3..7, 22 of them
+    with nu = 0; 5 homogeneous d = 3, t = 5 ones, which have nu >= 1; and 8
+    with nu >= 2 or one dependency with a zero-sum split, whose walks pass
+    codim 2."""
     rng = np.random.default_rng(2063)
     pairs = [big_system(rng, int(rng.integers(2, 5)), int(rng.integers(3, 8)))
              for _ in range(40)]
-    return pairs + [big_system(rng, 3, 5, homogeneous=True) for _ in range(5)]
+    pairs += [big_system(rng, 3, 5, homogeneous=True) for _ in range(5)]
+
+    def deep(pair):
+        nu = nullity(pair[0])
+        return nu >= 2 or nu == 1 and dependency_floor(pair[0]) == 0
+
+    return pairs + drawn_until(rng, 8, [(3, 6, True), (3, 7, False)], deep,
+                               draw=big_system)
 
 
 def walk_digest(results):

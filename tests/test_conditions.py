@@ -289,6 +289,44 @@ def test_mc_int32_draws_match_the_int64_reference_at_their_edge():
         assert (got.estimate, got.stderr) == want, (seed, box)
 
 
+def test_mc_blocks_match_the_reference_bit_for_bit():
+    # Form values are built MC_BLOCK samples at a time and summed over the
+    # whole batch: one block exactly, one sample past it, and streams that
+    # end in a partial block.
+    assert cd.MC_BLOCK < cd.MC_BATCH
+    model = cd.WeightModel.random(0.3, 6, 10007)
+    first2 = lf.first_family(2)
+    box = cd.symmetric_box(4, 2)
+    for samples, seed, workers in [(cd.MC_BLOCK, 16, 1), (cd.MC_BLOCK + 1, 17, 1),
+                                   (cd.MC_BLOCK + 1, 18, 2), (3 * cd.MC_BLOCK - 1, 19, 2),
+                                   (2 * cd.MC_BLOCK + 2, 20, 2)]:
+        got = cd.lfc_average_mc(model, first2, None, box, samples, seed=seed,
+                                workers=workers)
+        want = _mc_reference(model, first2, None, box, samples, seed, workers)
+        assert (got.estimate, got.stderr) == want, (samples, workers)
+
+
+def test_mc_int32_form_values_match_the_reference_at_their_edge():
+    # On x in [0, 1] with n < 3, a x peaks at a + 2 = modulus - 1 + span:
+    # int32 holds it up to modulus + span = 2^31, where the peak is 2^31 - 1,
+    # and one past that the values are built in int64.  Each weight differs,
+    # so a peak that wrapped to -2^31 (1 mod 3, not 2) would move the average.
+    model = cd.WeightModel(kind="table", modulus=3, values=np.array([0.5, 1.0, 4.0]))
+    box = cd.BoxRegion(((0, 1),))
+    for a in (2 ** 31 - 4, 2 ** 31 - 3, 2 ** 31 - 2):
+        forms = [lf.LinearForm((a,)), lf.LinearForm((1,), 1)]
+        assert 3 + cd._int64_span(*cd._form_arrays(forms, None, box)[1:], box, 3) == a + 3
+        got = cd.lfc_average_mc(model, forms, None, box, 20000, seed=21, workers=2)
+        want = _mc_reference(model, forms, None, box, 20000, 21, 2)
+        assert (got.estimate, got.stderr) == want, a
+    # On the origin's box the span leaves the coefficients out; 2^40 does not
+    # fit int32, so its form is built in int64.
+    forms = [lf.LinearForm((2 ** 40, 3), 1), lf.LinearForm((1, 1))]
+    origin = cd.BoxRegion(((0, 0), (0, 0)))
+    got = cd.lfc_average_mc(model, forms, None, origin, 5000, seed=22)
+    assert (got.estimate, got.stderr) == _mc_reference(model, forms, None, origin, 5000, 22)
+
+
 @pytest.mark.parametrize("form", [
     lf.LinearForm(coeffs=(2 ** 63, 1)),
     lf.LinearForm(coeffs=(-2 ** 63, 1)),

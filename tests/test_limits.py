@@ -106,3 +106,22 @@ def test_closure_walk_cap_counts_explored_subspaces(monkeypatch):
     with pytest.raises(ResourceError, match="^closure lattice: subspaces "
                        "explored 108 is past the cap of 107$"):
         lf.lindex(sys)
+
+
+def test_lindex_settles_nu0_systems_past_the_hyperplane_cap(monkeypatch):
+    # A nu = 0 system is settled by its first colliding pair, so a hyperplane
+    # cap its arrangement would pass no longer refuses it.  first(2) has 6
+    # hyperplanes; the 1,001 forms 0, x_1, ..., x_999 and 1 on Z^999 have
+    # 500,499, past the real cap, and independent differences.
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 5)
+    res = lf.lindex(lf.first_family(2))
+    assert (res.value, res.codim, res.subspaces_explored) == (1, 1, 1)
+    monkeypatch.undo()
+    d = 999
+    forms = [lf.LinearForm((0,) * d)]
+    forms += [lf.LinearForm(tuple(int(j == i) for j in range(d))) for i in range(d)]
+    wide = lf.LinearSystem(d=d, forms=tuple(forms + [lf.LinearForm((0,) * d, 1)]))
+    assert wide.t * (wide.t - 1) // 2 - 1 > limits.MAX_SUBSPACES
+    res = lf.lindex(wide)
+    assert (res.value, res.codim, res.subspaces_explored) == (1, 1, 1)
+    assert res.witness == lf.FormPartition(atoms=((0, 1), *((i,) for i in range(2, wide.t))))

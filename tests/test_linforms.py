@@ -308,12 +308,13 @@ def test_codim2_flat_parents_are_the_containing_hyperplanes():
 def test_lindex_first2_is_certified_at_codim_1():
     # first(2) is -s2, -s2', s1, s1'.  The differences from -s2, (0, 1, 0, -1),
     # (1, 1, 0, 0) and (0, 1, 1, 0) with constant 0, have rank 3 = t - 1, so
-    # nu = 0 and no subspace of codim c merges more than c forms: the 6
-    # hyperplanes reach ratio 1 and no flat is explored.
+    # nu = 0 and no subspace of codim c merges more than c forms: the first
+    # of the 6 hyperplanes reaches ratio 1 and nothing else is explored.
     sys = lf.first_family(2)
     assert oracles.nullity(sys) == 0
     res = lf.lindex(sys)
-    assert (res.value, res.codim, res.subspaces_explored) == (1, 1, 6)
+    assert (res.value, res.codim, res.subspaces_explored) == (1, 1, 1)
+    assert res.witness == lf.FormPartition(atoms=((0, 1), (2,), (3,)))
     assert len(lf._collision_hyperplanes(sys, math.inf)) == 6
     assert oracles.closure_walk(sys, "t-1")[0][3] == 13   # 6 hyperplanes, 7 flats
 
@@ -342,12 +343,14 @@ def _matches_the_walks(res, sys, label):
     """Check lindex's result against the closure walks: the nullity walk's
     value, witness and codim from no more subspaces, and exactly the walk
     that prunes by the independently computed dependency bound.  Returns
-    the nullity walk's scored subspaces."""
+    the scored subspaces of the nullity walk and of the dependency walk,
+    which are the ones lindex scores."""
     got = (res.value, res.witness, res.codim, res.subspaces_explored)
     want, scored = oracles.closure_walk(sys, "nullity")
     assert got[:3] == want[:3] and got[3] <= want[3], label
-    assert got == oracles.closure_walk(sys, "dependency")[0], label
-    return scored
+    exact, own = oracles.closure_walk(sys, "dependency")
+    assert got == exact, label
+    return scored, own
 
 
 def test_lindex_matches_the_closure_walks_on_random_systems(recorded_walks):
@@ -360,7 +363,7 @@ def test_lindex_matches_the_closure_walks_on_random_systems(recorded_walks):
     deeper = 0
     for trial, sys in enumerate(oracles.random_corpus()):
         res = lf.lindex(sys)
-        scored = _matches_the_walks(res, sys, (trial, sys))
+        scored, _ = _matches_the_walks(res, sys, (trial, sys))
         results.append(res)
         deeper += any(len(ech) > 2 for ech, _, _ in scored)
     _fewer_than_recorded(results, recorded_walks["random"], "random")
@@ -375,7 +378,7 @@ def test_lindex_matches_the_closure_walk_and_its_partitions(recorded_walks):
     deeper = 0
     for i, sys in enumerate(oracles.partitions_corpus()):
         res = lf.lindex(sys)
-        scored = _matches_the_walks(res, sys, (i, sys))
+        scored, _ = _matches_the_walks(res, sys, (i, sys))
         results.append(res)
         deeper += any(len(ech) > 2 for ech, _, _ in scored)
         # The pairs of the hyperplanes containing a subspace give its
@@ -472,9 +475,11 @@ def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch, benchmark_
 
 
 def test_lindex_on_coefficients_past_int64(recorded_walks):
-    # The 5 homogeneous d = 3, t = 5 systems have nu >= 1.
+    # The 5 homogeneous d = 3, t = 5 systems have nu >= 1, and 8 more have
+    # nu >= 2 or a zero-sum split, so lindex's own walk passes codim 2 on
+    # big rows; 22 have nu = 0, which lindex settles at its first pair.
     results = []
-    deeper = 0
+    deeper = settled = 0
     for trial, (small, sys) in enumerate(oracles.past_int64_corpus()):
         assert max(abs(v) for f in sys.forms for v in f.functional()) > 1 << 63
         res = lf.lindex(sys)
@@ -485,11 +490,13 @@ def test_lindex_on_coefficients_past_int64(recorded_walks):
                        small_res.subspaces_explored), (trial, small)
         assert oracles.nullity(sys) == oracles.nullity(small)
         assert oracles.dependency_floor(sys) == oracles.dependency_floor(small)
-        scored = _matches_the_walks(small_res, small, (trial, small))
+        _, own = _matches_the_walks(small_res, small, (trial, small))
         results.append(res)
-        deeper += any(len(ech) > 2 for ech, _, _ in scored)
+        deeper += any(len(ech) > 2 for ech, _, _ in own)
+        settled += oracles.nullity(sys) == 0
     _fewer_than_recorded(results, recorded_walks["past-int64"], "past-int64")
-    assert deeper > 10   # the closure walk past codim 2 runs on big rows too
+    assert deeper >= 10   # lindex's walk past codim 2 runs on big rows too
+    assert settled == 22
 
 
 def _dependency_classes():
@@ -578,14 +585,16 @@ def test_lindex_cap_counts_hyperplanes_and_flats(monkeypatch):
 
 
 def test_caps_hold_at_the_codim_1_boundary(monkeypatch):
-    # first(2)'s lindex and min_distinct_on_codim(first(3), 1) read their
-    # hyperplanes and no flat, so a cap of exactly the hyperplanes passes.
-    monkeypatch.setattr(limits, "MAX_SUBSPACES", 6)
-    assert lf.lindex(lf.first_family(2)).subspaces_explored == 6
-    monkeypatch.setattr(limits, "MAX_SUBSPACES", 5)
+    # second(3)'s lindex (nu = 4, L = 4 at codim 1) and
+    # min_distinct_on_codim(first(3), 1) read their hyperplanes and no flat,
+    # so a cap of exactly the hyperplanes passes.
+    assert oracles.nullity(lf.second_family(3)) == 4
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 13)
+    assert lf.lindex(lf.second_family(3)).subspaces_explored == 13
+    monkeypatch.setattr(limits, "MAX_SUBSPACES", 12)
     with pytest.raises(ResourceError,
-                       match="^collision hyperplanes 6 is past the cap of 5$"):
-        lf.lindex(lf.first_family(2))
+                       match="^collision hyperplanes 13 is past the cap of 12$"):
+        lf.lindex(lf.second_family(3))
     monkeypatch.setattr(limits, "MAX_SUBSPACES", 37)
     assert lf.min_distinct_on_codim(lf.first_family(3), 1).count == 8
     monkeypatch.setattr(limits, "MAX_SUBSPACES", 36)
@@ -676,7 +685,7 @@ def test_deviation_partitions_match_the_induced_atoms(benchmark_systems):
 
 def test_hyperplane_cap_leaves_explored_counts_alone(benchmark_systems):
     # The workload reports this total.
-    assert sum(lf.lindex(s).subspaces_explored for s in benchmark_systems) == 1753
+    assert sum(lf.lindex(s).subspaces_explored for s in benchmark_systems) == 1380
     assert lf.lindex(lf.first_family(3)).subspaces_explored == 384
 
 
