@@ -26,7 +26,7 @@ MC_BATCH = 1 << 18   # Monte Carlo samples drawn per batch
 # about 1 MB at 2^14 and d = 4, stay in a 2 MB L2 cache, where a whole
 # batch's would take 13 MB.
 MC_BLOCK = 1 << 14
-EHRHART_MEMO = 4096   # (row, residue class) quasi-polynomial fits kept
+EHRHART_MEMO = 4096   # (row, rhs, residue class) quasi-polynomial fits kept
 
 
 @dataclass(frozen=True)
@@ -329,15 +329,20 @@ def count_hyperplane_points(coeffs, S, rhs=0):
 
     Coordinates with zero coefficient range freely and contribute a factor
     of (2S+1) each, and the count is 0 whenever gcd(coeffs) does not divide
-    rhs.  For rhs = 0 and t active coordinates the count is an Ehrhart
-    quasi-polynomial in S of degree t-1 whose period divides
-    p = lcm|coeffs_i| (its polytope's vertices lie on edges of [-1, 1]^t).
-    Once S >= t*p + (S mod p) it is evaluated exactly in Python ints from t
-    boxcar counts at widths no larger than S, with no upper limit on S.
-    Narrower widths and rhs != 0 rows run a strided-boxcar convolution of
-    int64 value distributions.  Its partial counts are at most
-    (2S+1)^(t-1), so it is exact whenever that bound is below 2^63; larger
-    inputs raise ResourceError.
+    rhs.  With t >= 2 active coordinates, key the sorted primitive
+    |coeffs_i| and r the |rhs| over their gcd, the count is a
+    quasi-polynomial in S of degree t-1 whose period divides p = lcm(key)
+    for S >= r (Verdoolaege et al., Algorithmica 2007): a vertex S*e of
+    the box meets the hyperplane only where S * (key . e) = r, and a
+    nonzero key . e is at least 1, so past r the section keeps one shape,
+    its vertices affine in S with denominators key_i.  Once
+    S >= start + (t-1)*p, start the first width >= r congruent to S mod p,
+    it is evaluated exactly in Python ints from t boxcar counts at widths
+    from start to at most S, with no upper limit on S; rows a.x = 0 start
+    at S mod p.  Narrower widths run a strided-boxcar convolution of int64
+    value distributions.  Its partial counts are at most (2S+1)^(t-1), so
+    it is exact whenever that bound is below 2^63; larger inputs raise
+    ResourceError.
     """
     S = int(S)
     if S < 0:
@@ -352,29 +357,28 @@ def count_hyperplane_points(coeffs, S, rhs=0):
         return 0
     if len(a) == 1:
         return free if abs(rhs // a[0]) <= S else 0
-    if rhs == 0:
-        key = tuple(sorted(abs(v) // g for v in a))
-        p = math.lcm(*key)
-        c = S % p
-        if S >= len(key) * p + c:
-            diffs = _ehrhart_differences(key, c)
-            j = S // p
-            return free * sum(math.comb(j - 1, k) * dk
-                              for k, dk in enumerate(diffs))
+    key = tuple(sorted(abs(v) // g for v in a))
+    r, p = abs(rhs) // g, math.lcm(*key)
+    start = r + (S - r) % p
+    j = (S - start) // p
+    if j >= len(key) - 1:
+        diffs = _ehrhart_differences(key, r, start)
+        return free * sum(math.comb(j, k) * dk for k, dk in enumerate(diffs))
     return free * _boxcar_count(a, S, rhs)
 
 
 @functools.lru_cache(maxsize=EHRHART_MEMO)
-def _ehrhart_differences(key, c):
-    """Forward differences of f(j) = count at width c + j*p, j = 1..t.
+def _ehrhart_differences(key, r, start):
+    """Forward differences of f(j) = count at width start + j*p, j < t.
 
-    key is the sorted primitive |coefficients| of an rhs = 0 row, whose
-    count sign flips and permutations leave unchanged, and p = lcm(key).
-    f is a polynomial of degree t-1 in j, so Newton's formula
-    f(j) = sum_k C(j-1, k) * diffs[k] gives it at every j >= 1.
+    key is the sorted primitive |coefficients| of a row and r its |rhs| over
+    their gcd, whose count sign flips and permutations leave unchanged, and
+    p = lcm(key).  For start >= r, f is a polynomial of degree t-1 in j, so
+    Newton's formula f(j) = sum_k C(j, k) * diffs[k] gives it at every
+    j >= 0.
     """
     p = math.lcm(*key)
-    vals = [_boxcar_count(key, c + j * p, 0) for j in range(1, len(key) + 1)]
+    vals = [_boxcar_count(key, start + j * p, r) for j in range(len(key))]
     diffs = []
     while vals:
         diffs.append(vals[0])

@@ -483,18 +483,12 @@ def _lone_dependency_codim(diffs):
     all t forms, has a support of s forms no proper nonempty part of which
     has lambda-sum 0; else 0.
 
-    lambda comes from the integer echelon of the differences' columns, so no
+    lambda comes from the integer kernel of the differences' columns, so no
     Fraction is built.  A zero-sum part, or its complement, misses the
     support's first form; past 2^16 distinct part sums the test gives up and
     returns 0, which only keeps the weaker bound.
     """
-    cols = _echelon(zip(*diffs))
-    pivots = {p for p, _ in cols}
-    free = next(j for j in range(len(diffs)) if j not in pivots)
-    scale = math.lcm(*(r[p] for p, r in cols))
-    mu = [scale if j == free else 0 for j in range(len(diffs))]
-    for p, r in cols:
-        mu[p] = -r[free] * (scale // r[p])
+    (mu,) = _integer_kernel(list(zip(*diffs)), len(diffs))
     support = [v for v in (-sum(mu), *mu) if v]
     sums = set()
     for v in support[1:]:

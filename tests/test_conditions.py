@@ -420,9 +420,15 @@ def test_hyperplane_count_exact_past_double_precision():
     want = sum(c3(m) * c for m, c in zip(range(-2 * S, 2 * S + 1), c2))
     assert want >= 1 << 63
     assert cd.count_hyperplane_points([1, 1, 1, -1, -1], S) == want
-    # rhs != 0 rows still run the int64 boxcar, with its ceiling.
-    with pytest.raises(ResourceError):
-        cd.count_hyperplane_points([1, 1, 1, -1, -1], S, rhs=1)
+    # x1 + x2 + x3 = y1 + y2 + 1: sum over m of c3(m + 1) * c2(m).  Affine
+    # rows take the quasi-polynomial too, from samples at widths near rhs.
+    want = sum(c3(m + 1) * c for m, c in zip(range(-2 * S, 2 * S + 1), c2))
+    assert want >= 1 << 63
+    assert cd.count_hyperplane_points([1, 1, 1, -1, -1], S, rhs=1) == want
+    # Samples from r = 4 * 10^7 on need a boxcar past the array cap.
+    with pytest.raises(ResourceError, match="entries of a hyperplane count's array "
+                       "160000002 is past the cap of 67108864$"):
+        cd.count_hyperplane_points([1, 1, -1], 10 ** 8, rhs=4 * 10 ** 7)
 
 
 def test_hyperplane_quasi_polynomial_matches_boxcar_and_brute():
@@ -440,6 +446,34 @@ def test_hyperplane_quasi_polynomial_matches_boxcar_and_brute():
                 assert got == oracles.hyperplane_points(a, S), (a, S)
                 brute_on_fit += S >= t * p + S % p
     assert brute_on_fit >= 50
+    # Affine rows of 2-5 coefficients up to 7 with 0 < |rhs| <= 25 and
+    # period p at most 60, at every width up to one period past the samples
+    # in each residue class.  The brute force checks the widths past the
+    # samples, the only values the boxcar does not give directly.  Samples
+    # one period early, from start - p < r, extrapolate wrongly on some row.
+    rows = []
+    while len(rows) < 12:
+        t = int(rng.integers(2, 6))
+        a = [int(v) * int(rng.choice((-1, 1))) for v in rng.integers(1, 8, size=t)]
+        if math.lcm(*a) // math.gcd(*a) <= 60:
+            rows.append((a, int(rng.integers(1, 26)) * int(rng.choice((-1, 1)))))
+    brute_past_samples = early_misses = 0
+    for a, rhs in rows:
+        t, g = len(a), math.gcd(*a)
+        key = tuple(sorted(abs(v) // g for v in a))
+        p, r = math.lcm(*key), abs(rhs) // g
+        for S in range(r + (t + 1) * p):
+            got = cd.count_hyperplane_points(a, S, rhs=rhs)
+            assert got == cd._boxcar_count(a, S, rhs), (a, rhs, S)
+            start = r + (S - r) % p
+            if S >= start + t * p and (2 * S + 1) ** (t - 1) <= 20000:
+                assert got == oracles.hyperplane_points(a, S, rhs), (a, rhs, S)
+                brute_past_samples += 1
+            if S == start + (t - 1) * p and start >= p and rhs % g == 0:
+                early = cd._ehrhart_differences(key, r, start - p)
+                early_misses += sum(math.comb(t, k) * dk for k, dk in enumerate(early)) != got
+    assert brute_past_samples >= 20
+    assert early_misses >= 1
 
 
 def test_hyperplane_quasi_polynomial_on_family_rows():
@@ -468,7 +502,7 @@ def test_large_period_row_at_small_width_stays_on_boxcar():
 def test_two_coordinate_rows_keep_their_closed_form_counts():
     # 1000 x = 999 y on |x|, |y| <= S has the 2 * (S // 1000) + 1 points
     # x = 999 k.  A dense boxcar of this row would hold 2 * 1999 * S
-    # entries; below the switch (S < 2 * 999000) the count stays O(S).
+    # entries; below the switch (S < 999000) the count stays O(S).
     tracemalloc.start()
     try:
         assert cd.count_hyperplane_points([1000, -999], 5000) == 11
@@ -945,6 +979,16 @@ def test_threshold_slope_converges_to_the_collision_index(family, args):
     sys = getattr(lf, f"{family}_family")(*args)
     fit = cd.width_threshold_fit(sys, (1e-4, 5e-5, 2.5e-5))
     assert fit.slope == pytest.approx(float(lf.lindex(sys).value), abs=1e-3)
+
+
+def test_threshold_fit_of_an_affine_system_at_small_alpha():
+    # S* reaches about 4.7 * 10^10, where a boxcar at S would pass the array
+    # cap; the affine rows' quasi-polynomials are sampled near their rhs.
+    sys = lf.parse_system("0; 1 0\n0; 0 0\n0; 1 2\n1; 0 0\n5; 0 2\n6; 0 0\n")
+    fit = cd.width_threshold_fit(sys, (1e-8, 1e-9, 1e-10))
+    assert abs(fit.slope - 1) <= 0.01
+    assert all(row.dominant_ratio == 1 for row in fit.rows)
+    assert fit.rows[-1].S_star > 4 * 10 ** 10
 
 
 def test_threshold_bracket_stops_inside_the_float_range():

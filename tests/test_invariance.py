@@ -46,7 +46,7 @@ def _images(rng, sys):
         "negation": _negated(sys),
         "constants + 5": _mapped(sys, lambda f: f.coeffs, lambda f: f.constant + 5),
         # A rational map keeps the rational index only: once lindex counts
-        # integer points (ROADMAP item 3), x -> 2x moves into the integer
+        # integer points (ROADMAP item 1), x -> 2x moves into the integer
         # brute-force differential.
         "x -> 2x": _mapped(sys, lambda f: [2 * a for a in f.coeffs], lambda f: f.constant),
     }

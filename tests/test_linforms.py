@@ -413,12 +413,11 @@ def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch, benchmark_
     # Each kept row must be the primitive reduction of its raw row by the
     # echelon of the hyperplanes containing that subspace, and each dropped
     # row must reduce to 0 (it contains the subspace) or 0 = nonzero (it
-    # misses it).  The recorder skips the calls made inside lindex's
-    # _echelon of the form differences, for the bounds, and, when nu = 1,
-    # of their columns, for the dependency.  The dependency bound stops the
-    # walk at codim 2 on the benchmark and random systems, so two affine
-    # d = 4, t = 8 systems (nu = 2) and four whose one dependency has a
-    # zero-sum split carry the walk past codim 3.
+    # misses it).  The recorder skips the calls made inside lindex's one
+    # _echelon, of the form differences, for the bounds.  The dependency
+    # bound stops the walk at codim 2 on the benchmark and random systems,
+    # so two affine d = 4, t = 8 systems (nu = 2) and four whose one
+    # dependency has a zero-sum split carry the walk past codim 3.
     rng = np.random.default_rng(27)
     systems = list(benchmark_systems) + [
         oracles.random_system(rng, int(rng.integers(2, 6)), int(rng.integers(2, 8)))
@@ -448,7 +447,7 @@ def test_lindex_carried_rows_match_the_echelon_reduction(monkeypatch, benchmark_
             m.setattr(lf, "_eliminate", record)
             m.setattr(lf, "_echelon", record_echelon)
             lf.lindex(sys)
-        assert len(built) == 1 + (oracles.nullity(sys) == 1)
+        assert len(built) == 1
         rows = list(lf._collision_hyperplanes(sys, math.inf))
         echelons = {}   # id of each returned dict, all kept alive in calls
         for carried, key, out in calls:
@@ -559,6 +558,27 @@ def test_dependency_bound_holds_on_every_collision_subspace():
             assert got[:3] == oracles.closure_walk(sys)[0][:3], label
             assert got == oracles.closure_walk(sys, "dependency")[0], label
     assert all(deep.get(cls, 0) > 0 for cls in ("lone", "split", "nu=2")), deep
+
+
+def test_integer_kernel_spans_the_dependencies():
+    # The integer kernel of the differences' columns has nu vectors mu, and
+    # with nu = 1, lambda = (-sum mu, mu) is a multiple of the oracle's
+    # Fraction dependency, so _lone_dependency_codim reads the same support.
+    systems = oracles.random_corpus() + oracles.partitions_corpus()
+    systems += [s for pair in oracles.past_int64_corpus() for s in pair]
+    lone = 0
+    for i, sys in enumerate(systems):
+        basis = oracles.dependencies(sys)
+        f0 = sys.forms[0].functional()
+        diffs = [[x - y for x, y in zip(f.functional(), f0)] for f in sys.forms[1:]]
+        kernel = lf._integer_kernel(list(zip(*diffs)), sys.t - 1)
+        assert len(kernel) == len(basis), (i, sys)
+        if len(basis) == 1:
+            lam, want = [-sum(kernel[0]), *kernel[0]], basis[0]
+            j = next(j for j, v in enumerate(want) if v)
+            assert lam[j] and all(x * want[j] == lam[j] * y for x, y in zip(lam, want)), (i, sys)
+            lone += 1
+    assert lone >= 300
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
