@@ -25,6 +25,7 @@ from .singular import DEFAULT_PMAX, as_shift, discriminant_primes, singular_seri
 
 MEDIAN_TARGET = 512
 SWEEP_ENTRIES = 1 << 18  # window entries per block of the dense sweep
+ROUND_DIFFERENCES = 64   # differences of the narrowness scan's first round
 CHUNK_WORDS = 1 << 16   # window words per gather of the support sweep
 
 
@@ -210,13 +211,9 @@ def prime_signal(sieve, nprime):
     """The normalized prime indicator log N' on primes in [sqrt(N'), N').
 
     Its mean is close to 1 by the prime number theorem, which makes
-    lambda_D values directly comparable to 1.
+    lambda_D values directly comparable to 1.  It reads the sieve to N' - 1.
     """
     nprime = int(nprime)
-    if nprime > sieve.limit:
-        raise DomainError(
-            f"modulus {nprime} exceeds sieve limit {sieve.limit}"
-        )
     if not is_prime(nprime):
         raise DomainError(f"modulus {nprime} must be prime")
     lo = math.isqrt(nprime - 1) + 1
@@ -245,10 +242,6 @@ def count_aps_with_difference(N, k, d, sieve):
     """
     N, k, d = int(N), int(k), int(d)
     top = count_sieve_limit(N, k, d)
-    if top > sieve.limit:
-        raise DomainError(
-            f"need sieve limit >= {top}, have {sieve.limit}"
-        )
     return _prime_ap_count(sieve.packed_primes(top), N + 1, k, d)
 
 
@@ -481,7 +474,8 @@ def _narrowness_scales(ladder, k, delta, rule):
 
 
 def narrowness_sieve_limit(ladder, k, delta=0.0, rule=None):
-    """Sieve limit narrowness_report needs; DomainError for what it rejects."""
+    """Sieve limit that covers every round of narrowness_report, an upper
+    bound on what it reads; DomainError for what it rejects."""
     k = int(k)
     scales = _narrowness_scales(ladder, k, delta, rule)
     return max(N + (k - 1) * cap for N, _, cap in scales)
@@ -498,36 +492,35 @@ def narrowness_report(ladder, k, delta, rule, sieve):
     later than the first hit.  Rows compare min_d against (log N)^(k-1)
     and (log N)^L.  For a d that a prime q <= k does not divide, every
     such progression holds q, so only the progressions through q are read.
+
+    The scan runs in rounds: the first reads d <= ROUND_DIFFERENCES, each
+    later one doubles that bound up to the cap, and a round to D reads the
+    sieve to N + (k-1) D; past the first round, D ends below twice the d
+    where the scan stops.
     """
     k = int(k)
     delta = float(delta)
     rows = []
     for N, high, cap in _narrowness_scales(ladder, k, delta, rule):
-        top = N + (k - 1) * cap
-        if top > sieve.limit:
-            raise DomainError(
-                f"need sieve limit >= {top} for N={N}, have {sieve.limit}"
-            )
-        mask = sieve.prime_mask(top)
-        if rule is not None:
-            mask = mask & rule.mask(top)
-        if not mask[: N + 1].any():
-            raise DomainError(f"prime subset empty below N={N}")
-        words = pack_bits(mask)
-        min_d = 0
-        diffs = []
-        for d in range(1, cap + 1):
-            c = _prime_ap_count(words, N + 1, k, d)
-            if c > 0:
-                if min_d == 0:
-                    min_d = d
-                diffs.extend([d] * c)
+        diffs, D = [], 0
+        while D < cap and len(diffs) < MEDIAN_TARGET:
+            lo, D = D + 1, min(cap, max(ROUND_DIFFERENCES, 2 * D))
+            top = N + (k - 1) * D
+            mask = sieve.prime_mask(top)
+            if rule is not None:
+                mask = mask & rule.mask(top)
+            if lo == 1 and not mask[: N + 1].any():
+                raise DomainError(f"prime subset empty below N={N}")
+            words = pack_bits(mask)
+            for d in range(lo, D + 1):
+                diffs += [d] * _prime_ap_count(words, N + 1, k, d)
                 if len(diffs) >= MEDIAN_TARGET:
                     break
-        if min_d == 0:
+        if not diffs:
             raise DomainError(
                 f"no {k}-AP with d <= {cap} in the subset at N={N}"
             )
+        min_d = diffs[0]
         median_d = float(np.median(diffs))
         low = log_power(N, k - 1)
         rows.append(NarrownessRow(

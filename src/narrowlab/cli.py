@@ -292,15 +292,10 @@ def _family_system(params):
 
 
 def _get_sieve(limit, path):
-    """The sieve at path, checked to cover limit, or one built in memory."""
+    """The sieve at path, or one built in memory to limit; readers check their range."""
     if path is None:
         return numtheory.build_factor_sieve(limit)
-    sieve = numtheory.load_sieve(path)
-    if sieve.limit < limit:
-        raise DomainError(
-            f"sieve at {path} covers {sieve.limit}, need {limit}"
-        )
-    return sieve
+    return numtheory.load_sieve(path)
 
 
 # ------------------------------------------------------------- subcommands
@@ -384,8 +379,8 @@ def _cmd_majorant(params):
     sieve = _get_sieve(ctx.W * ctx.modulus + ctx.b, params["sieve"])
     spec = cutoff.make_cutoff(params["chi"])
     table = majorant.build_majorant(ctx, R, spec, sieve)
-    majorant.save_majorant(table, params["out"])
     violations = majorant.check_minorization(table, sieve)
+    majorant.save_majorant(table, params["out"])
     print(f"N' = {ctx.modulus}, R = {R:.3f}, mean nu = "
           f"{float(table.values.mean()):.6f}, floor violations = {violations}")
     print(f"saved table to {params['out']}")

@@ -726,15 +726,17 @@ def _flat_gram_det(a, b):
 def solution_lattice(sys, pi):
     """Integer lattice of points where all within-atom differences vanish.
 
-    The constant parts must be consistent (a partition with contradictory
-    affine constraints has no solutions and is rejected); the lattice
-    itself is the kernel of the homogeneous difference system.
+    The constraints A x = b must have a solution in Z^d, else DomainError.
+    One exists exactly when the last coordinates of the integer kernel of
+    [A | -b] have gcd 1: they are the s for which A x = s b is solvable,
+    an ideal gZ.  The lattice itself is the kernel of A.
     """
     if pi.t != sys.t:
         raise DomainError(f"partition covers {pi.t} forms, system has {sys.t}")
     rows = _constraint_rows(sys, pi)
-    if not _feasible(_echelon(rows)):
-        raise DomainError("partition forces an inconsistent affine constraint")
+    lifted = _integer_kernel([(*a, -rhs) for *a, rhs in rows], sys.d + 1)
+    if math.gcd(*(v[-1] for v in lifted)) != 1:
+        raise DomainError("partition's affine constraints have no integer point")
     basis = _integer_kernel([r[:-1] for r in rows], sys.d)
     gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
     gdet = _int_det(gram)

@@ -102,17 +102,13 @@ def build_majorant(context, R, cutoff, sieve):
     entries, sized to stay in L2 cache, gets every weight in increasing
     d order and is scaled and squared into values before the next one,
     so every entry sees the same float operations as one whole-array
-    pass per d.
+    pass per d.  The sieve must reach R, as the weights factor d <= R.
     """
     nprime = context.modulus
     W = context.W
     b = context.b
-    top = W * nprime + b
     R = _checked_R(context, R)
-    if sieve.limit < top:
-        raise DomainError(
-            f"sieve limit {sieve.limit} does not cover W N' + b = {top}"
-        )
+    sieve.check_range(int(R))
     log_r = math.log(R)
     terms = []
     for d in range(1, int(R) + 1):
@@ -152,16 +148,12 @@ def check_minorization(table, sieve):
     """Count majorant values below the floor at primes W n + b > R; 0 expected.
 
     Primality is read from the factor table through the progression
-    W n + b alone, so no mask of the whole sieve range is built.
+    W n + b alone, so no mask of the whole sieve range is built; the
+    sieve must reach its last entry, W (N' - 1) + b.
     """
     ctx = table.context
-    nprime = ctx.modulus
-    top = ctx.W * nprime + ctx.b
-    if sieve.limit < top:
-        raise DomainError(
-            f"sieve limit {sieve.limit} does not cover W N' + b = {top}"
-        )
-    primes = sieve.prime_mask(top - ctx.W, start=ctx.b, step=ctx.W)
+    last = ctx.W * (ctx.modulus - 1) + ctx.b
+    primes = sieve.prime_mask(last, start=ctx.b, step=ctx.W)
     # W n + b > R exactly when W n + b > floor(R)
     first = max(0, (math.floor(table.R) - ctx.b) // ctx.W + 1)
     dips = table.values[first:] < minorization_floor(table)

@@ -66,15 +66,19 @@ class FactorSieve:
         return f"FactorSieve(limit={self.limit})"
 
     def check_range(self, n):
+        """n as an int, DomainError unless 1 <= n <= limit: the one coverage
+        check, which every reader makes with the last entry it reads."""
         n = int(n)
-        if not 1 <= n <= self.limit:
-            raise DomainError(f"n={n} outside sieve range [1, {self.limit}]")
+        if n > self.limit:
+            raise DomainError(f"need sieve limit >= {n}, have {self.limit}")
+        if n < 1:
+            raise DomainError(f"n={n} is below 1")
         return n
 
     def _check_upto(self, upto):
-        upto = int(upto)
-        if not 2 <= upto <= self.limit:
-            raise DomainError(f"upto={upto} outside sieve range [2, {self.limit}]")
+        upto = self.check_range(upto)
+        if upto < 2:
+            raise DomainError(f"upto={upto} is below 2")
         return upto
 
     def prime_mask(self, upto=None, start=0, step=1):

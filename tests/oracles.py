@@ -118,6 +118,18 @@ def ap_count(flags, k, d):
         [flags[j * d:j * d + starts] for j in range(k)])))
 
 
+def narrowest_differences(flags, N, k, cap, target):
+    """(min_d, median_d) of the k-APs of flags starting at n <= N, with d
+    taken in turn from 1 until target progressions are in hand or d reaches
+    cap; None when none is found.  Each d is one ap_count."""
+    diffs = []
+    for d in range(1, cap + 1):
+        diffs += [d] * ap_count(flags[:N + 1 + (k - 1) * d], k, d)
+        if len(diffs) >= target:
+            break
+    return (diffs[0], float(np.median(diffs))) if diffs else None
+
+
 def cyclic_ap_count(sets, D):
     """Pairs (n, d), d in [1, D], with n + j d in sets[j] modulo n' for each
     j: per d, the AND of sets[j] rolled back by j d."""

@@ -368,10 +368,77 @@ def test_huge_k_is_rejected_before_its_exponent_is_built():
 
 
 def test_narrowness_sieve_limit_is_what_the_report_needs():
+    # The report reads no further than its rounds reach, so the in-memory
+    # size is an upper bound: a sieve one short of it serves, and the first
+    # round, to N + (k-1) ROUND_DIFFERENCES at the largest N, is the least.
     ladder = (3000, 1000)
     top = ap.narrowness_sieve_limit(ladder, 3)
     assert top == max(N + 2 * math.ceil(math.log(N) ** 4) for N in ladder)
-    rep = ap.narrowness_report(ladder, 3, 0.0, None, nt.build_factor_sieve(top))
+    rep = ap.narrowness_report(ladder, 3, 0.0, None, nt.build_factor_sieve(top - 1))
     assert [row.N for row in rep.rows] == list(ladder)
-    with pytest.raises(DomainError, match="need sieve limit"):
-        ap.narrowness_report(ladder, 3, 0.0, None, nt.build_factor_sieve(top - 1))
+    first = 3000 + 2 * ap.ROUND_DIFFERENCES
+    assert ap.narrowness_report(ladder, 3, 0.0, None,
+                                nt.build_factor_sieve(first)).rows == rep.rows
+    with pytest.raises(DomainError, match=f"need sieve limit >= {first}, have {first - 1}$"):
+        ap.narrowness_report(ladder, 3, 0.0, None, nt.build_factor_sieve(first - 1))
+
+
+def _brute_rows(ladder, k, rule, sieve):
+    """(N, min_d, median_d) per rung by oracles.narrowest_differences, or
+    None when a rung has no progression below its reference cap; d stops
+    where the progressions leave the sieve."""
+    flags = sieve.prime_mask()
+    if rule is not None:
+        flags = flags & rule.mask(sieve.limit)
+    rows = []
+    for N in ladder:
+        cap = min(max(2, math.ceil(ap.narrow_width(N, k))), (sieve.limit - N) // (k - 1))
+        found = oracles.narrowest_differences(flags, N, k, cap, ap.MEDIAN_TARGET)
+        if found is None:
+            return None
+        rows.append((N, *found))
+    return rows
+
+
+def _report_rows(ladder, k, rule, sieve):
+    rows = _rows_or_error(ladder, k, rule, sieve)
+    return rows if isinstance(rows, str) else [(r.N, r.min_d, r.median_d) for r in rows]
+
+
+@pytest.mark.parametrize("rounds", [None, 1, 10 ** 30])
+@pytest.mark.parametrize("rule", [None, (8, (1, 3))])
+def test_narrowness_rows_match_a_brute_force_scan(sieve_2m, monkeypatch, rounds, rule):
+    # k = 4 and 5 have reference caps far past the sieve, so only the
+    # rounds let them run; a first round past the cap reads it whole, which
+    # the sieve covers for k = 2 and 3 only.
+    rule = rule and ap.SubsetRule(modulus=rule[0], classes=rule[1])
+    ladder = (1000, 10 ** 4)
+    if rounds is not None:
+        monkeypatch.setattr(ap, "ROUND_DIFFERENCES", rounds)
+    for k in (2, 3) if rounds == 10 ** 30 else (2, 3, 4, 5):
+        want = _brute_rows(ladder, k, rule, sieve_2m)
+        got = _report_rows(ladder, k, rule, sieve_2m)
+        if want is None:
+            assert got.startswith(f"no {k}-AP with d <= "), (k, got)
+        else:
+            assert got == want, k
+    if rounds == 10 ** 30:
+        with pytest.raises(DomainError, match="need sieve limit"):
+            ap.narrowness_report(ladder, 4, 0.0, rule, sieve_2m)
+
+
+def test_narrowness_reaches_k_7_from_a_small_sieve(sieve_2m):
+    # The reference cap at N = 10^6 asks for a sieve to about 1.5 * 10^14
+    # at k = 4; the scan's rounds stay inside a sieve to 2 * 10^6.
+    got = [tuple(r.min_d for r in ap.narrowness_report((10 ** 5, 10 ** 6), k, 0.0, None,
+                                                      sieve_2m).rows)
+           for k in (4, 5, 6, 7)]
+    assert got == [(6, 6), (6, 6), (30, 30), (150, 150)]
+
+
+def test_prime_signal_reads_the_sieve_to_n_prime_minus_one(sieve_2m):
+    # 1009 is prime: the signal reads entries up to 1008 and no further.
+    want = ap.prime_signal(sieve_2m, 1009)
+    assert np.array_equal(ap.prime_signal(nt.build_factor_sieve(1008), 1009), want)
+    with pytest.raises(DomainError, match="need sieve limit >= 1008, have 1007$"):
+        ap.prime_signal(nt.build_factor_sieve(1007), 1009)

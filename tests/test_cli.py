@@ -563,6 +563,19 @@ def test_majorant_correlate_chain(capsys, tmp_path):
     assert csv_path.read_bytes() == first_bytes
 
 
+def test_majorant_floor_check_runs_before_the_table_is_saved(capsys, tmp_path):
+    # A sieve to 1000 covers the build (d <= R = 141.35) but not the floor
+    # check, which reads W (N'-1) + b = 60037: no table may be left behind.
+    sieve_path = tmp_path / "s.bin"
+    assert run(capsys, "sieve-build", "--limit", "1000", "--out", str(sieve_path))[0] == 0
+    table_path = tmp_path / "tab.bin"
+    code, _, err = run(capsys, "majorant", "--N", "10007", "--sieve", str(sieve_path),
+                       "--out", str(table_path))
+    assert code == 2
+    assert err == "error: need sieve limit >= 60037, have 1000\n"
+    assert not table_path.exists()
+
+
 def test_lfc_constant_model(capsys, tmp_path):
     out = tmp_path / "lfc.json"
     code, text, _ = run(capsys, "lfc", "--family", "first", "--k", "2",
@@ -648,6 +661,23 @@ def test_apsearch_narrowness_mode(capsys, tmp_path):
     assert int(row[0]) == 10 ** 5
     assert int(row[1]) >= 1
     assert float(row[1]) <= float(row[4])
+
+
+def test_narrowness_k_4_runs_from_a_sieve_file(capsys, tmp_path):
+    # The in-memory path would size its sieve by the reference width,
+    # about 1.5 * 10^14 here; the scan reads to about 10^5 + 3 * 64.
+    sieve_path = tmp_path / "s.bin"
+    assert run(capsys, "sieve-build", "--limit", "1.1e5", "--out", str(sieve_path))[0] == 0
+    out = tmp_path / "n4.csv"
+    code, _, err = run(capsys, "apsearch", "--mode", "narrowness", "--ladder", "1e4,1e5",
+                       "--k", "4", "--sieve", str(sieve_path), "--out", str(out))
+    assert (code, err) == (0, "")
+    body = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert [(row[0], row[1]) for row in body[1:]] == [("10000", "6"), ("100000", "6")]
+    code, _, err = run(capsys, "apsearch", "--mode", "narrowness", "--ladder", "2e5",
+                       "--k", "4", "--sieve", str(sieve_path))
+    assert code == 2
+    assert err == "error: need sieve limit >= 200192, have 110000\n"
 
 
 def test_apsearch_rule_requires_classes(capsys):

@@ -852,6 +852,21 @@ def test_solution_lattice_rejects_inconsistent_partition():
     )
     with pytest.raises(DomainError):
         lf.solution_lattice(shifted, lf.FormPartition(atoms=((0, 1),)))
+    # 2x = 1 has the rational point 1/2 and no integer one; 2x = 2 has x = 1.
+    pair = lf.FormPartition(atoms=((0, 1),))
+    for rhs, solvable in ((1, False), (2, True), (-4, True), (3, False)):
+        sys = lf.parse_system(f"0; 2\n{rhs}; 0\n")
+        if solvable:
+            lat = lf.solution_lattice(sys, pair)
+            assert (lat.dimension, lat.gram_det) == (0, 1)
+        else:
+            with pytest.raises(DomainError, match="no integer point"):
+                lf.solution_lattice(sys, pair)
+    # Two rows, each solvable alone, without a common integer point:
+    # x + y = 0 and x - y = 1 meet only in (1/2, -1/2).
+    sys = lf.parse_system("0; 0 0\n0; 1 1\n-1; 1 -1\n")
+    with pytest.raises(DomainError, match="no integer point"):
+        lf.solution_lattice(sys, lf.FormPartition(atoms=((0, 1, 2),)))
 
 
 def test_solution_lattice_full_when_partition_discrete():

@@ -209,9 +209,24 @@ def test_build_domain_errors(ctx, chi, sieve_2m):
         mj.build_majorant(ctx, 2.0 * math.sqrt(top), chi, sieve_2m)
     with pytest.raises(DomainError):
         mj.build_majorant(ctx, 1.0, chi, sieve_2m)
-    small = nt.build_factor_sieve(1000)
-    with pytest.raises(DomainError):
-        mj.build_majorant(ctx, 50.0, chi, small)
+    # The weights factor d <= R and no further: a sieve to 50 serves R = 50.
+    full = mj.build_majorant(ctx, 50.0, chi, sieve_2m)
+    edge = mj.build_majorant(ctx, 50.0, chi, nt.build_factor_sieve(50))
+    assert edge.values.tobytes() == full.values.tobytes()
+    assert edge.lambda_values.tobytes() == full.lambda_values.tobytes()
+    with pytest.raises(DomainError, match="need sieve limit >= 50, have 49$"):
+        mj.build_majorant(ctx, 50.0, chi, nt.build_factor_sieve(49))
+
+
+def test_sieve_reach_of_build_and_floor_check(table, ctx, chi):
+    # The build reads the sieve to int(R), the floor check to W (N'-1) + b.
+    short = mj.build_majorant(ctx, table.R, chi, nt.build_factor_sieve(int(table.R)))
+    assert short.values.tobytes() == table.values.tobytes()
+    assert short.lambda_values.tobytes() == table.lambda_values.tobytes()
+    last = ctx.W * (NPRIME - 1) + ctx.b
+    assert mj.check_minorization(table, nt.build_factor_sieve(last)) == 0
+    with pytest.raises(DomainError, match=f"need sieve limit >= {last}, have {last - 1}$"):
+        mj.check_minorization(table, nt.build_factor_sieve(last - 1))
 
 
 def test_pair_correlation_plain_array():
